@@ -171,6 +171,7 @@ mod tests {
 
     #[test]
     fn enforce_runs_ladder_until_under_bound() {
+        let _serial = crate::serial_test();
         use std::cell::Cell;
         // Not the global config (other tests share it): drive `enforce`'s
         // logic through a locally installed ceiling and restore after.

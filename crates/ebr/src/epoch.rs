@@ -483,6 +483,7 @@ mod tests {
 
     #[test]
     fn unprotected_defer_runs_immediately() {
+        let _serial = crate::serial_test();
         struct NoteDrop(Arc<StdAtomicUsize>);
         impl Drop for NoteDrop {
             fn drop(&mut self) {
@@ -498,6 +499,7 @@ mod tests {
 
     #[test]
     fn deferred_destruction_eventually_runs() {
+        let _serial = crate::serial_test();
         struct NoteDrop(Arc<StdAtomicUsize>);
         impl Drop for NoteDrop {
             fn drop(&mut self) {
@@ -521,6 +523,7 @@ mod tests {
 
     #[test]
     fn pinned_reader_blocks_reclamation() {
+        let _serial = crate::serial_test();
         use std::sync::mpsc;
         let a = Arc::new(Atomic::new(41u64));
         let (ready_tx, ready_rx) = mpsc::channel();
@@ -556,6 +559,7 @@ mod tests {
 
     #[test]
     fn reclamation_stats_track_retire_free_cycle() {
+        let _serial = crate::serial_test();
         // Counters are process-global and other tests run concurrently, so
         // assert on deltas and lower bounds only.
         let before = reclamation_stats();
@@ -590,6 +594,7 @@ mod tests {
     #[test]
     #[cfg(any(feature = "retire-audit", debug_assertions))]
     fn double_retire_panics_under_audit() {
+        let _serial = crate::serial_test();
         let guard = pin();
         let p = Owned::new(9u64).into_shared(&guard);
         unsafe { guard.defer_destroy(p) };
@@ -607,6 +612,7 @@ mod tests {
 
     #[test]
     fn concurrent_churn_is_safe() {
+        let _serial = crate::serial_test();
         // Hammer one atomic from several threads with swap + retire; run under
         // the normal test battery this exercises advancement and reclamation.
         let a = Arc::new(Atomic::new(0u64));

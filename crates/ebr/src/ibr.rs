@@ -580,8 +580,7 @@ mod tests {
     }
 
     /// Churn until `done` holds (or a generous cap, so a failure still
-    /// terminates).  Sibling tests in this binary pin concurrently, so a
-    /// single round is not guaranteed to free anything.
+    /// terminates): a single round is not guaranteed to free anything.
     fn churn_until(done: impl Fn() -> bool) {
         for _ in 0..200 {
             if done() {
@@ -594,6 +593,7 @@ mod tests {
 
     #[test]
     fn unprotected_defer_runs_immediately() {
+        let _serial = crate::serial_test();
         struct NoteDrop(Arc<StdAtomicUsize>);
         impl Drop for NoteDrop {
             fn drop(&mut self) {
@@ -609,6 +609,7 @@ mod tests {
 
     #[test]
     fn deferred_destruction_eventually_runs() {
+        let _serial = crate::serial_test();
         struct NoteDrop(Arc<StdAtomicUsize>);
         impl Drop for NoteDrop {
             fn drop(&mut self) {
@@ -630,6 +631,7 @@ mod tests {
 
     #[test]
     fn stalled_reader_does_not_block_younger_garbage() {
+        let _serial = crate::serial_test();
         use std::sync::mpsc;
         // A reader pins and stalls; a writer then allocates AND retires nodes
         // born after the reader's reservation.  Those must be freeable while
@@ -684,6 +686,7 @@ mod tests {
 
     #[test]
     fn protected_node_survives_collection() {
+        let _serial = crate::serial_test();
         use std::sync::mpsc;
         // The dual: a node loaded under the reader's reservation must NOT be
         // freed, however far the era advances.
@@ -719,6 +722,7 @@ mod tests {
 
     #[test]
     fn ibr_stats_track_retire_free_cycle() {
+        let _serial = crate::serial_test();
         let before = ibr_reclamation_stats();
         {
             let guard = pin_ibr();
@@ -742,6 +746,7 @@ mod tests {
     #[test]
     #[cfg(any(feature = "retire-audit", debug_assertions))]
     fn double_retire_panics_under_audit() {
+        let _serial = crate::serial_test();
         let guard = pin_ibr();
         let p = Owned::new(9u64).into_shared(&guard);
         unsafe { guard.defer_destroy(p) };
@@ -757,6 +762,7 @@ mod tests {
 
     #[test]
     fn concurrent_churn_is_safe() {
+        let _serial = crate::serial_test();
         let a = Arc::new(Atomic::new(0u64));
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -796,6 +802,7 @@ mod tests {
 
     #[test]
     fn garbage_bound_escalation_frees_under_pressure() {
+        let _serial = crate::serial_test();
         // Install a small ceiling, retire well past it with no stalled
         // readers, and check the ladder both fired and recovered.
         let prev = crate::garbage_bound();

@@ -203,6 +203,17 @@ impl ReclamationStats {
     }
 }
 
+/// Serializes the unit tests that pin, retire, or read and set the
+/// process-global reclamation state.  A sibling test's live pin stalls epoch
+/// advancement, and its retirements move the shared counters, so such tests
+/// must not overlap under the parallel test runner.
+#[cfg(test)]
+pub(crate) fn serial_test() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the unit value it guards is always valid.
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,11 +268,13 @@ mod tests {
 
     #[test]
     fn pointer_ops_roundtrip_under_ebr() {
+        let _serial = crate::serial_test();
         pointer_ops_roundtrip::<Ebr>();
     }
 
     #[test]
     fn pointer_ops_roundtrip_under_ibr() {
+        let _serial = crate::serial_test();
         pointer_ops_roundtrip::<Ibr>();
     }
 
@@ -313,11 +326,13 @@ mod tests {
 
     #[test]
     fn non_node_allocations_run_real_destructors_under_ebr() {
+        let _serial = crate::serial_test();
         non_node_allocations_run_real_destructors::<Ebr>();
     }
 
     #[test]
     fn non_node_allocations_run_real_destructors_under_ibr() {
+        let _serial = crate::serial_test();
         non_node_allocations_run_real_destructors::<Ibr>();
     }
 
@@ -379,11 +394,13 @@ mod tests {
 
     #[test]
     fn retire_batch_frees_and_survives_panic_under_ebr() {
+        let _serial = crate::serial_test();
         retire_batch_frees_and_survives_panic::<Ebr>();
     }
 
     #[test]
     fn retire_batch_frees_and_survives_panic_under_ibr() {
+        let _serial = crate::serial_test();
         retire_batch_frees_and_survives_panic::<Ibr>();
     }
 

@@ -52,23 +52,21 @@ use std::time::Duration;
 use cset::{ConcurrentMap, ConcurrentSet};
 use ellen_bst::EllenBst;
 use lfbst::{Config, HelpPolicy, LfBst, RestartPolicy};
-use lflist::LockFreeList;
 use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use shard::{HashRouter, RangeRouter, Sharded, ShardedMap};
 use workload::{
-    format_csv, format_markdown_table, run_adversarial_workload, run_map_workload,
-    run_scan_workload, run_workload, Adversary, KeyDistribution, MapSpec, Measurement,
-    OperationMix, ScanMode, WorkloadSpec,
+    format_csv, format_markdown_table, prefill, run_adversarial_workload, run_closed_loop,
+    run_map_workload, run_scan_workload, run_workload, Adversary, KeyDistribution, MapSpec,
+    Measurement, OpKind, OpStream, OperationMix, ScanMode, ThreadStats, Tick, Worker, WorkloadSpec,
 };
 
 /// Which implementations an experiment measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(dead_code)] // the eager/root-restart variants are exercised directly by E6/E7
 enum SetKind {
     Lfbst,
-    LfbstWriteOptimized,
-    LfbstRestartRoot,
     /// `lfbst` behind the sharding layer with a hash router (E11).
     LfbstShardedHash {
         shards: usize,
@@ -79,7 +77,6 @@ enum SetKind {
     },
     Ellen,
     Natarajan,
-    HarrisList,
     CoarseLock,
     RwLock,
 }
@@ -91,15 +88,12 @@ impl SetKind {
     fn label(self) -> &'static str {
         match self {
             SetKind::Lfbst => "lfbst",
-            SetKind::LfbstWriteOptimized => "lfbst-eager",
-            SetKind::LfbstRestartRoot => "lfbst-root-restart",
             // Interned to the exact string a `Sharded` of this configuration
             // reports from `name()`, for any shard count.
             SetKind::LfbstShardedHash { shards } => shard::config_name("lfbst", shards, "hash"),
             SetKind::LfbstShardedRange { shards } => shard::config_name("lfbst", shards, "range"),
             SetKind::Ellen => "ellen",
             SetKind::Natarajan => "natarajan",
-            SetKind::HarrisList => "harris-list",
             SetKind::CoarseLock => "coarse-lock",
             SetKind::RwLock => "rwlock",
         }
@@ -107,31 +101,13 @@ impl SetKind {
 }
 
 /// The default competitor line-up for the throughput experiments.
-const COMPETITORS: &[SetKind] = &[
-    SetKind::Lfbst,
-    SetKind::Ellen,
-    SetKind::Natarajan,
-    SetKind::HarrisList,
-    SetKind::CoarseLock,
-    SetKind::RwLock,
-];
+const COMPETITORS: &[SetKind] =
+    &[SetKind::Lfbst, SetKind::Ellen, SetKind::Natarajan, SetKind::CoarseLock, SetKind::RwLock];
 
 /// Runs one (kind, spec, threads) cell and returns the measurement.
 fn run_kind(kind: SetKind, spec: &WorkloadSpec, threads: usize, duration: Duration) -> Measurement {
     match kind {
         SetKind::Lfbst => run_workload(Arc::new(LfBst::new()), spec, threads, duration),
-        SetKind::LfbstWriteOptimized => run_workload(
-            Arc::new(LfBst::with_config(Config::new().help_policy(HelpPolicy::WriteOptimized))),
-            spec,
-            threads,
-            duration,
-        ),
-        SetKind::LfbstRestartRoot => run_workload(
-            Arc::new(LfBst::with_config(Config::new().restart_policy(RestartPolicy::Root))),
-            spec,
-            threads,
-            duration,
-        ),
         SetKind::LfbstShardedHash { shards } => run_workload(
             Arc::new(Sharded::new(HashRouter::new(shards), |_| LfBst::new())),
             spec,
@@ -149,7 +125,6 @@ fn run_kind(kind: SetKind, spec: &WorkloadSpec, threads: usize, duration: Durati
         ),
         SetKind::Ellen => run_workload(Arc::new(EllenBst::new()), spec, threads, duration),
         SetKind::Natarajan => run_workload(Arc::new(NatarajanBst::new()), spec, threads, duration),
-        SetKind::HarrisList => run_workload(Arc::new(LockFreeList::new()), spec, threads, duration),
         SetKind::CoarseLock => {
             run_workload(Arc::new(CoarseLockBst::new()), spec, threads, duration)
         }
@@ -177,8 +152,8 @@ struct JsonRecord {
 }
 
 /// Sampled per-op latency summary of one record (schema v3 appendix; all
-/// zeros for drivers that bypass the workload runners, e.g. E8's partitioned
-/// loop).
+/// zeros for rows measured outside the closed-loop runner, i.e. E16's
+/// teardown cycles).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct LatencyFields {
     sample_rate: u64,
@@ -435,8 +410,8 @@ impl Options {
     }
 
     /// Collects one machine-readable **set** data point for `--json` from a
-    /// raw throughput number (drivers that bypass the workload runners carry
-    /// no latency or reclamation appendix — those fields stay zero).
+    /// raw throughput number (rows measured outside the closed-loop runner
+    /// carry no latency or reclamation appendix — those fields stay zero).
     fn record(
         &self,
         experiment: &str,
@@ -708,10 +683,24 @@ fn e8(opts: &Options) {
     let per_thread_range = 1u64 << 12;
     let mut rows = Vec::new();
     for &t in &opts.thread_counts() {
+        // The partitions are the experiment, so keys stay uniform whatever
+        // `--dist` says; the prefill fills about half of every partition.
+        let spec = opts
+            .spec(t as u64 * per_thread_range, OperationMix::updates(100))
+            .distribution(KeyDistribution::Uniform);
         let mut cells = Vec::new();
-        for &kind in &[SetKind::Lfbst, SetKind::Ellen, SetKind::Natarajan, SetKind::CoarseLock] {
-            let mops = disjoint_access_run(kind, t, per_thread_range, opts.duration);
-            cells.push((kind.label().to_string(), mops));
+        for kind in [SetKind::Lfbst, SetKind::Ellen, SetKind::Natarajan, SetKind::CoarseLock] {
+            let (m, rec) = with_reclamation(|| match kind {
+                SetKind::Lfbst => disjoint_access_run(&LfBst::new(), &spec, t, opts.duration),
+                SetKind::Ellen => disjoint_access_run(&EllenBst::new(), &spec, t, opts.duration),
+                SetKind::Natarajan => {
+                    disjoint_access_run(&NatarajanBst::new(), &spec, t, opts.duration)
+                }
+                _ => disjoint_access_run(&CoarseLockBst::new(), &spec, t, opts.duration),
+            });
+            let range = spec.key_range();
+            opts.record_run("e8", kind.label(), range, "0/50/50 disjoint", "set", 0, &m, &rec);
+            cells.push((kind.label().to_string(), m.mops()));
         }
         rows.push((t.to_string(), cells));
     }
@@ -722,69 +711,28 @@ fn e8(opts: &Options) {
     );
 }
 
-/// Runs a partitioned-keys workload: thread `i` only touches keys in its own
-/// partition, so ideal structures scale linearly.
-fn disjoint_access_run(kind: SetKind, threads: usize, per_thread: u64, duration: Duration) -> f64 {
-    fn drive<S: ConcurrentSet<u64> + 'static>(
-        set: Arc<S>,
-        threads: usize,
-        per_thread: u64,
-        duration: Duration,
-    ) -> f64 {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        // Prefill half of each partition.
-        for t in 0..threads as u64 {
-            for k in 0..per_thread / 2 {
-                set.insert(t * per_thread + k * 2);
-            }
+/// Prefills `set`, then runs a partitioned-keys workload: thread `i` only
+/// touches keys in the `i`-th of `threads` equal slices of the spec's key
+/// range, so ideal structures scale linearly.
+fn disjoint_access_run<S: ConcurrentSet<u64>>(
+    set: &S,
+    spec: &WorkloadSpec,
+    threads: usize,
+    duration: Duration,
+) -> Measurement {
+    prefill(spec, |k| set.insert(k));
+    let per_thread = spec.key_range() / threads as u64;
+    run_closed_loop(spec, threads, duration, |t| {
+        let mut rng = StdRng::seed_from_u64(t as u64 + 17);
+        let base = t as u64 * per_thread;
+        move |stats: &mut ThreadStats, tick: &mut Tick| {
+            let k = base + rng.gen_range(0..per_thread);
+            let kind = if rng.gen_bool(0.5) { OpKind::Insert } else { OpKind::Remove };
+            tick.start();
+            let hit = if kind == OpKind::Insert { set.insert(k) } else { set.remove(&k) };
+            stats.count(kind, hit);
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let total = Arc::new(AtomicU64::new(0));
-        let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let set = Arc::clone(&set);
-                let stop = Arc::clone(&stop);
-                let total = Arc::clone(&total);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(t as u64 + 17);
-                    let base = t as u64 * per_thread;
-                    let mut ops = 0u64;
-                    barrier.wait();
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            let k = base + rng.gen_range(0..per_thread);
-                            if rng.gen_bool(0.5) {
-                                set.insert(k);
-                            } else {
-                                set.remove(&k);
-                            }
-                            ops += 1;
-                        }
-                    }
-                    total.fetch_add(ops, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        barrier.wait();
-        let start = std::time::Instant::now();
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
-        total.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64() / 1.0e6
-    }
-    match kind {
-        SetKind::Lfbst => drive(Arc::new(LfBst::new()), threads, per_thread, duration),
-        SetKind::Ellen => drive(Arc::new(EllenBst::new()), threads, per_thread, duration),
-        SetKind::Natarajan => drive(Arc::new(NatarajanBst::new()), threads, per_thread, duration),
-        SetKind::CoarseLock => drive(Arc::new(CoarseLockBst::new()), threads, per_thread, duration),
-        _ => drive(Arc::new(LfBst::new()), threads, per_thread, duration),
-    }
+    })
 }
 
 fn e9(opts: &Options) {
@@ -823,8 +771,7 @@ fn e10(opts: &Options) {
 
     // Random insertion order.
     let keys: Vec<u64> = {
-        use rand::rngs::StdRng;
-        use rand::{seq::SliceRandom, SeedableRng};
+        use rand::seq::SliceRandom;
         let mut v: Vec<u64> = (0..n).collect();
         v.shuffle(&mut StdRng::seed_from_u64(42));
         v
@@ -917,80 +864,40 @@ fn e11(opts: &Options) {
     }
 }
 
-/// E12's reusable-guard driver: like `run_workload`, but each worker holds one
-/// periodically refreshed [`lfbst::Pinned`] handle instead of pinning the
-/// epoch per operation.  Returns throughput in Mops.
-fn run_lfbst_pinned(spec: &WorkloadSpec, threads: usize, duration: Duration) -> f64 {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use workload::KeySampler;
+/// E12's reusable-guard worker: `run_workload`'s key stream and op dispatch,
+/// issued through one [`lfbst::Pinned`] handle instead of an epoch pin per
+/// operation.
+struct GuardWorker<'t> {
+    pinned: lfbst::Pinned<'t, u64>,
+    ops: OpStream,
+}
 
-    let set = Arc::new(LfBst::new());
-    let sampler = KeySampler::new(spec.key_distribution(), spec.key_range());
-    let mut prefill_rng = StdRng::seed_from_u64(spec.rng_seed());
-    let target = spec.prefill_target() as usize;
-    let mut inserted = 0usize;
-    let mut attempts = 0usize;
-    while inserted < target && attempts < target * 64 + 1024 {
-        if set.insert(sampler.sample(&mut prefill_rng)) {
-            inserted += 1;
-        }
-        attempts += 1;
+impl Worker for GuardWorker<'_> {
+    fn batch(&mut self, _stats: &mut ThreadStats) {
+        // One refresh per batch keeps reclamation moving while amortizing
+        // the pin across the batch.
+        self.pinned.refresh();
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let total = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
-    let mix = spec.mix();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let set = Arc::clone(&set);
-            let stop = Arc::clone(&stop);
-            let total = Arc::clone(&total);
-            let barrier = Arc::clone(&barrier);
-            let sampler = sampler.clone();
-            let seed = spec.rng_seed() ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-            std::thread::spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut ops = 0u64;
-                // Mirrors `run_workload`'s hit accounting so the per-op-pin
-                // and reusable-guard rows differ only in pinning.
-                let mut hits = 0u64;
-                barrier.wait();
-                let mut pinned = set.pin();
-                while !stop.load(Ordering::Relaxed) {
-                    // One refresh per 64-op batch keeps reclamation moving
-                    // while amortizing the pin across the batch.
-                    pinned.refresh();
-                    for _ in 0..64 {
-                        let key = sampler.sample(&mut rng);
-                        let op = rng.gen_range(0..100u8);
-                        let hit = if op < mix.contains_pct() {
-                            pinned.contains(&key)
-                        } else if op < mix.contains_pct() + mix.insert_pct() {
-                            pinned.insert(key)
-                        } else {
-                            pinned.remove(&key)
-                        };
-                        hits += hit as u64;
-                        ops += 1;
-                    }
-                }
-                drop(pinned);
-                std::hint::black_box(hits);
-                total.fetch_add(ops, Ordering::Relaxed);
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = std::time::Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
+    fn op(&mut self, stats: &mut ThreadStats, tick: &mut Tick) {
+        let (kind, key) = self.ops.next(tick);
+        let hit = match kind {
+            OpKind::Contains => self.pinned.contains(&key),
+            OpKind::Insert => self.pinned.insert(key),
+            _ => self.pinned.remove(&key),
+        };
+        stats.count(kind, hit);
     }
-    total.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64() / 1.0e6
+}
+
+/// Prefills a fresh `lfbst` and runs `spec` on it through [`GuardWorker`]s.
+fn run_lfbst_pinned(spec: &WorkloadSpec, threads: usize, duration: Duration) -> Measurement {
+    let set = LfBst::new();
+    prefill(spec, |k| set.insert(k));
+    run_closed_loop(spec, threads, duration, |t| GuardWorker {
+        pinned: set.pin(),
+        ops: OpStream::new(spec, t),
+    })
 }
 
 fn e12(opts: &Options) {
@@ -1018,10 +925,10 @@ fn e12(opts: &Options) {
                 let impl_name = format!("lfbst-{variant}");
                 opts.record_run("e12", &impl_name, key_range, mix_label, "set", 0, &m, &rec);
                 cells.push((format!("{threads}t"), m.mops()));
-                let pinned_mops = run_lfbst_pinned(&spec, threads, opts.duration);
+                let (m, rec) = with_reclamation(|| run_lfbst_pinned(&spec, threads, opts.duration));
                 let pinned_name = format!("lfbst-pinned-{variant}");
-                opts.record("e12", &pinned_name, threads, key_range, mix_label, pinned_mops);
-                cells.push((format!("{threads}t guard"), pinned_mops));
+                opts.record_run("e12", &pinned_name, key_range, mix_label, "set", 0, &m, &rec);
+                cells.push((format!("{threads}t guard"), m.mops()));
             }
             rows.push((format!("{variant}@2^{}", key_range.trailing_zeros()), cells));
         }
@@ -1481,13 +1388,14 @@ fn e18(opts: &Options) {
     let mut rows = Vec::new();
     let registry = obs::Registry::new();
     for dist in [KeyDistribution::Uniform, KeyDistribution::Zipf { exponent: 0.99 }] {
-        // The workload's own prefill is bypassed (`prefill_fraction(0)`):
+        // The measured spec's own prefill is off (`prefill_fraction(0)`):
         // a zipf prefill is attempt-capped far below this density, and
         // the skew question needs a *dense* map — deep strips whose
         // access-weighted working set dwarfs the cache — not the sparse
-        // resident set a short skewed run leaves behind.  Keys go in at
-        // 25% density in multiplicative-permutation order (sorted order
-        // would degenerate the rebalancing-free trees into spines).
+        // resident set a short skewed run leaves behind.  So the map is
+        // prefilled once from a uniform twin of the spec to 25% density,
+        // in random order (sorted order would degenerate the
+        // rebalancing-free trees into spines).
         //
         // One map serves BOTH the off and on rows (off measured first, then
         // the rebalancer is let loose on the same map): a paired comparison.
@@ -1501,10 +1409,8 @@ fn e18(opts: &Options) {
         );
         let map: Arc<ElasticMap<LfBst<u64, Vec<u8>>>> =
             Arc::new(ElasticMap::covering(shards, key_range, LfBst::new));
-        let mult = 0x9E37_79B9_7F4A_7C15u64 | 1;
-        for i in 0..key_range / 4 {
-            map.insert(i.wrapping_mul(mult) & (key_range - 1), vec![0u8; value_bytes]);
-        }
+        let dense = spec.base().distribution(KeyDistribution::Uniform).prefill_fraction(0.25);
+        prefill(&dense, |k| map.insert(k, vec![0u8; value_bytes]));
         map.take_loads(); // the prefill window is not load signal
         for rebalance in [false, true] {
             // Split-dominant policy: merging "cold" strips mid-run copies
@@ -1703,7 +1609,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::ThreadStats;
 
     #[test]
     fn json_escape_handles_specials() {
@@ -1855,5 +1760,75 @@ mod tests {
         assert_eq!(opts.spec(100, OperationMix::default()).sample_rate(), 7);
         opts.sample_every = Some(0);
         assert_eq!(opts.spec(100, OperationMix::default()).sample_rate(), 0);
+    }
+
+    #[test]
+    fn e8_and_e12_records_carry_the_latency_appendix() {
+        let opts = test_opts("e8,e12");
+        e8(&opts);
+        e12(&opts);
+        let records = opts.records.borrow();
+        assert!(records.iter().any(|r| r.experiment == "e8"), "e8 emitted no records");
+        assert!(records.iter().any(|r| r.impl_name.starts_with("lfbst-pinned-")));
+        for r in records.iter() {
+            assert!(r.latency.sample_rate > 0, "{}/{} lacks latency", r.experiment, r.impl_name);
+        }
+    }
+
+    /// A set that records the lowest and highest key each thread touched.
+    struct PartitionProbe {
+        inner: CoarseLockBst<u64>,
+        touched: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, (u64, u64)>>,
+    }
+
+    impl PartitionProbe {
+        fn touch(&self, k: u64) {
+            let mut touched = self.touched.lock().unwrap();
+            let span = touched.entry(std::thread::current().id()).or_insert((k, k));
+            *span = (span.0.min(k), span.1.max(k));
+        }
+    }
+
+    impl ConcurrentSet<u64> for PartitionProbe {
+        fn insert(&self, key: u64) -> bool {
+            self.touch(key);
+            self.inner.insert(key)
+        }
+        fn remove(&self, key: &u64) -> bool {
+            self.touch(*key);
+            self.inner.remove(key)
+        }
+        fn contains(&self, key: &u64) -> bool {
+            self.touch(*key);
+            self.inner.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn name(&self) -> &'static str {
+            "partition-probe"
+        }
+    }
+
+    #[test]
+    fn disjoint_access_workers_stay_in_their_partitions() {
+        let probe = PartitionProbe { inner: CoarseLockBst::new(), touched: Default::default() };
+        let (threads, per_thread) = (3, 256u64);
+        let spec = WorkloadSpec::new(threads as u64 * per_thread, OperationMix::updates(100));
+        let m = disjoint_access_run(&probe, &spec, threads, Duration::from_millis(30));
+        assert!(m.total_ops() > 0);
+        let mut touched = probe.touched.into_inner().unwrap();
+        touched.remove(&std::thread::current().id()); // the prefill
+        let mut partitions: Vec<u64> = touched
+            .values()
+            .map(|&(lo, hi)| {
+                assert_eq!(lo / per_thread, hi / per_thread, "a worker crossed partitions");
+                lo / per_thread
+            })
+            .collect();
+        assert!(!partitions.is_empty());
+        partitions.sort_unstable();
+        partitions.dedup();
+        assert_eq!(partitions.len(), touched.len(), "two workers shared a partition");
     }
 }

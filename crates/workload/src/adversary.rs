@@ -29,18 +29,17 @@
 //! [`cset::ConcurrentSet`] whose own operations pin the same backend `R`
 //! (e.g. `LfBst<u64, (), R>`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam_epoch::Reclaimer;
 use cset::ConcurrentSet;
-use obs::Histogram;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::distribution::KeySampler;
-use crate::runner::{Measurement, ThreadStats};
+use crate::runner::{
+    prefill, run_closed_loop, Measurement, OpKind, OpStream, ThreadStats, Tick, Worker,
+};
 use crate::spec::WorkloadSpec;
 
 /// Fault-injection knobs for [`run_adversarial_workload`].
@@ -177,157 +176,112 @@ pub fn run_adversarial_workload<R, S>(
 ) -> AdversaryReport
 where
     R: Reclaimer,
-    S: ConcurrentSet<u64> + 'static,
+    S: ConcurrentSet<u64>,
 {
     assert_eq!(spec.mix().scan_pct(), 0, "the adversarial driver issues point operations only");
-    let sampler = KeySampler::new(spec.key_distribution(), spec.key_range());
-    let mut prefill_rng = StdRng::seed_from_u64(spec.rng_seed());
-    let target = spec.prefill_target() as usize;
-    let mut inserted = 0usize;
-    let mut attempts = 0usize;
-    while inserted < target && attempts < target * 64 + 1024 {
-        if set.insert(sampler.sample(&mut prefill_rng)) {
-            inserted += 1;
-        }
-        attempts += 1;
-    }
+    prefill(spec, |k| set.insert(k));
     let prefill_size = set.len();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let set = Arc::clone(&set);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let sampler = sampler.clone();
-        let mix = spec.mix();
-        let sample_every = spec.sample_rate();
-        let key_range = spec.key_range();
-        let seed = spec.rng_seed() ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut stats = ThreadStats::default();
-            let hist = Histogram::new();
-            let mut op_idx = 0u64;
-            let mut batch_idx = 0u64;
-            let mut stalls = 0u64;
-            let mut pauses = 0u64;
-            let mut storms = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                // Worker 0 is the designated stalled reader: one guard held
-                // across a sleep per `stall_one_in` batches.  Only one worker
-                // stalls so the others keep generating the garbage the stall
-                // is supposed to strand.
-                batch_idx += 1;
-                if t == 0
-                    && adv.stall_ms > 0
-                    && adv.stall_one_in > 0
-                    && batch_idx % adv.stall_one_in == 0
-                {
-                    let guard = R::pin();
-                    let key = sampler.sample(&mut rng);
-                    stats.contains += 1;
-                    if set.contains(&key) {
-                        stats.contains_hits += 1;
-                    }
-                    std::thread::sleep(Duration::from_millis(adv.stall_ms));
-                    stalls += 1;
-                    drop(guard);
-                }
-                for _ in 0..64 {
-                    let key = sampler.sample(&mut rng);
-                    let op = rng.gen_range(0..100u8);
-                    let t0 = (sample_every != 0 && op_idx % sample_every == 0).then(Instant::now);
-                    op_idx = op_idx.wrapping_add(1);
-                    if op < mix.contains_pct() {
-                        stats.contains += 1;
-                        if set.contains(&key) {
-                            stats.contains_hits += 1;
-                        }
-                    } else if op < mix.contains_pct() + mix.insert_pct() {
-                        stats.inserts += 1;
-                        if set.insert(key) {
-                            stats.insert_hits += 1;
-                        }
-                    } else if adv.pause_mid_retire_one_in > 0
-                        && op_idx % adv.pause_mid_retire_one_in == 0
-                    {
-                        // Keep a reservation of our own alive across the
-                        // remove *and* a yield: the retirement this remove
-                        // produced sits in our bag while we sleep on it.
-                        let guard = R::pin();
-                        stats.removes += 1;
-                        if set.remove(&key) {
-                            stats.remove_hits += 1;
-                        }
-                        std::thread::yield_now();
-                        pauses += 1;
-                        drop(guard);
-                    } else {
-                        stats.removes += 1;
-                        if set.remove(&key) {
-                            stats.remove_hits += 1;
-                        }
-                    }
-                    // Retire storm: a burst of removes (followed by
-                    // reinserts, so the size and the next storm's hit rate
-                    // stay stable) from a random base key.
-                    if adv.storm_every > 0 && adv.storm_size > 0 && op_idx % adv.storm_every == 0 {
-                        let base = sampler.sample(&mut rng);
-                        for i in 0..adv.storm_size {
-                            let k = (base + i) % key_range;
-                            stats.removes += 1;
-                            if set.remove(&k) {
-                                stats.remove_hits += 1;
-                                stats.inserts += 1;
-                                if set.insert(k) {
-                                    stats.insert_hits += 1;
-                                }
-                            }
-                        }
-                        storms += 1;
-                    }
-                    if let Some(t0) = t0 {
-                        hist.record(t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            (stats, hist.snapshot(), stalls, pauses, storms)
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut per_thread = Vec::with_capacity(threads);
-    let mut latency = obs::HistogramSnapshot::empty();
-    let (mut stalls, mut pauses, mut storms) = (0u64, 0u64, 0u64);
-    for h in handles {
-        let (stats, hist, s, p, st) = h.join().expect("adversarial workload thread panicked");
-        per_thread.push(stats);
-        latency.merge(&hist);
-        stalls += s;
-        pauses += p;
-        storms += st;
-    }
-    let elapsed = start.elapsed();
-
+    let faults = Faults::default();
+    let m = run_closed_loop(spec, threads, duration, |t| Saboteur::<R, S> {
+        t,
+        set: &set,
+        ops: OpStream::new(spec, t),
+        adv,
+        key_range: spec.key_range(),
+        batches: 0,
+        faults: &faults,
+        backend: PhantomData,
+    });
     AdversaryReport {
         measurement: Measurement {
             set_name: set.name().to_string(),
-            threads,
-            elapsed,
-            per_thread,
-            final_size: set.len(),
             prefill_size,
-            latency,
-            sample_rate: spec.sample_rate(),
+            final_size: set.len(),
+            ..m
         },
-        stalls,
-        pauses,
-        storms,
+        stalls: faults.stalls.into_inner(),
+        pauses: faults.pauses.into_inner(),
+        storms: faults.storms.into_inner(),
+    }
+}
+
+/// Injected-fault tallies, summed over all workers.
+#[derive(Default)]
+struct Faults {
+    stalls: AtomicU64,
+    pauses: AtomicU64,
+    storms: AtomicU64,
+}
+
+/// One adversarial worker: point operations from its [`OpStream`], with the
+/// faults of [`Adversary`] woven in.
+struct Saboteur<'a, R, S> {
+    t: usize,
+    set: &'a S,
+    ops: OpStream,
+    adv: Adversary,
+    key_range: u64,
+    batches: u64,
+    faults: &'a Faults,
+    backend: PhantomData<R>,
+}
+
+impl<R: Reclaimer, S: ConcurrentSet<u64>> Worker for Saboteur<'_, R, S> {
+    fn batch(&mut self, stats: &mut ThreadStats) {
+        // Worker 0 is the designated stalled reader: one guard held across a
+        // sleep per `stall_one_in` batches.  Only one worker stalls so the
+        // others keep generating the garbage the stall is supposed to strand.
+        self.batches += 1;
+        let adv = self.adv;
+        if self.t == 0
+            && adv.stall_ms > 0
+            && adv.stall_one_in > 0
+            && self.batches % adv.stall_one_in == 0
+        {
+            let guard = R::pin();
+            let key = self.ops.key();
+            stats.count(OpKind::Contains, self.set.contains(&key));
+            std::thread::sleep(Duration::from_millis(adv.stall_ms));
+            self.faults.stalls.fetch_add(1, Ordering::Relaxed);
+            drop(guard);
+        }
+    }
+
+    fn op(&mut self, stats: &mut ThreadStats, tick: &mut Tick) {
+        let (adv, set) = (self.adv, self.set);
+        let (kind, key) = self.ops.next(tick);
+        let hit = match kind {
+            OpKind::Contains => set.contains(&key),
+            OpKind::Insert => set.insert(key),
+            _ if adv.pause_mid_retire_one_in > 0 && tick.n() % adv.pause_mid_retire_one_in == 0 => {
+                // Keep a reservation of our own alive across the remove
+                // *and* a yield: the retirement this remove produced sits in
+                // our bag while we sleep on it.
+                let guard = R::pin();
+                let hit = set.remove(&key);
+                std::thread::yield_now();
+                self.faults.pauses.fetch_add(1, Ordering::Relaxed);
+                drop(guard);
+                hit
+            }
+            _ => set.remove(&key),
+        };
+        stats.count(kind, hit);
+        // Retire storm: a burst of removes (followed by reinserts, so the
+        // size and the next storm's hit rate stay stable) from a random base
+        // key.
+        if adv.storm_every > 0 && adv.storm_size > 0 && tick.n() % adv.storm_every == 0 {
+            let base = self.ops.key();
+            for i in 0..adv.storm_size {
+                let k = (base + i) % self.key_range;
+                let removed = set.remove(&k);
+                stats.count(OpKind::Remove, removed);
+                if removed {
+                    stats.count(OpKind::Insert, set.insert(k));
+                }
+            }
+            self.faults.storms.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 

@@ -9,8 +9,12 @@
 //! * [`MapSpec`] — a [`WorkloadSpec`] plus a value payload size, for the map
 //!   ADT (get / upsert / remove);
 //! * [`KeyDistribution`] — uniform or Zipfian key popularity;
-//! * [`run_workload`] — drives any [`cset::ConcurrentSet`] with `t` threads for
-//!   a fixed duration and reports throughput and per-operation counts;
+//! * [`run_closed_loop`] — the one closed-loop driver: `t` worker threads
+//!   built per thread (any [`Worker`], usually a closure over an
+//!   [`OpStream`]) run for a fixed duration behind a start barrier, with
+//!   sampled per-op latency; [`prefill`] builds the starting population;
+//! * [`run_workload`] — drives any [`cset::ConcurrentSet`] through the
+//!   runner and reports throughput and per-operation counts;
 //! * [`run_map_workload`] — the same driver over any
 //!   [`cset::ConcurrentMap`]`<u64, Vec<u8>>`;
 //! * [`run_scan_workload`] — the ordered driver: mixes built with
@@ -25,7 +29,7 @@
 //!   `remove_range` calls or a per-key baseline ([`TeardownMode`],
 //!   experiment E16);
 //! * [`Measurement`] / [`format_markdown_table`] — plain-value results that the
-//!   experiment harness and the criterion benchmarks both consume.
+//!   experiment harness consumes.
 //!
 //! Keys are `u64`; every structure in this workspace is generic over `Ord`
 //! keys, and a machine word is what the original evaluations use.
@@ -41,8 +45,9 @@ mod spec;
 pub use adversary::{run_adversarial_workload, Adversary, AdversaryReport};
 pub use distribution::{KeyDistribution, KeySampler};
 pub use runner::{
-    prefill_map, run_map_workload, run_scan_workload, run_teardown_cycle, run_workload,
-    Measurement, ScanMode, TeardownMeasurement, TeardownMode, ThreadStats,
+    prefill, run_closed_loop, run_map_workload, run_scan_workload, run_teardown_cycle,
+    run_workload, Measurement, OpKind, OpStream, ScanMode, TeardownMeasurement, TeardownMode,
+    ThreadStats, Tick, Worker,
 };
 pub use spec::{MapSpec, OperationMix, WorkloadSpec, DEFAULT_SAMPLE_EVERY, DEFAULT_SCAN_LEN};
 

@@ -1,7 +1,11 @@
-//! The measurement drivers: prefill a structure, hammer it from `t` threads
-//! for a fixed duration, and report throughput — [`run_workload`] for the Set
-//! ADT, [`run_map_workload`] for the Map ADT, [`run_scan_workload`] for
-//! scan-carrying mixes over any ordered set (experiment E14).
+//! The measurement drivers.  One closed-loop runner, [`run_closed_loop`],
+//! owns the start barrier, stop flag, batching, latency sampling and join;
+//! [`prefill`] builds every starting population.  The `run_*` entry points
+//! are thin adapters that map an [`OpStream`] draw onto one ADT face —
+//! [`run_workload`] for the Set ADT, [`run_map_workload`] for the Map ADT,
+//! [`run_scan_workload`] for scan-carrying mixes over any ordered set
+//! (experiment E14).  [`run_teardown_cycle`] is the single-threaded
+//! refill/teardown cycle of experiment E16.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -13,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::distribution::KeySampler;
-use crate::spec::{MapSpec, WorkloadSpec};
+use crate::spec::{MapSpec, OperationMix, WorkloadSpec};
 
 /// Per-thread operation counts gathered during a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,6 +45,27 @@ impl ThreadStats {
     /// as one operation).
     pub fn total(&self) -> u64 {
         self.contains + self.inserts + self.removes + self.scans
+    }
+
+    /// Counts one issued operation of `kind` and, for point operations,
+    /// whether it succeeded (a scan's yield goes to [`scan_keys`](Self::scan_keys)).
+    pub fn count(&mut self, kind: OpKind, hit: bool) {
+        let hit = u64::from(hit);
+        match kind {
+            OpKind::Contains => {
+                self.contains += 1;
+                self.contains_hits += hit;
+            }
+            OpKind::Insert => {
+                self.inserts += 1;
+                self.insert_hits += hit;
+            }
+            OpKind::Remove => {
+                self.removes += 1;
+                self.remove_hits += hit;
+            }
+            OpKind::Scan => self.scans += 1,
+        }
     }
 }
 
@@ -238,7 +263,8 @@ where
     }
 }
 
-/// The result of one [`run_workload`] call.
+/// The result of one closed-loop run ([`run_closed_loop`] and the `run_*`
+/// adapters built on it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Measurement {
     /// Name reported by the set under test.
@@ -284,13 +310,236 @@ impl Measurement {
     }
 }
 
+/// The operation an [`OpStream`] drew.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpKind {
+    /// A membership test (`get` on the map face).
+    Contains,
+    /// An insert (`upsert` on the map face).
+    Insert,
+    /// A remove.
+    Remove,
+    /// An ordered range scan (mixes built with [`OperationMix::with_scans`]).
+    Scan,
+}
+
+/// One worker thread's seeded key and operation stream.
+///
+/// Thread `t` of every driver built on a [`WorkloadSpec`] draws from the same
+/// stream, so two drivers that differ only in how they issue calls (say, a
+/// per-operation pin against a reusable guard) see identical keys and mixes.
+#[derive(Clone, Debug)]
+pub struct OpStream {
+    rng: StdRng,
+    sampler: KeySampler,
+    mix: OperationMix,
+}
+
+impl OpStream {
+    /// The stream of worker `t` under `spec`.
+    pub fn new(spec: &WorkloadSpec, t: usize) -> Self {
+        let seed = spec.rng_seed() ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
+        OpStream {
+            rng: StdRng::seed_from_u64(seed),
+            sampler: KeySampler::new(spec.key_distribution(), spec.key_range()),
+            mix: spec.mix(),
+        }
+    }
+
+    /// Draws the next operation and its key, then starts `tick`'s latency
+    /// sample, so the draw itself is never timed.
+    pub fn next(&mut self, tick: &mut Tick) -> (OpKind, u64) {
+        let key = self.key();
+        let op = self.rng.gen_range(0..100u8);
+        let mix = self.mix;
+        let kind = if op < mix.contains_pct() {
+            OpKind::Contains
+        } else if op < mix.contains_pct() + mix.insert_pct() {
+            OpKind::Insert
+        } else if op < mix.contains_pct() + mix.insert_pct() + mix.remove_pct() {
+            OpKind::Remove
+        } else {
+            OpKind::Scan
+        };
+        tick.start();
+        (kind, key)
+    }
+
+    /// Draws one key from the stream (fault injection and storm bases).
+    pub fn key(&mut self) -> u64 {
+        self.sampler.sample(&mut self.rng)
+    }
+}
+
+/// The runner's handle on one operation: its index on the thread, and the
+/// latency sample a worker starts once the operation's inputs are drawn.
+#[derive(Debug)]
+pub struct Tick {
+    n: u64,
+    sampled: bool,
+    started: Option<Instant>,
+}
+
+impl Tick {
+    /// This operation's 1-based index among its thread's operations.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// Starts the latency sample if this operation is sampled; the runner
+    /// stops it when the worker returns.
+    pub fn start(&mut self) {
+        if self.sampled {
+            self.started = Some(Instant::now());
+        }
+    }
+}
+
+/// One worker thread of a [`run_closed_loop`] run.
+///
+/// Closures `FnMut(&mut ThreadStats, &mut Tick)` are workers that issue one
+/// operation per call; implement the trait directly to also act between
+/// batches.
+pub trait Worker {
+    /// Runs before every batch, outside any latency sample (guard refreshes,
+    /// injected stalls).
+    fn batch(&mut self, _stats: &mut ThreadStats) {}
+
+    /// Issues one operation, tallies it in `stats`, and calls
+    /// [`Tick::start`] once its inputs are drawn.
+    fn op(&mut self, stats: &mut ThreadStats, tick: &mut Tick);
+}
+
+impl<F: FnMut(&mut ThreadStats, &mut Tick)> Worker for F {
+    fn op(&mut self, stats: &mut ThreadStats, tick: &mut Tick) {
+        self(stats, tick)
+    }
+}
+
+/// The one closed-loop driver: runs `threads` workers built by `worker(t)`
+/// for `duration` and measures them.
+///
+/// Workers are built on their own threads (so they may hold thread-bound
+/// state such as an epoch guard), then start together at a barrier.  Each
+/// issues operations in batches between checks of the stop flag — 64 per
+/// batch, or 8 when the spec's mix carries scans, which are orders of
+/// magnitude heavier — and every [`WorkloadSpec::sample_rate`]-th operation
+/// is timed into a thread-private histogram, merged after the join.
+///
+/// The returned [`Measurement`] leaves `set_name`, `prefill_size` and
+/// `final_size` empty: they belong to the structure, which the caller owns.
+///
+/// # Examples
+///
+/// ```
+/// use std::time::Duration;
+/// use cset::ConcurrentSet;
+/// use locked_bst::CoarseLockBst;
+/// use workload::{prefill, run_closed_loop, OpStream, OperationMix, ThreadStats, Tick, WorkloadSpec};
+///
+/// let set = CoarseLockBst::new();
+/// let spec = WorkloadSpec::new(1024, OperationMix::new(100, 0, 0));
+/// prefill(&spec, |k| set.insert(k));
+/// let m = run_closed_loop(&spec, 2, Duration::from_millis(20), |t| {
+///     let mut ops = OpStream::new(&spec, t);
+///     let set = &set;
+///     move |stats: &mut ThreadStats, tick: &mut Tick| {
+///         let (kind, key) = ops.next(tick);
+///         stats.count(kind, set.contains(&key));
+///     }
+/// });
+/// assert!(m.total_ops() > 0);
+/// ```
+pub fn run_closed_loop<W, F>(
+    spec: &WorkloadSpec,
+    threads: usize,
+    duration: Duration,
+    worker: F,
+) -> Measurement
+where
+    W: Worker,
+    F: Fn(usize) -> W + Sync,
+{
+    let batch = if spec.mix().scan_pct() > 0 { 8 } else { 64 };
+    let sample_every = spec.sample_rate();
+    let stop = AtomicBool::new(false);
+    let barrier = Barrier::new(threads + 1);
+    let mut per_thread = Vec::with_capacity(threads);
+    let mut latency = HistogramSnapshot::empty();
+    let elapsed = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (worker, stop, barrier) = (&worker, &stop, &barrier);
+                s.spawn(move || {
+                    let mut w = worker(t);
+                    let mut stats = ThreadStats::default();
+                    // Thread-private, so record() never contends.
+                    let hist = Histogram::new();
+                    let mut n = 0u64;
+                    barrier.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        w.batch(&mut stats);
+                        for _ in 0..batch {
+                            let sampled = sample_every != 0 && n % sample_every == 0;
+                            n = n.wrapping_add(1);
+                            let mut tick = Tick { n, sampled, started: None };
+                            w.op(&mut stats, &mut tick);
+                            if let Some(t0) = tick.started {
+                                hist.record(t0.elapsed().as_nanos() as u64);
+                            }
+                        }
+                    }
+                    (stats, hist.snapshot())
+                })
+            })
+            .collect();
+        barrier.wait();
+        let start = Instant::now();
+        std::thread::sleep(duration);
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            let (stats, hist) = h.join().expect("workload thread panicked");
+            per_thread.push(stats);
+            latency.merge(&hist);
+        }
+        start.elapsed()
+    });
+    Measurement {
+        set_name: String::new(),
+        threads,
+        elapsed,
+        per_thread,
+        final_size: 0,
+        prefill_size: 0,
+        latency,
+        sample_rate: sample_every,
+    }
+}
+
+/// Prefills a structure to the spec's target size, single-threaded and
+/// untimed: keys come from the spec's distribution under a dedicated seeded
+/// RNG (so the population is independent of the thread count) and go to
+/// `insert`, which reports whether the key was new.  Gives up after about
+/// `64 × target` attempts, so a skewed distribution cannot spin forever.
+pub fn prefill(spec: &WorkloadSpec, mut insert: impl FnMut(u64) -> bool) {
+    let sampler = KeySampler::new(spec.key_distribution(), spec.key_range());
+    let mut rng = StdRng::seed_from_u64(spec.rng_seed());
+    let target = spec.prefill_target() as usize;
+    let mut inserted = 0usize;
+    let mut attempts = 0usize;
+    while inserted < target && attempts < target * 64 + 1024 {
+        inserted += usize::from(insert(sampler.sample(&mut rng)));
+        attempts += 1;
+    }
+}
+
 /// Prefills `set` to the spec's target size and then runs the operation mix
 /// from `threads` threads for `duration`.
 ///
 /// The set is driven through the [`ConcurrentSet`] trait, so any structure in
 /// this workspace (or outside it) can be measured.  Each thread uses its own
-/// deterministic RNG stream derived from the spec seed, so runs are repeatable
-/// up to scheduling.
+/// deterministic RNG stream derived from the spec seed ([`OpStream`]), so runs
+/// are repeatable up to scheduling.
 ///
 /// # Examples
 ///
@@ -312,7 +561,7 @@ pub fn run_workload<S>(
     duration: Duration,
 ) -> Measurement
 where
-    S: ConcurrentSet<u64> + 'static,
+    S: ConcurrentSet<u64>,
 {
     // A real assert (once per run, not per op): in release builds a scan
     // percentage silently falling into the remove branch would corrupt the
@@ -322,104 +571,22 @@ where
         0,
         "scan-carrying mixes need an OrderedSet driver: use run_scan_workload"
     );
-    // Prefill from a dedicated RNG so the initial population is independent of
-    // the thread count.
-    let sampler = KeySampler::new(spec.key_distribution(), spec.key_range());
-    let mut prefill_rng = StdRng::seed_from_u64(spec.rng_seed());
-    let target = spec.prefill_target() as usize;
-    let mut inserted = 0usize;
-    let mut attempts = 0usize;
-    while inserted < target && attempts < target * 64 + 1024 {
-        if set.insert(sampler.sample(&mut prefill_rng)) {
-            inserted += 1;
-        }
-        attempts += 1;
-    }
+    prefill(spec, |k| set.insert(k));
     let prefill_size = set.len();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let set = Arc::clone(&set);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let sampler = sampler.clone();
-        let mix = spec.mix();
-        let sample_every = spec.sample_rate();
-        let seed = spec.rng_seed() ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut stats = ThreadStats::default();
-            // Thread-private, so record() never contends; merged after join.
-            let hist = Histogram::new();
-            let mut op_idx = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                // Issue a small batch between stop-flag checks to keep the
-                // check overhead negligible.
-                for _ in 0..64 {
-                    let key = sampler.sample(&mut rng);
-                    let op = rng.gen_range(0..100u8);
-                    let t0 = (sample_every != 0 && op_idx % sample_every == 0).then(Instant::now);
-                    op_idx = op_idx.wrapping_add(1);
-                    if op < mix.contains_pct() {
-                        stats.contains += 1;
-                        if set.contains(&key) {
-                            stats.contains_hits += 1;
-                        }
-                    } else if op < mix.contains_pct() + mix.insert_pct() {
-                        stats.inserts += 1;
-                        if set.insert(key) {
-                            stats.insert_hits += 1;
-                        }
-                    } else {
-                        stats.removes += 1;
-                        if set.remove(&key) {
-                            stats.remove_hits += 1;
-                        }
-                    }
-                    if let Some(t0) = t0 {
-                        hist.record(t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            (stats, hist.snapshot())
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let (per_thread, latency) = join_workers(handles, "workload thread panicked");
-    let elapsed = start.elapsed();
-
-    Measurement {
-        set_name: set.name().to_string(),
-        threads,
-        elapsed,
-        per_thread,
-        final_size: set.len(),
-        prefill_size,
-        latency,
-        sample_rate: spec.sample_rate(),
-    }
-}
-
-/// Joins worker threads, collecting their op counts and merging their
-/// per-thread latency snapshots into one histogram.
-fn join_workers(
-    handles: Vec<std::thread::JoinHandle<(ThreadStats, HistogramSnapshot)>>,
-    panic_msg: &str,
-) -> (Vec<ThreadStats>, HistogramSnapshot) {
-    let mut per_thread = Vec::with_capacity(handles.len());
-    let mut latency = HistogramSnapshot::empty();
-    for h in handles {
-        let (stats, hist) = h.join().expect(panic_msg);
-        per_thread.push(stats);
-        latency.merge(&hist);
-    }
-    (per_thread, latency)
+    let m = run_closed_loop(spec, threads, duration, |t| {
+        let mut ops = OpStream::new(spec, t);
+        let set = &*set;
+        move |stats: &mut ThreadStats, tick: &mut Tick| {
+            let (kind, key) = ops.next(tick);
+            let hit = match kind {
+                OpKind::Contains => set.contains(&key),
+                OpKind::Insert => set.insert(key),
+                _ => set.remove(&key),
+            };
+            stats.count(kind, hit);
+        }
+    });
+    Measurement { set_name: set.name().to_string(), prefill_size, final_size: set.len(), ..m }
 }
 
 /// Prefills `set` to the spec's target size and then runs a scan-carrying
@@ -455,132 +622,42 @@ pub fn run_scan_workload<S>(
     mode: ScanMode,
 ) -> Measurement
 where
-    S: OrderedSet<u64> + 'static,
+    S: OrderedSet<u64>,
 {
-    let sampler = KeySampler::new(spec.key_distribution(), spec.key_range());
-    let mut prefill_rng = StdRng::seed_from_u64(spec.rng_seed());
-    let target = spec.prefill_target() as usize;
-    let mut inserted = 0usize;
-    let mut attempts = 0usize;
-    while inserted < target && attempts < target * 64 + 1024 {
-        if set.insert(sampler.sample(&mut prefill_rng)) {
-            inserted += 1;
-        }
-        attempts += 1;
-    }
+    prefill(spec, |k| set.insert(k));
     let prefill_size = set.len();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads + 1));
     let scan_len = spec.scan_length();
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let set = Arc::clone(&set);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let sampler = sampler.clone();
-        let mix = spec.mix();
-        let sample_every = spec.sample_rate();
-        let seed = spec.rng_seed() ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut stats = ThreadStats::default();
-            let hist = Histogram::new();
-            let mut op_idx = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                // Scans are orders of magnitude heavier than point ops, so the
-                // batch between stop-flag checks is shorter than the point-op
-                // runners' 64.
-                for _ in 0..8 {
-                    let key = sampler.sample(&mut rng);
-                    let op = rng.gen_range(0..100u8);
-                    let t0 = (sample_every != 0 && op_idx % sample_every == 0).then(Instant::now);
-                    op_idx = op_idx.wrapping_add(1);
-                    if op < mix.contains_pct() {
-                        stats.contains += 1;
-                        if set.contains(&key) {
-                            stats.contains_hits += 1;
+    let m = run_closed_loop(spec, threads, duration, |t| {
+        let mut ops = OpStream::new(spec, t);
+        let set = &*set;
+        move |stats: &mut ThreadStats, tick: &mut Tick| {
+            let (kind, key) = ops.next(tick);
+            let hit = match kind {
+                OpKind::Contains => set.contains(&key),
+                OpKind::Insert => set.insert(key),
+                OpKind::Remove => set.remove(&key),
+                OpKind::Scan => {
+                    let lo = std::ops::Bound::Included(&key);
+                    let hi = std::ops::Bound::Unbounded;
+                    let yielded = match mode {
+                        ScanMode::Cursor => {
+                            set.scan_keys(lo, hi).take(scan_len).map(std::hint::black_box).count()
                         }
-                    } else if op < mix.contains_pct() + mix.insert_pct() {
-                        stats.inserts += 1;
-                        if set.insert(key) {
-                            stats.insert_hits += 1;
-                        }
-                    } else if op < mix.contains_pct() + mix.insert_pct() + mix.remove_pct() {
-                        stats.removes += 1;
-                        if set.remove(&key) {
-                            stats.remove_hits += 1;
-                        }
-                    } else {
-                        stats.scans += 1;
-                        let lo = std::ops::Bound::Included(&key);
-                        let hi = std::ops::Bound::Unbounded;
-                        match mode {
-                            ScanMode::Cursor => {
-                                for k in set.scan_keys(lo, hi).take(scan_len) {
-                                    std::hint::black_box(k);
-                                    stats.scan_keys += 1;
-                                }
-                            }
-                            ScanMode::Collect => {
-                                let all = set.keys_between(lo, hi);
-                                for k in all.iter().take(scan_len) {
-                                    std::hint::black_box(k);
-                                    stats.scan_keys += 1;
-                                }
-                            }
-                        }
-                    }
-                    if let Some(t0) = t0 {
-                        hist.record(t0.elapsed().as_nanos() as u64);
-                    }
+                        ScanMode::Collect => set
+                            .keys_between(lo, hi)
+                            .iter()
+                            .take(scan_len)
+                            .map(std::hint::black_box)
+                            .count(),
+                    };
+                    stats.scan_keys += yielded as u64;
+                    false
                 }
-            }
-            (stats, hist.snapshot())
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let (per_thread, latency) = join_workers(handles, "scan workload thread panicked");
-    let elapsed = start.elapsed();
-
-    Measurement {
-        set_name: set.name().to_string(),
-        threads,
-        elapsed,
-        per_thread,
-        final_size: set.len(),
-        prefill_size,
-        latency,
-        sample_rate: spec.sample_rate(),
-    }
-}
-
-/// Prefills `map` to the spec's target size (single-threaded, untimed),
-/// installing the spec's payload for every key.
-///
-/// Shared by [`run_map_workload`] and the criterion bench helpers so the two
-/// drivers always measure the same starting population.
-pub fn prefill_map<S>(map: &S, spec: &MapSpec)
-where
-    S: ConcurrentMap<u64, Vec<u8>>,
-{
-    let base = spec.base();
-    let sampler = KeySampler::new(base.key_distribution(), base.key_range());
-    let mut rng = StdRng::seed_from_u64(base.rng_seed());
-    let target = base.prefill_target() as usize;
-    let mut inserted = 0usize;
-    let mut attempts = 0usize;
-    while inserted < target && attempts < target * 64 + 1024 {
-        let key = sampler.sample(&mut rng);
-        if map.insert(key, spec.payload_for(key)) {
-            inserted += 1;
+            };
+            stats.count(kind, hit);
         }
-        attempts += 1;
-    }
+    });
+    Measurement { set_name: set.name().to_string(), prefill_size, final_size: set.len(), ..m }
 }
 
 /// Prefills `map` to the spec's target size and then runs the map operation
@@ -612,7 +689,7 @@ pub fn run_map_workload<S>(
     duration: Duration,
 ) -> Measurement
 where
-    S: ConcurrentMap<u64, Vec<u8>> + 'static,
+    S: ConcurrentMap<u64, Vec<u8>>,
 {
     let base = spec.base();
     // Same guard as run_workload: this driver has no scan branch either.
@@ -621,76 +698,22 @@ where
         0,
         "scan-carrying mixes need an OrderedSet driver: use run_scan_workload"
     );
-    let sampler = KeySampler::new(base.key_distribution(), base.key_range());
-    prefill_map(&*map, spec);
+    prefill(base, |k| map.insert(k, spec.payload_for(k)));
     let prefill_size = map.len();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let map = Arc::clone(&map);
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        let sampler = sampler.clone();
-        let spec = *spec;
-        let mix = base.mix();
-        let sample_every = base.sample_rate();
-        let seed = base.rng_seed() ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut stats = ThreadStats::default();
-            let hist = Histogram::new();
-            let mut op_idx = 0u64;
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                // Same batched stop-flag cadence as the set runner.
-                for _ in 0..64 {
-                    let key = sampler.sample(&mut rng);
-                    let op = rng.gen_range(0..100u8);
-                    let t0 = (sample_every != 0 && op_idx % sample_every == 0).then(Instant::now);
-                    op_idx = op_idx.wrapping_add(1);
-                    if op < mix.contains_pct() {
-                        stats.contains += 1;
-                        if map.get(&key).is_some() {
-                            stats.contains_hits += 1;
-                        }
-                    } else if op < mix.contains_pct() + mix.insert_pct() {
-                        stats.inserts += 1;
-                        if map.upsert(key, spec.payload_for(key)).is_none() {
-                            stats.insert_hits += 1;
-                        }
-                    } else {
-                        stats.removes += 1;
-                        if map.remove(&key).is_some() {
-                            stats.remove_hits += 1;
-                        }
-                    }
-                    if let Some(t0) = t0 {
-                        hist.record(t0.elapsed().as_nanos() as u64);
-                    }
-                }
-            }
-            (stats, hist.snapshot())
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let (per_thread, latency) = join_workers(handles, "map workload thread panicked");
-    let elapsed = start.elapsed();
-
-    Measurement {
-        set_name: map.name().to_string(),
-        threads,
-        elapsed,
-        per_thread,
-        final_size: map.len(),
-        prefill_size,
-        latency,
-        sample_rate: spec.base().sample_rate(),
-    }
+    let m = run_closed_loop(base, threads, duration, |t| {
+        let mut ops = OpStream::new(base, t);
+        let map = &*map;
+        move |stats: &mut ThreadStats, tick: &mut Tick| {
+            let (kind, key) = ops.next(tick);
+            let hit = match kind {
+                OpKind::Contains => map.get(&key).is_some(),
+                OpKind::Insert => map.upsert(key, spec.payload_for(key)).is_none(),
+                _ => map.remove(&key).is_some(),
+            };
+            stats.count(kind, hit);
+        }
+    });
+    Measurement { set_name: map.name().to_string(), prefill_size, final_size: map.len(), ..m }
 }
 
 #[cfg(test)]
@@ -726,21 +749,51 @@ mod tests {
         assert_eq!(issued_updates, 0);
     }
 
+    /// Every face, through the one runner: ops are counted, the latency
+    /// histogram fills when sampling is on and stays empty when it is off,
+    /// and the adversary's batch hook still injects its stalls.
     #[test]
-    fn latency_sampling_records_and_can_be_disabled() {
-        let set = Arc::new(CoarseLockBst::new());
-        let spec = WorkloadSpec::new(256, OperationMix::updates(20)).seed(5).sample_every(8);
-        let m = run_workload(Arc::clone(&set), &spec, 2, Duration::from_millis(40));
-        assert_eq!(m.sample_rate, 8);
-        assert!(m.latency.count() > 0, "sampling on but histogram empty");
-        assert!(m.latency.max() > 0);
-        assert!(m.latency.p50() <= m.latency.p99());
-        // Each thread samples every 8th op, so the merged count is about a
-        // 1/8 of the total (each thread may round up by one).
-        assert!(m.latency.count() <= m.total_ops() / 8 + m.threads as u64);
-        let off = run_workload(set, &spec.sample_every(0), 2, Duration::from_millis(30));
-        assert_eq!(off.sample_rate, 0);
-        assert_eq!(off.latency.count(), 0, "sampling off but histogram non-empty");
+    fn every_face_counts_ops_and_samples_latency() {
+        use crate::adversary::{run_adversarial_workload, Adversary};
+        use locked_bst::CoarseLockMap;
+        const D: Duration = Duration::from_millis(40);
+        type Face = fn(&WorkloadSpec) -> Measurement;
+        let faces: [(&str, OperationMix, Face); 5] = [
+            ("set", OperationMix::updates(20), |s| {
+                run_workload(Arc::new(CoarseLockBst::new()), s, 2, D)
+            }),
+            ("scan/cursor", OperationMix::with_scans(40, 20, 20, 20), |s| {
+                run_scan_workload(Arc::new(CoarseLockBst::new()), s, 2, D, ScanMode::Cursor)
+            }),
+            ("scan/collect", OperationMix::with_scans(40, 20, 20, 20), |s| {
+                run_scan_workload(Arc::new(CoarseLockBst::new()), s, 2, D, ScanMode::Collect)
+            }),
+            ("map", OperationMix::updates(20), |s| {
+                run_map_workload(Arc::new(CoarseLockMap::new()), &MapSpec::new(*s, 16), 2, D)
+            }),
+            ("adversary", OperationMix::updates(50), |s| {
+                let set: Arc<lfbst::LfBst<u64>> = Arc::new(lfbst::LfBst::new());
+                let adv = Adversary::default().stalls(5, 2);
+                let r = run_adversarial_workload::<lfbst::Ebr, _>(set, s, 2, D, adv);
+                assert!(r.stalls > 0, "adversary injected no stalls");
+                r.measurement
+            }),
+        ];
+        for (face, mix, run) in faces {
+            let spec = WorkloadSpec::new(512, mix).scan_len(8).seed(5);
+            let m = run(&spec.sample_every(8));
+            assert!(m.total_ops() > 0, "{face}: no ops");
+            assert_eq!(m.sample_rate, 8, "{face}");
+            assert!(m.latency.count() > 0, "{face}: sampling on but histogram empty");
+            assert!(m.latency.p50() <= m.latency.p99(), "{face}");
+            // Each thread samples every 8th op, so the merged count is about
+            // 1/8 of the total (each thread may round up by one).
+            assert!(m.latency.count() <= m.total_ops() / 8 + m.threads as u64, "{face}");
+            let off = run(&spec.sample_every(0));
+            assert!(off.total_ops() > 0, "{face}: no ops");
+            assert_eq!(off.sample_rate, 0, "{face}");
+            assert_eq!(off.latency.count(), 0, "{face}: sampling off but histogram non-empty");
+        }
     }
 
     #[test]

@@ -161,11 +161,58 @@ impl SetConformance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locked_bst::CoarseLockBst;
+    use std::time::Duration;
+
+    use locked_bst::{CoarseLockBst, CoarseLockMap};
+    use workload::{prefill, run_map_workload, run_workload, MapSpec, OperationMix, WorkloadSpec};
+
+    const RUN: Duration = Duration::from_millis(40);
 
     #[test]
     fn conformance_battery_accepts_a_correct_set() {
         let c = SetConformance { ops_per_thread: 2_000, ..Default::default() };
         c.check_all(CoarseLockBst::<u64>::new);
+    }
+
+    #[test]
+    fn prefill_reaches_target() {
+        let set = CoarseLockBst::new();
+        let spec = WorkloadSpec::new(1024, OperationMix::updates(20)).prefill_fraction(0.5);
+        prefill(&spec, |k| set.insert(k));
+        assert_eq!(set.len(), 512);
+    }
+
+    #[test]
+    fn timed_mixed_ops_runs_requested_work() {
+        let set = Arc::new(CoarseLockBst::new());
+        let spec = WorkloadSpec::new(128, OperationMix::updates(50)).seed(1);
+        let m = run_workload(set, &spec, 2, RUN);
+        assert_eq!(m.per_thread.len(), 2);
+        assert!(m.prefill_size > 0);
+        assert!(m.elapsed >= RUN);
+        let updates: u64 = m.per_thread.iter().map(|t| t.inserts + t.removes).sum();
+        assert!(updates > 0, "a 50% update mix issued no updates");
+    }
+
+    #[test]
+    fn timed_sampled_ops_fills_histogram() {
+        let spec = WorkloadSpec::new(128, OperationMix::updates(50)).seed(1);
+        let m = run_workload(Arc::new(CoarseLockBst::new()), &spec.sample_every(16), 2, RUN);
+        assert!(m.latency.count() > 0);
+        // ~1/16 of the ops sampled (each thread rounds up by at most one).
+        assert!(m.latency.count() <= m.total_ops() / 16 + m.threads as u64);
+        let off = run_workload(Arc::new(CoarseLockBst::new()), &spec.sample_every(0), 2, RUN);
+        assert!(off.total_ops() > 0);
+        assert_eq!(off.latency.count(), 0);
+    }
+
+    #[test]
+    fn timed_map_ops_runs_requested_work() {
+        let map = Arc::new(CoarseLockMap::new());
+        let spec = MapSpec::new(WorkloadSpec::new(128, OperationMix::updates(50)).seed(1), 16);
+        let m = run_map_workload(map, &spec, 2, RUN);
+        assert!(m.prefill_size > 0);
+        assert!(m.elapsed >= RUN);
+        assert!(m.total_ops() > 0);
     }
 }
