@@ -1,37 +1,52 @@
 //! The [`ConcurrentSet`] / [`OrderedSet`] and [`ConcurrentMap`] /
 //! [`OrderedMap`] abstractions implemented by the structures in this
-//! workspace, plus the [`MapAsSet`] bridge between the two families.
+//! workspace.
+//!
+//! ## A set is a map with `V = ()`
+//!
+//! Every [`ConcurrentMap<K, ()>`](ConcurrentMap) is a [`ConcurrentSet<K>`]
+//! and every [`OrderedMap<K, ()>`](OrderedMap) an [`OrderedSet<K>`], through
+//! two blanket impls: a structure implements only the map traits and gets its
+//! set face for free.  A structure that holds only keys implements them with
+//! `V = ()` (`get` is membership, `upsert` an insert that reports presence).
+//!
+//! Because of the blanket impls, a direct `ConcurrentSet` impl is only
+//! possible for a type with a concrete key type (such as a test double over
+//! `u64`): for a type generic in `K`, coherence cannot rule out a downstream
+//! `ConcurrentMap<Local, ()>` impl.  And a `V = ()` type has both the map and
+//! the set methods, so a method call with both traits in scope is ambiguous:
+//! import one of them, call an inherent method, or call through the trait
+//! (`ConcurrentSet::insert(&set, k)`).
 //!
 //! ## Streaming scans
 //!
 //! Ordered reads come in two shapes.  The collecting methods
-//! ([`OrderedSet::keys_between`], [`OrderedMap::entries_between`]) materialise
-//! the whole result — simple, but O(result) allocation and no way to stop
-//! early.  The **cursor** methods ([`OrderedSet::scan_keys`],
-//! [`OrderedMap::scan_entries`]) return a lazy ascending stream instead:
-//! items are produced one at a time, so pagination, top-k and early-exit
-//! consumers only pay for what they read.  Every method in the family has a
-//! default in terms of the others, so an implementation picks its natural
-//! primitive:
+//! ([`OrderedMap::entries_between`], [`OrderedSet::keys_between`])
+//! materialise the whole result — simple, but O(result) allocation and no way
+//! to stop early.  The **cursor** methods ([`OrderedMap::scan_entries`],
+//! [`OrderedSet::scan_keys`]) return a lazy ascending stream instead: items
+//! are produced one at a time, so pagination, top-k and early-exit consumers
+//! only pay for what they read.  Every [`OrderedMap`] method has a default in
+//! terms of the others, so an implementation picks its natural primitive:
 //!
 //! * a structure with a native streaming traversal (such as `lfbst`'s
-//!   threaded successor links) overrides `scan_keys` / `scan_entries` and
-//!   inherits the collecting methods as `collect()` adapters;
-//! * a structure that can only scan in bulk overrides `keys_between` (and,
-//!   ideally, the bounded [`keys_between_limited`](OrderedSet::keys_between_limited))
-//!   and inherits a **chunked fallback cursor** that pages through
-//!   `keys_between_limited` with an advancing lower bound.
+//!   threaded successor links) overrides `scan_entries` and inherits the
+//!   collecting methods as `collect()` adapters;
+//! * a structure that can only scan in bulk overrides `entries_between` (and,
+//!   ideally, the bounded
+//!   [`entries_between_limited`](OrderedMap::entries_between_limited)) and
+//!   inherits a **chunked fallback cursor** that pages through
+//!   `entries_between_limited` with an advancing lower bound.
 //!
 //! An implementation **must override at least one** of
-//! `keys_between`/`scan_keys` (resp. `entries_between`/`scan_entries`);
-//! the defaults are mutually recursive.
+//! `entries_between`/`scan_entries`; the defaults are mutually recursive.
 
 use std::ops::Bound;
 
 use crate::stats::StatsSnapshot;
 
 /// Number of items a chunked fallback cursor fetches per page (see
-/// [`OrderedSet::scan_keys`]'s default implementation).
+/// [`OrderedMap::scan_entries`]'s default implementation).
 ///
 /// Small enough that early-exit consumers over fallback cursors stay cheap,
 /// large enough that the per-page scan overhead amortises.
@@ -79,7 +94,8 @@ pub type EntryCursor<'a, K, V> = Box<dyn Iterator<Item = (K, V)> + 'a>;
 ///
 /// The three operations mirror the paper's Set ADT (`Add`, `Remove`,
 /// `Contains`); the Rust-idiomatic names `insert`, `remove` and `contains` are
-/// used instead.
+/// used instead.  Every `ConcurrentMap<K, ()>` implements this trait through
+/// the blanket impl below (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -139,42 +155,6 @@ pub trait ConcurrentSet<K>: Send + Sync {
     }
 }
 
-/// A [`ConcurrentSet`] whose operations can run under a caller-held,
-/// reusable protection guard (e.g. an epoch-reclamation pin).
-///
-/// Lock-free structures built on safe memory reclamation pay a fixed
-/// per-operation cost to announce the thread to the reclamation scheme.  This
-/// trait lets callers hoist that cost: acquire one [`OpGuard`](Self::OpGuard),
-/// run many operations under it, drop it when done.
-///
-/// # Contract
-///
-/// * A guard obtained from **any** instance must be accepted by **every**
-///   instance of the same implementation (protection is domain-wide, e.g. a
-///   process-global epoch).  Composed wrappers (such as a sharding layer) rely
-///   on this to obtain one guard and fan operations out over many inner sets.
-/// * Operations under a guard are linearizable exactly like their guard-free
-///   counterparts; the guard only amortizes protection, it is not a
-///   transaction.
-/// * Holding a guard may delay memory reclamation; callers batching large
-///   amounts of work should periodically drop and re-acquire it.
-pub trait PinnedOps<K>: ConcurrentSet<K> {
-    /// The reusable protection guard.
-    type OpGuard;
-
-    /// Acquires a guard under which any number of `*_with` operations may run.
-    fn op_guard(&self) -> Self::OpGuard;
-
-    /// [`ConcurrentSet::insert`] under a caller-held guard.
-    fn insert_with(&self, key: K, guard: &Self::OpGuard) -> bool;
-
-    /// [`ConcurrentSet::remove`] under a caller-held guard.
-    fn remove_with(&self, key: &K, guard: &Self::OpGuard) -> bool;
-
-    /// [`ConcurrentSet::contains`] under a caller-held guard.
-    fn contains_with(&self, key: &K, guard: &Self::OpGuard) -> bool;
-}
-
 /// A linearizable concurrent ordered map from keys to values.
 ///
 /// This is the dictionary form of the Set ADT: the same membership structure,
@@ -185,8 +165,8 @@ pub trait PinnedOps<K>: ConcurrentSet<K> {
 /// typically clone the stored value), because in a lock-free structure a
 /// borrowed value could outlive the entry it was read from.
 ///
-/// A map with `V = ()` is exactly a set; [`MapAsSet`] packages that
-/// correspondence as a [`ConcurrentSet`] implementation.
+/// A map with `V = ()` is exactly a set: the blanket impls below make every
+/// `ConcurrentMap<K, ()>` a [`ConcurrentSet<K>`].
 ///
 /// # Examples
 ///
@@ -305,12 +285,7 @@ pub trait OrderedMap<K, V>: ConcurrentMap<K, V> {
         K: Clone + Ord + 'a,
         V: 'a,
     {
-        Box::new(ChunkedPager::new(
-            move |lo, hi, limit| self.entries_between_limited(lo, hi, limit),
-            |(k, _): &(K, V)| k,
-            lo.cloned(),
-            hi.cloned(),
-        ))
+        chunked_scan_entries(self, lo, hi)
     }
 
     /// Returns the entry with the smallest key, if any (weakly consistent).
@@ -344,9 +319,17 @@ pub trait OrderedMap<K, V>: ConcurrentMap<K, V> {
     /// Removes every entry whose key lies between `lo` and `hi`; returns how
     /// many entries this call removed.
     ///
-    /// Same contract and default shape as [`OrderedSet::remove_range`]
-    /// (linearizable per key, weakly consistent as a whole, chunked
-    /// page-then-remove default); see there for the bound rationale.
+    /// **Linearizable per key, weakly consistent as a whole**: each key's
+    /// removal is an ordinary [`remove`](ConcurrentMap::remove) (a concurrent
+    /// single-key remove and the sweep agree on one winner), but keys
+    /// inserted into the range while the sweep runs may or may not be caught.
+    /// Empty and reversed ranges remove nothing.  The default is the
+    /// keep-nothing [`retain_range`](Self::retain_range), a chunked
+    /// page-then-remove loop; implementations with a native bulk delete (a
+    /// streaming sweep, a whole-shard teardown) should override it.
+    ///
+    /// The `Send + Sync` key bound exists so sharded implementations can fan
+    /// the sweep out across shards on scoped threads.
     fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
     where
         K: Clone + Ord + Send + Sync,
@@ -403,32 +386,17 @@ pub trait OrderedMap<K, V>: ConcurrentMap<K, V> {
     }
 }
 
-/// Returns a chunked-paging cursor over `set`, regardless of how `set`'s own
-/// [`scan_keys`](OrderedSet::scan_keys) is implemented: pages of at most
-/// [`SCAN_CHUNK`] keys are fetched through
-/// [`keys_between_limited`](OrderedSet::keys_between_limited), and **no
-/// internal resource outlives a page fetch** — between pulls the cursor holds
-/// only owned keys.
+/// Returns a chunked-paging cursor over `map`, regardless of how `map`'s own
+/// [`scan_entries`](OrderedMap::scan_entries) is implemented: pages of at
+/// most [`SCAN_CHUNK`] entries are fetched through
+/// [`entries_between_limited`](OrderedMap::entries_between_limited), and
+/// **no internal resource outlives a page fetch** — between pulls the cursor
+/// holds only owned entries.
 ///
 /// Composing layers use this when a long-lived native cursor would hold a
 /// resource hostage to the consumer's pacing: e.g. a sharding layer merging
 /// many per-shard streams, where a structure's own streaming cursor may pin
 /// an epoch-reclamation guard until that stream is reached.
-pub fn chunked_scan_keys<'a, K, S>(set: &'a S, lo: Bound<&K>, hi: Bound<&K>) -> KeyCursor<'a, K>
-where
-    S: OrderedSet<K> + ?Sized,
-    K: Clone + Ord + 'a,
-{
-    Box::new(ChunkedPager::new(
-        move |lo, hi, limit| set.keys_between_limited(lo, hi, limit),
-        |k: &K| k,
-        lo.cloned(),
-        hi.cloned(),
-    ))
-}
-
-/// The entry twin of [`chunked_scan_keys`]: chunked pages through
-/// [`entries_between_limited`](OrderedMap::entries_between_limited).
 pub fn chunked_scan_entries<'a, K, V, M>(
     map: &'a M,
     lo: Bound<&K>,
@@ -439,55 +407,39 @@ where
     K: Clone + Ord + 'a,
     V: 'a,
 {
-    Box::new(ChunkedPager::new(
-        move |lo, hi, limit| map.entries_between_limited(lo, hi, limit),
-        |(k, _): &(K, V)| k,
-        lo.cloned(),
-        hi.cloned(),
-    ))
+    Box::new(ChunkedPager {
+        map,
+        lo: lo.cloned(),
+        hi: hi.cloned(),
+        page: Vec::new().into_iter(),
+        chunk: SCAN_CHUNK,
+        exhausted: false,
+    })
 }
 
-/// The chunked fallback cursor behind the `scan_keys` / `scan_entries`
-/// defaults: pages of at most [`SCAN_CHUNK`] items fetched through `fetch`
-/// (an implementation's `*_between_limited`), lower bound advanced past each
-/// full page's last key (`key_of`) — one key clone per page, not per item.
-struct ChunkedPager<K, T, F> {
-    fetch: F,
-    key_of: fn(&T) -> &K,
+/// The chunked fallback cursor behind [`chunked_scan_entries`]: pages of at
+/// most [`SCAN_CHUNK`] entries fetched through the map's
+/// `entries_between_limited`, lower bound advanced past each full page's last
+/// key — one key clone per page, not per item.
+struct ChunkedPager<'a, K, V, M: ?Sized> {
+    map: &'a M,
     lo: Bound<K>,
     hi: Bound<K>,
-    page: std::vec::IntoIter<T>,
+    page: std::vec::IntoIter<(K, V)>,
     /// Next page size: starts at [`SCAN_CHUNK`], doubles after every full
     /// page up to [`SCAN_CHUNK_MAX`].
     chunk: usize,
     exhausted: bool,
 }
 
-impl<K, T, F> ChunkedPager<K, T, F>
-where
-    F: FnMut(Bound<&K>, Bound<&K>, usize) -> Vec<T>,
-{
-    fn new(fetch: F, key_of: fn(&T) -> &K, lo: Bound<K>, hi: Bound<K>) -> Self {
-        ChunkedPager {
-            fetch,
-            key_of,
-            lo,
-            hi,
-            page: Vec::new().into_iter(),
-            chunk: SCAN_CHUNK,
-            exhausted: false,
-        }
-    }
-}
-
-impl<K, T, F> Iterator for ChunkedPager<K, T, F>
+impl<K, V, M> Iterator for ChunkedPager<'_, K, V, M>
 where
     K: Clone + Ord,
-    F: FnMut(Bound<&K>, Bound<&K>, usize) -> Vec<T>,
+    M: OrderedMap<K, V> + ?Sized,
 {
-    type Item = T;
+    type Item = (K, V);
 
-    fn next(&mut self) -> Option<T> {
+    fn next(&mut self) -> Option<(K, V)> {
         loop {
             if let Some(item) = self.page.next() {
                 return Some(item);
@@ -499,16 +451,17 @@ where
                 self.exhausted = true;
                 return None;
             }
-            let page = (self.fetch)(self.lo.as_ref(), self.hi.as_ref(), self.chunk);
+            let page =
+                self.map.entries_between_limited(self.lo.as_ref(), self.hi.as_ref(), self.chunk);
             if page.len() < self.chunk {
                 // A short page means the range is drained; remember that so a
                 // concurrent insert behind the cursor cannot revive it.
                 self.exhausted = true;
-            } else if let Some(last) = page.last() {
+            } else if let Some((last, _)) = page.last() {
                 // A full page will be followed by another fetch: resume
                 // strictly after its last key, with a geometrically larger
                 // page to amortise the fetch's re-locate cost.
-                self.lo = Bound::Excluded((self.key_of)(last).clone());
+                self.lo = Bound::Excluded(last.clone());
                 self.chunk = (self.chunk * 2).min(SCAN_CHUNK_MAX);
             }
             self.page = page.into_iter();
@@ -519,19 +472,101 @@ where
     }
 }
 
-/// Presents any [`ConcurrentMap`] with `()` values as a [`ConcurrentSet`].
+/// A [`ConcurrentSet`] that additionally supports ordered range scans: the
+/// set face of an [`OrderedMap`] with `()` values.
 ///
-/// This is the blanket bridge between the two trait families.  It is a
-/// wrapper rather than a direct `impl<M: ConcurrentMap<K, ()>> ConcurrentSet
-/// for M` because such a blanket impl would overlap, under coherence, with
-/// every type that implements `ConcurrentSet` directly (all the baseline
-/// structures in this workspace do); the zero-cost newtype sidesteps the
-/// conflict while keeping the bridge fully generic.
+/// The scan contract matches the snapshots of the underlying structures:
+/// **weakly consistent** under concurrent mutation (keys inserted or removed
+/// during the scan may or may not be observed), exact in a quiescent state,
+/// and always **strictly ascending**.
+///
+/// The bounds are passed as [`Bound`] references rather than a generic
+/// `RangeBounds` parameter so that composed implementations (such as a
+/// sharding layer fanning one scan out over many inner maps) can forward them
+/// without re-materialising range types.
+///
+/// Every ordered structure in this workspace implements [`OrderedMap`] (a
+/// key-only one with `V = ()`), and the blanket impl below implements this
+/// trait for all of them: each method is the key projection of its entry
+/// twin, so an ordered structure has one scan implementation, not two.
+pub trait OrderedSet<K>: ConcurrentSet<K> {
+    /// Collects the keys between `lo` and `hi`, in ascending order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::ops::Bound;
+    /// use cset::OrderedSet;
+    ///
+    /// fn scan_all<S: OrderedSet<u64>>(set: &S) -> Vec<u64> {
+    ///     set.keys_between(Bound::Unbounded, Bound::Unbounded)
+    /// }
+    /// ```
+    fn keys_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
+    where
+        K: Clone + Ord;
+
+    /// Collects at most `limit` keys between `lo` and `hi`, smallest first.
+    fn keys_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K>
+    where
+        K: Clone + Ord;
+
+    /// Returns a lazy ascending cursor over the keys between `lo` and `hi`,
+    /// with the long-scan contract of [`OrderedMap::scan_entries`]: every key
+    /// present for the *entire* duration of the scan appears, no key absent
+    /// for the entire duration appears.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::ops::Bound;
+    /// use cset::OrderedSet;
+    ///
+    /// // Top-k without materialising the tail: only k items are produced.
+    /// fn top_k<S: OrderedSet<u64>>(set: &S, k: usize) -> Vec<u64> {
+    ///     set.scan_keys(Bound::Unbounded, Bound::Unbounded).take(k).collect()
+    /// }
+    /// ```
+    fn scan_keys<'a>(&'a self, lo: Bound<&K>, hi: Bound<&K>) -> KeyCursor<'a, K>
+    where
+        K: Clone + Ord + 'a;
+
+    /// Returns the smallest key, if any (weakly consistent).
+    fn first(&self) -> Option<K>
+    where
+        K: Clone + Ord;
+
+    /// Returns the largest key, if any (weakly consistent).
+    fn last(&self) -> Option<K>
+    where
+        K: Clone + Ord;
+
+    /// Returns the smallest key strictly greater than `key`, if any (weakly
+    /// consistent) — the successor query pagination builds on.
+    fn next_after(&self, key: &K) -> Option<K>
+    where
+        K: Clone + Ord;
+
+    /// Removes every key between `lo` and `hi`; returns how many keys this
+    /// call removed.  The contract is [`OrderedMap::remove_range`]'s:
+    /// linearizable per key, weakly consistent as a whole, empty and
+    /// reversed ranges remove nothing.
+    fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
+    where
+        K: Clone + Ord + Send + Sync;
+}
+
+/// The set face of a map with `()` values.
+///
+/// A generic call through `ConcurrentSet` on such a map monomorphises to the
+/// map method with a unit argument or result, which inlines away: `insert`
+/// is `ConcurrentMap::insert(k, ())`, `remove` is `ConcurrentMap::remove`'s
+/// `is_some()`.
 ///
 /// # Examples
 ///
 /// ```
-/// use cset::{ConcurrentMap, ConcurrentSet, MapAsSet};
+/// use cset::{ConcurrentMap, ConcurrentSet};
 /// use std::collections::BTreeMap;
 /// use std::sync::Mutex;
 ///
@@ -549,271 +584,105 @@ where
 ///     fn name(&self) -> &'static str { "mutex-btreemap" }
 /// }
 ///
-/// let set = MapAsSet(MutexMap::default());
-/// assert!(set.insert(7));
-/// assert!(set.contains(&7));
-/// assert!(set.remove(&7));
+/// fn exercise<S: ConcurrentSet<u64>>(set: &S) {
+///     assert!(set.insert(7));
+///     assert!(set.contains(&7));
+///     assert!(set.remove(&7));
+/// }
+/// exercise(&MutexMap::default());
 /// ```
-#[derive(Debug, Default)]
-pub struct MapAsSet<M>(
-    /// The wrapped map.
-    pub M,
-);
-
-impl<M> MapAsSet<M> {
-    /// Returns the wrapped map.
-    pub fn into_inner(self) -> M {
-        self.0
-    }
-}
-
-impl<K, M> ConcurrentSet<K> for MapAsSet<M>
-where
-    M: ConcurrentMap<K, ()>,
-{
+impl<K, M: ConcurrentMap<K, ()>> ConcurrentSet<K> for M {
+    #[inline]
     fn insert(&self, key: K) -> bool {
-        self.0.insert(key, ())
+        ConcurrentMap::insert(self, key, ())
     }
 
+    #[inline]
     fn remove(&self, key: &K) -> bool {
-        self.0.remove(key).is_some()
+        ConcurrentMap::remove(self, key).is_some()
     }
 
+    #[inline]
     fn contains(&self, key: &K) -> bool {
-        self.0.contains_key(key)
+        self.contains_key(key)
     }
 
     fn len(&self) -> usize {
-        self.0.len()
+        ConcurrentMap::len(self)
     }
 
     fn name(&self) -> &'static str {
-        self.0.name()
+        ConcurrentMap::name(self)
     }
 
     fn stats(&self) -> StatsSnapshot {
-        self.0.stats()
+        ConcurrentMap::stats(self)
     }
 }
 
-impl<K, M> OrderedSet<K> for MapAsSet<M>
-where
-    M: OrderedMap<K, ()>,
-{
+/// The ordered set face of an ordered map with `()` values: every method
+/// forwards to its entry twin, so a map's native cursor, successor walk and
+/// bulk sweep serve the set face too.
+impl<K, M: OrderedMap<K, ()>> OrderedSet<K> for M {
     fn keys_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
     where
         K: Clone + Ord,
     {
-        self.0.entries_between(lo, hi).into_iter().map(|(k, ())| k).collect()
+        self.entries_between(lo, hi).into_iter().map(|(k, ())| k).collect()
     }
 
     fn keys_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K>
     where
         K: Clone + Ord,
     {
-        self.0.entries_between_limited(lo, hi, limit).into_iter().map(|(k, ())| k).collect()
+        self.entries_between_limited(lo, hi, limit).into_iter().map(|(k, ())| k).collect()
     }
 
     fn scan_keys<'a>(&'a self, lo: Bound<&K>, hi: Bound<&K>) -> KeyCursor<'a, K>
     where
         K: Clone + Ord + 'a,
     {
-        Box::new(self.0.scan_entries(lo, hi).map(|(k, ())| k))
+        Box::new(self.scan_entries(lo, hi).map(|(k, ())| k))
     }
 
     fn first(&self) -> Option<K>
     where
         K: Clone + Ord,
     {
-        self.0.first_entry().map(|(k, ())| k)
+        self.first_entry().map(|(k, ())| k)
     }
 
     fn last(&self) -> Option<K>
     where
         K: Clone + Ord,
     {
-        self.0.last_entry().map(|(k, ())| k)
+        self.last_entry().map(|(k, ())| k)
     }
 
     fn next_after(&self, key: &K) -> Option<K>
     where
         K: Clone + Ord,
     {
-        self.0.next_entry_after(key).map(|(k, ())| k)
+        self.next_entry_after(key).map(|(k, ())| k)
     }
 
     fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
     where
         K: Clone + Ord + Send + Sync,
     {
-        self.0.remove_range(lo, hi)
-    }
-}
-
-/// A [`ConcurrentSet`] that additionally supports ordered range scans.
-///
-/// The scan contract matches the snapshots of the underlying structures:
-/// **weakly consistent** under concurrent mutation (keys inserted or removed
-/// during the scan may or may not be observed), exact in a quiescent state,
-/// and always **strictly ascending**.
-///
-/// The bounds are passed as [`Bound`] references rather than a generic
-/// `RangeBounds` parameter so that composed implementations (such as a
-/// sharding layer fanning one scan out over many inner sets) can forward them
-/// without re-materialising range types.
-///
-/// Every method has a default implementation in terms of the others (see the
-/// [module docs](self) on streaming scans); an implementation must override at
-/// least one of [`keys_between`](Self::keys_between) /
-/// [`scan_keys`](Self::scan_keys).
-pub trait OrderedSet<K>: ConcurrentSet<K> {
-    /// Collects the keys between `lo` and `hi`, in ascending order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::ops::Bound;
-    /// use cset::OrderedSet;
-    ///
-    /// fn scan_all<S: OrderedSet<u64>>(set: &S) -> Vec<u64> {
-    ///     set.keys_between(Bound::Unbounded, Bound::Unbounded)
-    /// }
-    /// ```
-    fn keys_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
-    where
-        K: Clone + Ord,
-    {
-        self.scan_keys(lo, hi).collect()
-    }
-
-    /// Collects at most `limit` keys between `lo` and `hi`, smallest first.
-    ///
-    /// The default collects the full range and truncates; implementations
-    /// that can stop early should override it — the chunked fallback cursor
-    /// behind [`scan_keys`](Self::scan_keys) pages through this method, so
-    /// its memory bound is only as good as this override.
-    fn keys_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K>
-    where
-        K: Clone + Ord,
-    {
-        let mut keys = self.keys_between(lo, hi);
-        keys.truncate(limit);
-        keys
-    }
-
-    /// Returns a lazy ascending cursor over the keys between `lo` and `hi`.
-    ///
-    /// The stream is **weakly consistent** exactly like
-    /// [`keys_between`](Self::keys_between); for long scans the contract is:
-    /// every key present for the *entire* duration of the scan appears, no key
-    /// absent for the entire duration appears.  The default implementation is
-    /// a chunked fallback that pages through
-    /// [`keys_between_limited`](Self::keys_between_limited) in
-    /// [`SCAN_CHUNK`]-sized steps, advancing the lower bound past each page.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::ops::Bound;
-    /// use cset::OrderedSet;
-    ///
-    /// // Top-k without materialising the tail: only k items are produced.
-    /// fn top_k<S: OrderedSet<u64>>(set: &S, k: usize) -> Vec<u64> {
-    ///     set.scan_keys(Bound::Unbounded, Bound::Unbounded).take(k).collect()
-    /// }
-    /// ```
-    fn scan_keys<'a>(&'a self, lo: Bound<&K>, hi: Bound<&K>) -> KeyCursor<'a, K>
-    where
-        K: Clone + Ord + 'a,
-    {
-        Box::new(ChunkedPager::new(
-            move |lo, hi, limit| self.keys_between_limited(lo, hi, limit),
-            |k: &K| k,
-            lo.cloned(),
-            hi.cloned(),
-        ))
-    }
-
-    /// Returns the smallest key, if any (weakly consistent).
-    fn first(&self) -> Option<K>
-    where
-        K: Clone + Ord,
-    {
-        self.keys_between_limited(Bound::Unbounded, Bound::Unbounded, 1).pop()
-    }
-
-    /// Returns the largest key, if any (weakly consistent).
-    ///
-    /// The default scans the whole set; implementations with a
-    /// rightmost-path walk should override it.
-    fn last(&self) -> Option<K>
-    where
-        K: Clone + Ord,
-    {
-        self.keys_between(Bound::Unbounded, Bound::Unbounded).pop()
-    }
-
-    /// Returns the smallest key strictly greater than `key`, if any (weakly
-    /// consistent) — the successor query pagination builds on.
-    fn next_after(&self, key: &K) -> Option<K>
-    where
-        K: Clone + Ord,
-    {
-        self.keys_between_limited(Bound::Excluded(key), Bound::Unbounded, 1).pop()
-    }
-
-    /// Removes every key between `lo` and `hi`; returns how many keys this
-    /// call removed.
-    ///
-    /// **Linearizable per key, weakly consistent as a whole**: each key's
-    /// removal is an ordinary [`remove`](ConcurrentSet::remove) (a concurrent
-    /// single-key remove and the sweep agree on one winner), but keys
-    /// inserted into the range while the sweep runs may or may not be caught.
-    /// Empty and reversed ranges remove nothing.  The default is a chunked
-    /// page-then-remove loop over
-    /// [`keys_between_limited`](Self::keys_between_limited) with an advancing
-    /// lower bound; implementations with a native bulk delete (a streaming
-    /// sweep, a whole-shard teardown) should override it.
-    ///
-    /// The `Send + Sync` key bound exists so sharded implementations can fan
-    /// the sweep out across shards on scoped threads.
-    fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
-    where
-        K: Clone + Ord + Send + Sync,
-    {
-        let mut removed = 0usize;
-        let mut lo = lo.cloned();
-        let mut chunk = SCAN_CHUNK;
-        loop {
-            if range_is_empty(&lo.as_ref(), &hi) {
-                return removed;
-            }
-            let page = self.keys_between_limited(lo.as_ref(), hi, chunk);
-            for key in &page {
-                if self.remove(key) {
-                    removed += 1;
-                }
-            }
-            if page.len() < chunk {
-                return removed;
-            }
-            // A full page may be followed by more: resume strictly after its
-            // last key, with a geometrically larger page (as the fallback
-            // cursors do) to amortise the per-page re-locate.
-            lo = Bound::Excluded(page.last().expect("full page is non-empty").clone());
-            chunk = (chunk * 2).min(SCAN_CHUNK_MAX);
-        }
+        OrderedMap::remove_range(self, lo, hi)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// A trivial reference implementation used to test the trait's default
-    /// methods and to demonstrate the contract.
+    /// A trivial direct `ConcurrentSet` impl over a concrete key type, used to
+    /// demonstrate the contract.
     #[derive(Default)]
     struct MutexSet {
         inner: Mutex<BTreeSet<u64>>,
@@ -861,15 +730,18 @@ mod tests {
         assert!(dyn_set.contains(&10));
     }
 
-    /// A reference map used to test the map trait's default methods and the
-    /// [`MapAsSet`] bridge.
+    /// A reference map that implements only the bulk `entries_between`, so
+    /// every other `OrderedMap` method (and, with `V = ()`, the whole set
+    /// face) runs on the trait defaults.
     #[derive(Default)]
-    struct MutexMap {
-        inner: Mutex<std::collections::BTreeMap<u64, u64>>,
+    struct MutexMap<V> {
+        inner: Mutex<BTreeMap<u64, V>>,
+        /// Bulk scans run, to pin the chunked cursor's laziness.
+        fetches: AtomicUsize,
     }
 
-    impl ConcurrentMap<u64, u64> for MutexMap {
-        fn insert(&self, key: u64, value: u64) -> bool {
+    impl<V: Clone + Send + Sync> ConcurrentMap<u64, V> for MutexMap<V> {
+        fn insert(&self, key: u64, value: V) -> bool {
             match self.inner.lock().unwrap().entry(key) {
                 std::collections::btree_map::Entry::Occupied(_) => false,
                 std::collections::btree_map::Entry::Vacant(e) => {
@@ -878,13 +750,13 @@ mod tests {
                 }
             }
         }
-        fn get(&self, key: &u64) -> Option<u64> {
-            self.inner.lock().unwrap().get(key).copied()
+        fn get(&self, key: &u64) -> Option<V> {
+            self.inner.lock().unwrap().get(key).cloned()
         }
-        fn upsert(&self, key: u64, value: u64) -> Option<u64> {
+        fn upsert(&self, key: u64, value: V) -> Option<V> {
             self.inner.lock().unwrap().insert(key, value)
         }
-        fn remove(&self, key: &u64) -> Option<u64> {
+        fn remove(&self, key: &u64) -> Option<V> {
             self.inner.lock().unwrap().remove(key)
         }
         fn len(&self) -> usize {
@@ -895,20 +767,34 @@ mod tests {
         }
     }
 
-    impl OrderedMap<u64, u64> for MutexMap {
-        fn entries_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, u64)> {
+    impl<V: Clone + Send + Sync> OrderedMap<u64, V> for MutexMap<V> {
+        fn entries_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, V)> {
+            if range_is_empty(&lo, &hi) {
+                return Vec::new();
+            }
+            self.fetches.fetch_add(1, Ordering::Relaxed);
             self.inner
                 .lock()
                 .unwrap()
                 .range((lo.cloned(), hi.cloned()))
-                .map(|(&k, &v)| (k, v))
+                .map(|(&k, v)| (k, v.clone()))
                 .collect()
         }
     }
 
+    /// A unit-valued `MutexMap` holding `keys`: a set through the blanket
+    /// impls.
+    fn unit_map(keys: impl IntoIterator<Item = u64>) -> MutexMap<()> {
+        let map = MutexMap::default();
+        for k in keys {
+            ConcurrentMap::insert(&map, k, ());
+        }
+        map
+    }
+
     #[test]
     fn map_reference_implementation_obeys_contract() {
-        let map = MutexMap::default();
+        let map = MutexMap::<u64>::default();
         assert!(map.is_empty());
         assert!(map.insert(3, 30));
         assert!(!map.insert(3, 31), "insert must not overwrite");
@@ -925,66 +811,10 @@ mod tests {
         assert_eq!(map.name(), "mutex-btreemap");
     }
 
-    /// The same reference map with unit values, for the bridge test.
-    #[derive(Default)]
-    struct MutexUnitMap {
-        inner: Mutex<std::collections::BTreeMap<u64, ()>>,
-    }
-
-    impl ConcurrentMap<u64, ()> for MutexUnitMap {
-        fn insert(&self, key: u64, value: ()) -> bool {
-            match self.inner.lock().unwrap().entry(key) {
-                std::collections::btree_map::Entry::Occupied(_) => false,
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(value);
-                    true
-                }
-            }
-        }
-        fn get(&self, key: &u64) -> Option<()> {
-            self.inner.lock().unwrap().get(key).copied()
-        }
-        fn upsert(&self, key: u64, value: ()) -> Option<()> {
-            self.inner.lock().unwrap().insert(key, value)
-        }
-        fn remove(&self, key: &u64) -> Option<()> {
-            self.inner.lock().unwrap().remove(key)
-        }
-        fn len(&self) -> usize {
-            self.inner.lock().unwrap().len()
-        }
-        fn name(&self) -> &'static str {
-            "mutex-unit-map"
-        }
-    }
-
-    impl OrderedMap<u64, ()> for MutexUnitMap {
-        fn entries_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, ())> {
-            self.inner
-                .lock()
-                .unwrap()
-                .range((lo.cloned(), hi.cloned()))
-                .map(|(&k, &v)| (k, v))
-                .collect()
-        }
-    }
-
-    impl OrderedSet<u64> for MutexSet {
-        fn keys_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<u64> {
-            if range_is_empty(&lo, &hi) {
-                return Vec::new();
-            }
-            self.inner.lock().unwrap().range((lo.cloned(), hi.cloned())).copied().collect()
-        }
-    }
-
     #[test]
     fn chunked_fallback_cursor_matches_bulk_scan() {
-        let set = MutexSet::default();
         // More than two SCAN_CHUNK pages, odd stride so page edges are keys.
-        for k in (0..(3 * SCAN_CHUNK as u64 + 17)).map(|i| i * 3) {
-            set.insert(k);
-        }
+        let set = unit_map((0..(3 * SCAN_CHUNK as u64 + 17)).map(|i| i * 3));
         for (lo, hi) in [
             (Bound::Unbounded, Bound::Unbounded),
             (Bound::Included(&10u64), Bound::Excluded(&500u64)),
@@ -1004,13 +834,11 @@ mod tests {
 
     #[test]
     fn successor_query_defaults() {
-        let set = MutexSet::default();
+        let set = unit_map([]);
         assert_eq!(set.first(), None);
         assert_eq!(set.last(), None);
         assert_eq!(set.next_after(&0), None);
-        for k in [30u64, 10, 20] {
-            set.insert(k);
-        }
+        let set = unit_map([30, 10, 20]);
         assert_eq!(set.first(), Some(10));
         assert_eq!(set.last(), Some(30));
         assert_eq!(set.next_after(&10), Some(20));
@@ -1018,68 +846,24 @@ mod tests {
         assert_eq!(set.next_after(&30), None);
     }
 
-    /// An ordered set that counts how many keys its paged scans fetch, to pin
-    /// the chunked cursor's laziness.
-    #[derive(Default)]
-    struct CountingSet {
-        inner: MutexSet,
-        fetched: std::sync::atomic::AtomicUsize,
-    }
-
-    impl ConcurrentSet<u64> for CountingSet {
-        fn insert(&self, key: u64) -> bool {
-            self.inner.insert(key)
-        }
-        fn remove(&self, key: &u64) -> bool {
-            self.inner.remove(key)
-        }
-        fn contains(&self, key: &u64) -> bool {
-            self.inner.contains(key)
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-    }
-
-    impl OrderedSet<u64> for CountingSet {
-        fn keys_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<u64> {
-            let keys = self.inner.keys_between(lo, hi);
-            self.fetched.fetch_add(keys.len(), std::sync::atomic::Ordering::Relaxed);
-            keys
-        }
-        fn keys_between_limited(&self, lo: Bound<&u64>, hi: Bound<&u64>, limit: usize) -> Vec<u64> {
-            let keys = self.inner.keys_between_limited(lo, hi, limit);
-            self.fetched.fetch_add(keys.len(), std::sync::atomic::Ordering::Relaxed);
-            keys
-        }
-    }
-
     #[test]
     fn chunked_cursor_is_lazy() {
-        let set = CountingSet::default();
-        for k in 0..10_000u64 {
-            set.insert(k);
-        }
+        let set = unit_map(0..10_000);
         let top: Vec<u64> = set.scan_keys(Bound::Unbounded, Bound::Unbounded).take(5).collect();
         assert_eq!(top, vec![0, 1, 2, 3, 4]);
-        let fetched = set.fetched.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(
-            fetched <= SCAN_CHUNK,
-            "early-exit scan fetched {fetched} keys, expected at most one page ({SCAN_CHUNK})"
-        );
+        assert_eq!(set.fetches.load(Ordering::Relaxed), 1, "an early exit fetches one page");
+        // A full drain pages on, with geometrically growing pages.
+        assert_eq!(set.scan_keys(Bound::Unbounded, Bound::Unbounded).count(), 10_000);
+        let pages = set.fetches.load(Ordering::Relaxed) - 1;
+        assert!((2..=10).contains(&pages), "{pages} pages for 10k keys");
     }
 
     #[test]
     fn default_remove_range_pages_through_the_whole_range() {
-        let set = MutexSet::default();
         // Spans several growing pages so the advancing lower bound is hit.
         let n = 3 * SCAN_CHUNK as u64 + 17;
-        for k in 0..n {
-            set.insert(k);
-        }
+        let set = unit_map(0..n);
+        let set: &dyn OrderedSet<u64> = &set;
         assert_eq!(
             set.remove_range(Bound::Included(&5), Bound::Excluded(&(n - 5))),
             n as usize - 10
@@ -1093,7 +877,7 @@ mod tests {
 
     #[test]
     fn default_map_remove_range_and_retain() {
-        let map = MutexMap::default();
+        let map = MutexMap::<u64>::default();
         let n = 2 * SCAN_CHUNK as u64 + 9;
         for k in 0..n {
             map.insert(k, k * 10);
@@ -1115,13 +899,10 @@ mod tests {
 
     #[test]
     fn bulk_mutations_are_dyn_dispatchable() {
-        let set = MutexSet::default();
-        for k in 0..10u64 {
-            set.insert(k);
-        }
+        let set = unit_map(0..10);
         let dyn_set: &dyn OrderedSet<u64> = &set;
         assert_eq!(dyn_set.remove_range(Bound::Included(&0), Bound::Excluded(&5)), 5);
-        let map = MutexMap::default();
+        let map = MutexMap::<u64>::default();
         for k in 0..10u64 {
             map.insert(k, k);
         }
@@ -1133,21 +914,29 @@ mod tests {
 
     #[test]
     fn map_as_set_bridges_the_full_set_contract() {
-        let set = MapAsSet(MutexUnitMap::default());
-        assert!(set.is_empty());
-        assert!(set.insert(3));
-        assert!(!set.insert(3));
-        assert!(set.contains(&3));
-        assert_eq!(set.len(), 1);
-        assert!(set.remove(&3));
-        assert!(!set.remove(&3));
-        assert_eq!(set.name(), "mutex-unit-map");
-        // The ordered face survives the bridge too.
-        for k in [5u64, 1, 9] {
-            set.insert(k);
+        // Generic set code sees a unit-valued map through the blanket impls.
+        fn check<S: OrderedSet<u64>>(set: &S) {
+            assert!(set.is_empty());
+            assert!(set.insert(3));
+            assert!(!set.insert(3));
+            assert!(set.contains(&3));
+            assert_eq!(set.len(), 1);
+            assert!(set.remove(&3));
+            assert!(!set.remove(&3));
+            assert_eq!(set.name(), "mutex-btreemap");
+            // The ordered face survives the bridge too.
+            for k in [5u64, 1, 9] {
+                set.insert(k);
+            }
+            assert_eq!(set.keys_between(Bound::Unbounded, Bound::Excluded(&9)), vec![1, 5]);
+            assert_eq!(set.first(), Some(1));
+            assert_eq!(set.last(), Some(9));
+            assert_eq!(set.next_after(&1), Some(5));
+            assert_eq!(set.remove_range(Bound::Included(&1), Bound::Included(&5)), 2);
         }
-        assert_eq!(set.keys_between(Bound::Unbounded, Bound::Excluded(&9)), vec![1, 5]);
-        assert_eq!(set.remove_range(Bound::Included(&1), Bound::Included(&5)), 2);
-        assert_eq!(set.into_inner().len(), 1);
+        let map = unit_map([]);
+        check(&map);
+        assert_eq!(map.get(&9), Some(()));
+        assert_eq!(ConcurrentMap::len(&map), 1);
     }
 }

@@ -23,7 +23,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
-use cset::ConcurrentSet;
+use cset::ConcurrentMap;
 
 const ORD: Ordering = Ordering::SeqCst;
 
@@ -503,18 +503,18 @@ impl<K: Ord> EllenBst<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> cset::OrderedSet<K> for EllenBst<K> {
-    fn keys_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<K> {
-        self.keys_in_range_limited(lo, hi, usize::MAX)
+impl<K: Ord + Clone + Send + Sync> cset::OrderedMap<K, ()> for EllenBst<K> {
+    fn entries_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, ())> {
+        self.entries_between_limited(lo, hi, usize::MAX)
     }
 
-    fn keys_between_limited(
+    fn entries_between_limited(
         &self,
         lo: std::ops::Bound<&K>,
         hi: std::ops::Bound<&K>,
         limit: usize,
-    ) -> Vec<K> {
-        self.keys_in_range_limited(lo, hi, limit)
+    ) -> Vec<(K, ())> {
+        self.keys_in_range_limited(lo, hi, limit).into_iter().map(|k| (k, ())).collect()
     }
 }
 
@@ -557,16 +557,26 @@ impl<K> Drop for EllenBst<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> ConcurrentSet<K> for EllenBst<K> {
-    fn insert(&self, key: K) -> bool {
+/// The Set ADT as a map with `()` values: the set face comes from `cset`'s
+/// blanket impls.
+impl<K: Ord + Clone + Send + Sync> ConcurrentMap<K, ()> for EllenBst<K> {
+    fn insert(&self, key: K, (): ()) -> bool {
         EllenBst::insert(self, key)
     }
 
-    fn remove(&self, key: &K) -> bool {
-        EllenBst::remove(self, key)
+    fn get(&self, key: &K) -> Option<()> {
+        EllenBst::contains(self, key).then_some(())
     }
 
-    fn contains(&self, key: &K) -> bool {
+    fn upsert(&self, key: K, (): ()) -> Option<()> {
+        (!EllenBst::insert(self, key)).then_some(())
+    }
+
+    fn remove(&self, key: &K) -> Option<()> {
+        EllenBst::remove(self, key).then_some(())
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
         EllenBst::contains(self, key)
     }
 

@@ -3,7 +3,7 @@
 //! Reproduces the planned evaluation of *Efficient Lock-free Binary Search
 //! Trees* (the paper defers experiments to future work; the suite below is the
 //! standard concurrent-set methodology its comparators use, see `DESIGN.md`
-//! and `EXPERIMENTS.md` for the experiment index E1–E14).
+//! and `EXPERIMENTS.md` for the experiment index E1–E18).
 //!
 //! Usage:
 //!
@@ -38,8 +38,8 @@
 //! and the epoch-reclamation deltas the run produced (epoch advances, nodes
 //! retired/freed, min-stamp skips, repins — see `ebr::ReclamationStats`).
 //! E15 sweeps those percentiles against thread count under two mixes, and a
-//! final reclamation-health table reports the process-wide gauges through
-//! `obs::Registry`.  The reclamation appendix further carries the bag-depth
+//! final reclamation-health table reports the process-wide `ebr` counters.
+//! The reclamation appendix further carries the bag-depth
 //! high-water mark and the `GarbageBound` trip/escalation counters; E17 A/Bs
 //! the EBR and IBR backends under a fault-injection adversary
 //! (`workload::Adversary`) and reads its headline peak-garbage number from
@@ -56,7 +56,7 @@ use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{HashRouter, RangeRouter, Sharded, ShardedMap};
+use shard::{HashRouter, RangeRouter, Sharded};
 use workload::{
     format_csv, format_markdown_table, prefill, run_adversarial_workload, run_closed_loop,
     run_map_workload, run_scan_workload, run_workload, Adversary, KeyDistribution, MapSpec,
@@ -971,7 +971,7 @@ fn e13(opts: &Options) {
         opts.record_run("e13", "lfbst", key_range, mix_label, "map", value_bytes, &m, &rec);
         cells.push(("lfbst".to_string(), m.mops()));
 
-        let sharded = ShardedMap::new(HashRouter::new(16), |_| LfBst::<u64, Vec<u8>>::new());
+        let sharded = Sharded::new(HashRouter::new(16), |_| LfBst::<u64, Vec<u8>>::new());
         let label = sharded.name();
         let (m, rec) =
             with_reclamation(|| run_map_workload(Arc::new(sharded), &spec, threads, opts.duration));
@@ -1112,8 +1112,7 @@ fn e15(opts: &Options) {
             opts.record_run("e15", "lfbst", key_range, mix_label, "map", value_bytes, &m, &rec);
             push_latency_cells(&mut cells, "lfbst", &m);
 
-            let sharded =
-                ShardedMap::new(HashRouter::new(shards), |_| LfBst::<u64, Vec<u8>>::new());
+            let sharded = Sharded::new(HashRouter::new(shards), |_| LfBst::<u64, Vec<u8>>::new());
             let label = sharded.name();
             let (m, rec) = with_reclamation(|| {
                 run_map_workload(Arc::new(sharded), &spec, threads, opts.duration)
@@ -1386,7 +1385,7 @@ fn e18(opts: &Options) {
     let mix = OperationMix::new(70, 20, 10);
     let threads = opts.max_threads;
     let mut rows = Vec::new();
-    let registry = obs::Registry::new();
+    let mut strip_rows = Vec::new();
     for dist in [KeyDistribution::Uniform, KeyDistribution::Zipf { exponent: 0.99 }] {
         // The measured spec's own prefill is off (`prefill_fraction(0)`):
         // a zipf prefill is attempt-capped far below this density, and
@@ -1506,8 +1505,9 @@ fn e18(opts: &Options) {
             let imbalance =
                 if total == 0 { 0.0 } else { peak as f64 * loads.len() as f64 / total as f64 };
             cells.push(("peak/mean".to_string(), imbalance));
-            for (i, l) in loads.iter().enumerate() {
-                registry.gauge(&format!("shard.load.{row}.{i}")).set(*l as i64);
+            for (i, &l) in loads.iter().enumerate() {
+                strip_rows
+                    .push((format!("shard.load.{row}.{i}"), vec![("ops".to_string(), l as f64)]));
             }
             rows.push((row, cells));
         }
@@ -1522,47 +1522,43 @@ fn e18(opts: &Options) {
         "dist/rebalance",
         &rows,
     );
-    let snap = registry.snapshot();
-    let gauge_rows: Vec<(String, Vec<(String, f64)>)> = snap
-        .iter()
-        .map(|(name, v)| (name.to_string(), vec![("ops".to_string(), v as f64)]))
-        .collect();
-    opts.emit("E18 — final per-strip load tallies (last rebalancer window)", "gauge", &gauge_rows);
+    opts.emit("E18 — final per-strip load tallies (last rebalancer window)", "gauge", &strip_rows);
 }
 
-/// Prints the process-wide reclamation health gauges through the metrics
-/// registry (the `obs::Registry` wiring of the `ebr` counters).
+/// Prints the process-wide reclamation health gauges (the `ebr` counters).
 fn reclamation_report(opts: &Options) {
     let stats = crossbeam_epoch::reclamation_stats();
     if stats.nodes_retired == 0 && stats.epoch_advances == 0 {
         return; // nothing epoch-managed ran (e.g. an e9/e10-only invocation)
     }
-    let registry = obs::Registry::new();
-    registry.gauge("ebr.epoch_advances").set(stats.epoch_advances as i64);
-    registry.gauge("ebr.nodes_retired").set(stats.nodes_retired as i64);
-    registry.gauge("ebr.nodes_freed").set(stats.nodes_freed as i64);
-    registry.gauge("ebr.bag_depth").set(stats.bag_depth() as i64);
-    registry.gauge("ebr.bag_depth_hwm").set(stats.bag_depth_hwm as i64);
-    registry.gauge("ebr.min_stamp_skips").set(stats.min_stamp_skips as i64);
-    registry.gauge("ebr.repins").set(stats.repins as i64);
-    registry.gauge("ebr.bound_trips").set(stats.bound_trips as i64);
-    registry.gauge("ebr.bound_escalations").set(stats.bound_escalations as i64);
-    registry.gauge("ebr.global_epoch").set(crossbeam_epoch::global_epoch() as i64);
+    let mut gauges = vec![
+        ("ebr.epoch_advances", stats.epoch_advances),
+        ("ebr.nodes_retired", stats.nodes_retired),
+        ("ebr.nodes_freed", stats.nodes_freed),
+        ("ebr.bag_depth", stats.bag_depth()),
+        ("ebr.bag_depth_hwm", stats.bag_depth_hwm),
+        ("ebr.min_stamp_skips", stats.min_stamp_skips),
+        ("ebr.repins", stats.repins),
+        ("ebr.bound_trips", stats.bound_trips),
+        ("ebr.bound_escalations", stats.bound_escalations),
+        ("ebr.global_epoch", crossbeam_epoch::global_epoch() as u64),
+    ];
     // The IBR rows only appear when something ran on that backend (E17 or an
     // explicitly `Ibr`-parameterised structure).
     let ibr = crossbeam_epoch::ibr_reclamation_stats();
     if ibr.nodes_retired > 0 || ibr.epoch_advances > 0 {
-        registry.gauge("ibr.era_advances").set(ibr.epoch_advances as i64);
-        registry.gauge("ibr.nodes_retired").set(ibr.nodes_retired as i64);
-        registry.gauge("ibr.nodes_freed").set(ibr.nodes_freed as i64);
-        registry.gauge("ibr.bag_depth").set(ibr.bag_depth() as i64);
-        registry.gauge("ibr.bag_depth_hwm").set(ibr.bag_depth_hwm as i64);
-        registry.gauge("ibr.bound_trips").set(ibr.bound_trips as i64);
-        registry.gauge("ibr.bound_escalations").set(ibr.bound_escalations as i64);
+        gauges.extend([
+            ("ibr.era_advances", ibr.epoch_advances),
+            ("ibr.nodes_retired", ibr.nodes_retired),
+            ("ibr.nodes_freed", ibr.nodes_freed),
+            ("ibr.bag_depth", ibr.bag_depth()),
+            ("ibr.bag_depth_hwm", ibr.bag_depth_hwm),
+            ("ibr.bound_trips", ibr.bound_trips),
+            ("ibr.bound_escalations", ibr.bound_escalations),
+        ]);
     }
-    let snap = registry.snapshot();
-    let rows: Vec<(String, Vec<(String, f64)>)> = snap
-        .iter()
+    let rows: Vec<(String, Vec<(String, f64)>)> = gauges
+        .into_iter()
         .map(|(name, v)| (name.to_string(), vec![("value".to_string(), v as f64)]))
         .collect();
     opts.emit("Reclamation health (process totals over every experiment run)", "gauge", &rows);

@@ -248,36 +248,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> Pinned<'_, K, V, R> {
     }
 }
 
-/// The trait-level face of the reusable-guard API, used by composing layers
-/// (e.g. `shard::Sharded`) to forward guard-amortized operations generically.
-///
-/// Epoch pins are domain-wide (one global epoch per process), so a guard
-/// obtained from any tree — or from `crossbeam_epoch::pin` directly — is valid
-/// for every tree, which is exactly the contract [`cset::PinnedOps`] requires.
-impl<K, R> cset::PinnedOps<K> for LfBst<K, (), R>
-where
-    K: Ord + Send + Sync,
-    R: Reclaimer,
-{
-    type OpGuard = R::Guard;
-
-    fn op_guard(&self) -> R::Guard {
-        R::pin()
-    }
-
-    fn insert_with(&self, key: K, guard: &R::Guard) -> bool {
-        LfBst::insert_with(self, key, guard)
-    }
-
-    fn remove_with(&self, key: &K, guard: &R::Guard) -> bool {
-        LfBst::remove_with(self, key, guard)
-    }
-
-    fn contains_with(&self, key: &K, guard: &R::Guard) -> bool {
-        LfBst::contains_with(self, key, guard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

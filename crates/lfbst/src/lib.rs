@@ -171,8 +171,7 @@ pub use crossbeam_epoch::Guard;
 /// implements [`ReclaimGuard`].
 pub use crossbeam_epoch::{Ebr, GarbageBound, Ibr, ReclaimGuard, Reclaimer};
 pub use cset::{
-    ConcurrentMap, ConcurrentSet, KeyBound, MapAsSet, OpStats, OrderedMap, OrderedSet, PinnedOps,
-    StatsSnapshot,
+    ConcurrentMap, ConcurrentSet, KeyBound, OpStats, OrderedMap, OrderedSet, StatsSnapshot,
 };
 
 /// Returns `true` if this build of the crate records operation statistics

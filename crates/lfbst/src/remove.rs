@@ -751,6 +751,19 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 }
                 continue;
             };
+            if same_node(opar, victim) {
+                // The order node's old parent was removed after the category
+                // re-check above, so the order node is now the victim's left
+                // child: this is a category-2 removal.  Flagging this link
+                // would put a step-IV flag on the victim's own left link,
+                // which no category-2 swing consumes: every helper would then
+                // cycle `remove_cat12` -> `help_node(order)` ->
+                // `clean_flag_threaded` -> `clean_mark_right` -> `remove_cat12`
+                // without bound (a stack overflow in the tiny-range stress
+                // tests).
+                trace_ev!(Cat3Reexamine, victim, order);
+                return Cat3Outcome::Reexamine;
+            }
             let opar_ref = unsafe { opar.deref() };
             let ol = opar_ref.child[odir].load(LOAD, guard);
             if !same_node(ol, order) || is_thread(ol) {
@@ -1231,12 +1244,17 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         guard: &'g R::Guard,
     ) -> Option<(Shared<'g, Node<K, V>>, usize)> {
         let node_ref = unsafe { node.deref() };
-        // Fast path: the backlink hint.
+        // Fast path: the backlink hint.  A marked link is not trusted: a
+        // removed category-2/3 node keeps its frozen, marked left link to its
+        // old child, so a stale backlink to it would "validate" forever and
+        // wedge `flag_parent` in a `help_node` loop on a node with nothing
+        // left to help.  The descent below tells a dying parent (still
+        // reachable, returned again) from a dead one (skipped).
         let hint = node_ref.backlink.load(LOAD, guard).with_tag(0);
         if !hint.is_null() {
             let hdir = if node_ref.key < unsafe { hint.deref() }.key { 0 } else { 1 };
             let hl = unsafe { hint.deref() }.child[hdir].load(LOAD, guard);
-            if same_node(hl, node) && !is_thread(hl) {
+            if same_node(hl, node) && !is_thread(hl) && !is_mark(hl) {
                 return Some((hint, hdir));
             }
         }

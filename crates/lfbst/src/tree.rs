@@ -9,9 +9,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Ebr, Owned, Reclaimer, Shared};
-use cset::{
-    ConcurrentMap, ConcurrentSet, KeyBound, OpKind, OpStats, OrderedMap, OrderedSet, StatsSnapshot,
-};
+use cset::{ConcurrentMap, KeyBound, OpKind, OpStats, OrderedMap, StatsSnapshot};
 
 use crate::config::{Config, HelpPolicy, RestartPolicy};
 use crate::link::{is_clean, is_flag, is_mark, is_thread, same_node, THREAD};
@@ -893,96 +891,6 @@ impl<K, V: MapValue, R: Reclaimer> Drop for LfBst<K, V, R> {
             drop(epoch::dealloc_raw(self.roots[0]));
             drop(epoch::dealloc_raw(self.roots[1]));
         }
-    }
-}
-
-impl<K, R> ConcurrentSet<K> for LfBst<K, (), R>
-where
-    K: Ord + Send + Sync,
-    R: Reclaimer,
-{
-    fn insert(&self, key: K) -> bool {
-        LfBst::insert(self, key)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        LfBst::remove(self, key)
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        LfBst::contains(self, key)
-    }
-
-    fn len(&self) -> usize {
-        LfBst::len(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "lfbst"
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        LfBst::stats(self)
-    }
-}
-
-impl<K, R> OrderedSet<K> for LfBst<K, (), R>
-where
-    K: Ord + Clone + Send + Sync,
-    R: Reclaimer,
-{
-    fn keys_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<K> {
-        self.keys_in_range((lo.cloned(), hi.cloned()))
-    }
-
-    fn keys_between_limited(
-        &self,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
-        limit: usize,
-    ) -> Vec<K> {
-        let guard = &R::pin();
-        let mut cursor = self.range_cursor((lo.cloned(), hi.cloned()), guard);
-        let mut out = Vec::new();
-        while out.len() < limit {
-            match cursor.next() {
-                Some(entry) => out.push(entry.key().clone()),
-                None => break,
-            }
-        }
-        out
-    }
-
-    fn scan_keys<'a>(
-        &'a self,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
-    ) -> cset::KeyCursor<'a, K>
-    where
-        K: 'a,
-    {
-        // The owning iterator manages its own guard (and repins on long
-        // scans), which is what a boxed cursor with only `&'a self` needs.
-        Box::new(self.range_iter((lo.cloned(), hi.cloned())).keys())
-    }
-
-    fn first(&self) -> Option<K> {
-        self.min_key()
-    }
-
-    fn last(&self) -> Option<K> {
-        self.max_key()
-    }
-
-    fn next_after(&self, key: &K) -> Option<K> {
-        self.next_key_after(key)
-    }
-
-    fn remove_range(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> usize {
-        // The native streaming sweep (see `bulk`): vicinity-anchored protocol
-        // runs under one repinning guard with batch retirement, instead of
-        // the trait's page-then-remove default.
-        self.bulk_sweep(lo.cloned(), hi, None)
     }
 }
 

@@ -19,7 +19,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Atomic, Ebr, Owned, ReclaimGuard, Reclaimer, Shared};
-use cset::{ConcurrentSet, KeyBound};
+use cset::{ConcurrentMap, KeyBound};
 
 const MARK: usize = 1;
 const ORD: Ordering = Ordering::SeqCst;
@@ -254,16 +254,26 @@ impl<K, R: Reclaimer> Drop for LockFreeList<K, R> {
     }
 }
 
-impl<K: Ord + Send + Sync, R: Reclaimer> ConcurrentSet<K> for LockFreeList<K, R> {
-    fn insert(&self, key: K) -> bool {
+/// The Set ADT as a map with `()` values: the set face comes from `cset`'s
+/// blanket impls.
+impl<K: Ord + Send + Sync, R: Reclaimer> ConcurrentMap<K, ()> for LockFreeList<K, R> {
+    fn insert(&self, key: K, (): ()) -> bool {
         LockFreeList::insert(self, key)
     }
 
-    fn remove(&self, key: &K) -> bool {
-        LockFreeList::remove(self, key)
+    fn get(&self, key: &K) -> Option<()> {
+        LockFreeList::contains(self, key).then_some(())
     }
 
-    fn contains(&self, key: &K) -> bool {
+    fn upsert(&self, key: K, (): ()) -> Option<()> {
+        (!LockFreeList::insert(self, key)).then_some(())
+    }
+
+    fn remove(&self, key: &K) -> Option<()> {
+        LockFreeList::remove(self, key).then_some(())
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
         LockFreeList::contains(self, key)
     }
 

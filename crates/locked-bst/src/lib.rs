@@ -27,11 +27,16 @@ mod sequential;
 
 pub use sequential::SeqBst;
 
-use cset::{ConcurrentMap, ConcurrentSet, OrderedMap, OrderedSet};
+use cset::{ConcurrentMap, OrderedMap};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
 use std::sync::{Mutex, RwLock};
+
+/// The entries of a key-only structure: each key with its `()` value.
+fn unit_entries<K>(keys: Vec<K>) -> Vec<(K, ())> {
+    keys.into_iter().map(|k| (k, ())).collect()
+}
 
 /// A sequential internal BST protected by one global mutex.
 ///
@@ -55,6 +60,31 @@ impl<K: Ord> CoarseLockBst<K> {
     pub fn new() -> Self {
         CoarseLockBst { inner: Mutex::new(SeqBst::new()) }
     }
+
+    /// Inserts `key`; returns `true` if it was not present.
+    pub fn insert(&self, key: K) -> bool {
+        self.inner.lock().unwrap().insert(key)
+    }
+
+    /// Removes `key`; returns `true` if it was present.
+    pub fn remove(&self, key: &K) -> bool {
+        self.inner.lock().unwrap().remove(key)
+    }
+
+    /// Returns `true` if `key` is in the set.
+    pub fn contains(&self, key: &K) -> bool {
+        self.inner.lock().unwrap().contains(key)
+    }
+
+    /// Returns the number of keys in the set.
+    pub fn len(&self) -> usize {
+        self.inner.lock().unwrap().len()
+    }
+
+    /// Returns `true` if the set holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 impl<K: Ord> Default for CoarseLockBst<K> {
@@ -69,21 +99,31 @@ impl<K> fmt::Debug for CoarseLockBst<K> {
     }
 }
 
-impl<K: Ord + Send + Sync> ConcurrentSet<K> for CoarseLockBst<K> {
-    fn insert(&self, key: K) -> bool {
-        self.inner.lock().unwrap().insert(key)
+/// The Set ADT as a map with `()` values: the set face comes from `cset`'s
+/// blanket impls.
+impl<K: Ord + Send + Sync> ConcurrentMap<K, ()> for CoarseLockBst<K> {
+    fn insert(&self, key: K, (): ()) -> bool {
+        CoarseLockBst::insert(self, key)
     }
 
-    fn remove(&self, key: &K) -> bool {
-        self.inner.lock().unwrap().remove(key)
+    fn get(&self, key: &K) -> Option<()> {
+        CoarseLockBst::contains(self, key).then_some(())
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.inner.lock().unwrap().contains(key)
+    fn upsert(&self, key: K, (): ()) -> Option<()> {
+        (!CoarseLockBst::insert(self, key)).then_some(())
+    }
+
+    fn remove(&self, key: &K) -> Option<()> {
+        CoarseLockBst::remove(self, key).then_some(())
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
+        CoarseLockBst::contains(self, key)
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        CoarseLockBst::len(self)
     }
 
     fn name(&self) -> &'static str {
@@ -91,18 +131,18 @@ impl<K: Ord + Send + Sync> ConcurrentSet<K> for CoarseLockBst<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> OrderedSet<K> for CoarseLockBst<K> {
-    fn keys_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        self.inner.lock().unwrap().keys_in_range(lo, hi)
+impl<K: Ord + Clone + Send + Sync> OrderedMap<K, ()> for CoarseLockBst<K> {
+    fn entries_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, ())> {
+        unit_entries(self.inner.lock().unwrap().keys_in_range(lo, hi))
     }
 
-    fn keys_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K> {
+    fn entries_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<(K, ())> {
         // The pruned range walk still gathers the whole range under the lock;
         // the truncation bounds the *returned* page, which is what the
         // chunked cursor contract needs.
         let mut keys = self.inner.lock().unwrap().keys_in_range(lo, hi);
         keys.truncate(limit);
-        keys
+        unit_entries(keys)
     }
 
     fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize {
@@ -139,6 +179,33 @@ impl<K: Ord> RwLockBst<K> {
     pub fn new() -> Self {
         RwLockBst { inner: RwLock::new(SeqBst::new()) }
     }
+
+    /// Inserts `key` under the exclusive lock; returns `true` if it was not
+    /// present.
+    pub fn insert(&self, key: K) -> bool {
+        self.inner.write().unwrap().insert(key)
+    }
+
+    /// Removes `key` under the exclusive lock; returns `true` if it was
+    /// present.
+    pub fn remove(&self, key: &K) -> bool {
+        self.inner.write().unwrap().remove(key)
+    }
+
+    /// Returns `true` if `key` is in the set (shared lock).
+    pub fn contains(&self, key: &K) -> bool {
+        self.inner.read().unwrap().contains(key)
+    }
+
+    /// Returns the number of keys in the set.
+    pub fn len(&self) -> usize {
+        self.inner.read().unwrap().len()
+    }
+
+    /// Returns `true` if the set holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 impl<K: Ord> Default for RwLockBst<K> {
@@ -153,21 +220,31 @@ impl<K> fmt::Debug for RwLockBst<K> {
     }
 }
 
-impl<K: Ord + Send + Sync> ConcurrentSet<K> for RwLockBst<K> {
-    fn insert(&self, key: K) -> bool {
-        self.inner.write().unwrap().insert(key)
+/// The Set ADT as a map with `()` values: the set face comes from `cset`'s
+/// blanket impls.
+impl<K: Ord + Send + Sync> ConcurrentMap<K, ()> for RwLockBst<K> {
+    fn insert(&self, key: K, (): ()) -> bool {
+        RwLockBst::insert(self, key)
     }
 
-    fn remove(&self, key: &K) -> bool {
-        self.inner.write().unwrap().remove(key)
+    fn get(&self, key: &K) -> Option<()> {
+        RwLockBst::contains(self, key).then_some(())
     }
 
-    fn contains(&self, key: &K) -> bool {
-        self.inner.read().unwrap().contains(key)
+    fn upsert(&self, key: K, (): ()) -> Option<()> {
+        (!RwLockBst::insert(self, key)).then_some(())
+    }
+
+    fn remove(&self, key: &K) -> Option<()> {
+        RwLockBst::remove(self, key).then_some(())
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
+        RwLockBst::contains(self, key)
     }
 
     fn len(&self) -> usize {
-        self.inner.read().unwrap().len()
+        RwLockBst::len(self)
     }
 
     fn name(&self) -> &'static str {
@@ -175,15 +252,15 @@ impl<K: Ord + Send + Sync> ConcurrentSet<K> for RwLockBst<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> OrderedSet<K> for RwLockBst<K> {
-    fn keys_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        self.inner.read().unwrap().keys_in_range(lo, hi)
+impl<K: Ord + Clone + Send + Sync> OrderedMap<K, ()> for RwLockBst<K> {
+    fn entries_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, ())> {
+        unit_entries(self.inner.read().unwrap().keys_in_range(lo, hi))
     }
 
-    fn keys_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K> {
+    fn entries_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<(K, ())> {
         let mut keys = self.inner.read().unwrap().keys_in_range(lo, hi);
         keys.truncate(limit);
-        keys
+        unit_entries(keys)
     }
 
     fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize {
@@ -360,6 +437,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cset::ConcurrentSet;
     use std::sync::Arc;
 
     fn exercise<S: ConcurrentSet<u64> + Default + 'static>() {
@@ -447,12 +525,18 @@ mod tests {
         }
 
         let coarse: CoarseLockBst<u64> = seed_set();
-        assert_eq!(coarse.remove_range(Bound::Included(&10), Bound::Excluded(&40)), 30);
-        assert_eq!(coarse.remove_range(Bound::Included(&40), Bound::Included(&10)), 0);
+        assert_eq!(
+            OrderedSet::remove_range(&coarse, Bound::Included(&10), Bound::Excluded(&40)),
+            30
+        );
+        assert_eq!(
+            OrderedSet::remove_range(&coarse, Bound::Included(&40), Bound::Included(&10)),
+            0
+        );
         assert_eq!(coarse.len(), 70);
 
         let rw: RwLockBst<u64> = seed_set();
-        assert_eq!(rw.remove_range(Bound::Excluded(&89), Bound::Unbounded), 10);
+        assert_eq!(OrderedSet::remove_range(&rw, Bound::Excluded(&89), Bound::Unbounded), 10);
         assert_eq!(rw.len(), 90);
 
         let map: CoarseLockMap<u64, u64> = CoarseLockMap::new();

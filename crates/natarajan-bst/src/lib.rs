@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
-use cset::ConcurrentSet;
+use cset::ConcurrentMap;
 
 const ORD: Ordering = Ordering::SeqCst;
 /// Edge bit: the leaf at the end of this edge is logically deleted.
@@ -469,18 +469,18 @@ impl<K: Ord> NatarajanBst<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> cset::OrderedSet<K> for NatarajanBst<K> {
-    fn keys_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<K> {
-        self.keys_in_range_limited(lo, hi, usize::MAX)
+impl<K: Ord + Clone + Send + Sync> cset::OrderedMap<K, ()> for NatarajanBst<K> {
+    fn entries_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, ())> {
+        self.entries_between_limited(lo, hi, usize::MAX)
     }
 
-    fn keys_between_limited(
+    fn entries_between_limited(
         &self,
         lo: std::ops::Bound<&K>,
         hi: std::ops::Bound<&K>,
         limit: usize,
-    ) -> Vec<K> {
-        self.keys_in_range_limited(lo, hi, limit)
+    ) -> Vec<(K, ())> {
+        self.keys_in_range_limited(lo, hi, limit).into_iter().map(|k| (k, ())).collect()
     }
 }
 
@@ -514,16 +514,26 @@ impl<K> Drop for NatarajanBst<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> ConcurrentSet<K> for NatarajanBst<K> {
-    fn insert(&self, key: K) -> bool {
+/// The Set ADT as a map with `()` values: the set face comes from `cset`'s
+/// blanket impls.
+impl<K: Ord + Clone + Send + Sync> ConcurrentMap<K, ()> for NatarajanBst<K> {
+    fn insert(&self, key: K, (): ()) -> bool {
         NatarajanBst::insert(self, key)
     }
 
-    fn remove(&self, key: &K) -> bool {
-        NatarajanBst::remove(self, key)
+    fn get(&self, key: &K) -> Option<()> {
+        NatarajanBst::contains(self, key).then_some(())
     }
 
-    fn contains(&self, key: &K) -> bool {
+    fn upsert(&self, key: K, (): ()) -> Option<()> {
+        (!NatarajanBst::insert(self, key)).then_some(())
+    }
+
+    fn remove(&self, key: &K) -> Option<()> {
+        NatarajanBst::remove(self, key).then_some(())
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
         NatarajanBst::contains(self, key)
     }
 

@@ -1,6 +1,6 @@
 //! Observability primitives for the lock-free BST workspace.
 //!
-//! Three pieces, all built so that *measurement never serializes the
+//! Two pieces, both built so that *measurement never serializes the
 //! measured*:
 //!
 //! * [`Histogram`] / [`HistogramSnapshot`] — a mergeable, log-bucketed
@@ -9,10 +9,6 @@
 //!   atomic arrays).  Workers record into private per-thread histograms;
 //!   report time merges snapshots — the same shard-then-merge contract as
 //!   `cset::StatsSnapshot`.
-//! * [`Registry`] / [`Counter`] / [`Gauge`] — named metrics glue, used by
-//!   the harness to surface `ebr` reclamation health (epoch advances,
-//!   retired vs freed nodes, garbage-bag depth, repins, min-stamp-cache
-//!   hits) and per-shard op counters next to throughput numbers.
 //! * [`trace`] — a feature-gated (default-off, zero-cost when disabled)
 //!   per-thread flight recorder for remove-protocol step events, dumped by
 //!   stress tests when a rare interleaving bug fires.
@@ -21,9 +17,7 @@
 //! other crate (including `ebr` itself, in principle) can use it.
 
 mod hist;
-mod registry;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS, GROUPS, SUB_BUCKETS, SUB_BUCKET_BITS};
-pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use trace::trace_compiled;

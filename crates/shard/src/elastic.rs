@@ -1,7 +1,7 @@
 //! [`ElasticMap`]: a range-sharded map whose routing table can be **replaced
 //! online** — the epoch-switched core of elastic sharding.
 //!
-//! A static [`ShardedMap`](crate::ShardedMap) fixes its strips at
+//! A static [`Sharded`](crate::Sharded) fixes its strips at
 //! construction; under a skewed key distribution one strip saturates while
 //! the rest idle, losing both of sharding's wins (contention isolation and
 //! `log(n/N)` search paths).  `ElasticMap` keeps the same

@@ -1,4 +1,4 @@
-//! # shard — key-space partitioning over any concurrent set
+//! # shard — key-space partitioning over any concurrent map
 //!
 //! The paper's tree coordinates at the granularity of individual links, so
 //! operations on disjoint parts of the tree do not obstruct each other — but
@@ -8,22 +8,22 @@
 //! `N` independent structures and route each key to one of them, shrinking
 //! both the contention domain and the search depth by a factor of `N`.
 //!
-//! This crate provides that layer for *any* [`cset::ConcurrentSet`]:
+//! This crate provides that layer for *any* [`cset::ConcurrentMap`] — and so
+//! for any set, since a map with `()` values is a set (`cset`'s blanket
+//! impls):
 //!
 //! * [`ShardRouter`] — the routing policy abstraction;
 //! * [`HashRouter`] — uniform spread by hashing (order-destroying);
 //! * [`RangeRouter`] — contiguous `u64` key ranges (order-preserving, so
 //!   cross-shard ordered scans remain possible; see [`OrderedRouter`]);
-//! * [`Sharded`] — the wrapper that owns the inner structures, implements
-//!   [`cset::ConcurrentSet`] by routing each operation, aggregates
+//! * [`Sharded`] — the facade that owns the inner maps, implements
+//!   [`cset::ConcurrentMap`] by routing each operation, aggregates
 //!   `len`/statistics across shards, and (with an ordered router) serves
 //!   cross-shard ordered scans as a **bounded-memory k-way merge** over
-//!   per-shard streaming cursors ([`Sharded::scan_range`] /
-//!   [`Sharded::keys_in_range`]; see the [`merge`] module);
-//! * [`ShardedMap`] — the [`cset::ConcurrentMap`] facade over the same
-//!   routing machinery, for map-shaped inner structures such as
-//!   `LfBst<K, V>` (streaming scans via [`cset::OrderedMap::scan_entries`],
-//!   collecting scans via [`cset::OrderedMap::entries_between`]).
+//!   per-shard paged cursors ([`cset::OrderedMap::scan_entries`]; see the
+//!   [`merge`] module).  `Sharded<LfBst<K>, _>` is a set through the same
+//!   impls, `Sharded<LfBst<K, V>, _>` a map; [`ShardedMap`] names the same
+//!   type.
 //!
 //! Static partitioning loses its wins under a skewed key distribution (one
 //! strip saturates while the rest idle), so the layer is also **elastic**:
@@ -80,28 +80,29 @@ mod router;
 mod sharded;
 
 pub use elastic::ElasticMap;
-pub use merge::{MergedEntries, MergedKeys};
+pub use merge::MergedEntries;
 pub use rebalance::{RebalanceAction, RebalancePolicy, Rebalancer, RebalancerHandle};
 pub use router::{BoundaryRouter, HashRouter, OrderedRouter, RangeRouter, ShardRouter};
 pub use sharded::{config_name, Sharded, ShardedMap};
 
-pub use cset::{
-    ConcurrentMap, ConcurrentSet, MapAsSet, OrderedMap, OrderedSet, PinnedOps, StatsSnapshot,
-};
+pub use cset::{ConcurrentMap, ConcurrentSet, OrderedMap, OrderedSet, StatsSnapshot};
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::Arc;
+    use std::ops::Bound::{self, Excluded, Included, Unbounded};
+    use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
 
+    // Only the set traits are imported: a `V = ()` `Sharded` implements both
+    // families, so the map-face tests import `ConcurrentMap` locally.
     use cset::{ConcurrentSet, OrderedSet};
     use lfbst::{Config, LfBst};
-    use locked_bst::CoarseLockBst;
+    use locked_bst::CoarseLockMap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use super::*;
+    use super::{HashRouter, RangeRouter, ShardRouter, Sharded, ShardedMap};
 
     #[test]
     fn routes_every_operation_to_exactly_one_shard() {
@@ -160,16 +161,15 @@ mod tests {
             let b: u64 = rng.gen_range(0..5_000);
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             let expected: Vec<u64> = model.range(lo..hi).copied().collect();
-            assert_eq!(set.keys_in_range(lo..hi), expected, "range {lo}..{hi}");
+            assert_eq!(set.keys_between(Included(&lo), Excluded(&hi)), expected, "{lo}..{hi}");
             let expected: Vec<u64> = model.range(lo..=hi).copied().collect();
-            assert_eq!(set.keys_in_range(lo..=hi), expected, "range {lo}..={hi}");
+            assert_eq!(set.keys_between(Included(&lo), Included(&hi)), expected, "{lo}..={hi}");
         }
         let all: Vec<u64> = model.iter().copied().collect();
-        assert_eq!(set.keys_in_range(..), all);
+        assert_eq!(set.keys_between(Unbounded, Unbounded), all);
     }
 
     #[test]
-    #[allow(clippy::reversed_empty_ranges)] // inverted on purpose: the case under test
     fn inverted_range_is_empty_not_a_panic() {
         // Inverted bounds must behave like every inner implementation (an
         // empty result), not index shards backwards.
@@ -177,9 +177,10 @@ mod tests {
         for k in [5u64, 30, 55, 80, 99] {
             set.insert(k);
         }
-        assert_eq!(set.keys_in_range(80..=10), Vec::<u64>::new());
-        assert_eq!(set.keys_in_range(90..10), Vec::<u64>::new());
-        assert_eq!(LfBst::keys_in_range(set.shard(0), 80..=10), Vec::<u64>::new());
+        assert_eq!(set.keys_between(Included(&80), Included(&10)), Vec::<u64>::new());
+        assert_eq!(set.keys_between(Included(&90), Excluded(&10)), Vec::<u64>::new());
+        assert_eq!(set.scan_keys(Included(&90), Excluded(&10)).count(), 0);
+        assert_eq!(set.shard(0).keys_between(Included(&80), Included(&10)), Vec::<u64>::new());
     }
 
     #[test]
@@ -193,15 +194,11 @@ mod tests {
             let a: u64 = rng.gen_range(0..5_000);
             let b: u64 = rng.gen_range(0..5_000);
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            let collected = set.keys_in_range(lo..=hi);
-            let streamed: Vec<u64> = set.scan_range(lo..=hi).collect();
+            let collected = set.keys_between(Included(&lo), Included(&hi));
+            let streamed: Vec<u64> = set.scan_keys(Included(&lo), Included(&hi)).collect();
             assert_eq!(streamed, collected, "range {lo}..={hi}");
             // Limited pages are prefixes of the full scan.
-            let page = set.keys_between_limited(
-                std::ops::Bound::Included(&lo),
-                std::ops::Bound::Included(&hi),
-                7,
-            );
+            let page = set.keys_between_limited(Included(&lo), Included(&hi), 7);
             assert_eq!(page, collected[..collected.len().min(7)].to_vec());
         }
     }
@@ -227,68 +224,92 @@ mod tests {
         assert_eq!(set.first(), Some(30));
     }
 
-    /// An ordered inner set that counts every key its scans hand out, to pin
-    /// the merge cursor's bounded-memory/lazy contract.
-    struct CountingSet {
-        inner: CoarseLockBst<u64>,
-        handed_out: Arc<std::sync::atomic::AtomicUsize>,
+    /// A `CoarseLockMap` inner map that records which bulk method each call
+    /// reached and counts the entries its scans hand out.
+    #[derive(Default)]
+    struct Spy<V> {
+        inner: CoarseLockMap<u64, V>,
+        calls: Mutex<Vec<&'static str>>,
+        handed_out: AtomicUsize,
     }
 
-    impl ConcurrentSet<u64> for CountingSet {
-        fn insert(&self, key: u64) -> bool {
-            self.inner.insert(key)
+    impl<V> Spy<V> {
+        fn calls(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.calls.lock().unwrap())
         }
-        fn remove(&self, key: &u64) -> bool {
-            self.inner.remove(key)
+
+        fn hand_out<T>(&self, entries: Vec<T>) -> Vec<T> {
+            self.handed_out.fetch_add(entries.len(), Ordering::Relaxed);
+            entries
         }
-        fn contains(&self, key: &u64) -> bool {
-            self.inner.contains(key)
+    }
+
+    impl<V: Clone + Send + Sync> cset::ConcurrentMap<u64, V> for Spy<V> {
+        fn insert(&self, key: u64, value: V) -> bool {
+            cset::ConcurrentMap::insert(&self.inner, key, value)
+        }
+        fn get(&self, key: &u64) -> Option<V> {
+            self.inner.get(key)
+        }
+        fn upsert(&self, key: u64, value: V) -> Option<V> {
+            self.inner.upsert(key, value)
+        }
+        fn remove(&self, key: &u64) -> Option<V> {
+            cset::ConcurrentMap::remove(&self.inner, key)
         }
         fn len(&self) -> usize {
-            ConcurrentSet::len(&self.inner)
+            cset::ConcurrentMap::len(&self.inner)
         }
         fn name(&self) -> &'static str {
-            "counting"
+            "spy"
         }
     }
 
-    impl OrderedSet<u64> for CountingSet {
-        fn keys_between(&self, lo: std::ops::Bound<&u64>, hi: std::ops::Bound<&u64>) -> Vec<u64> {
-            let keys = self.inner.keys_between(lo, hi);
-            self.handed_out.fetch_add(keys.len(), Ordering::Relaxed);
-            keys
+    impl<V: Clone + Send + Sync> cset::OrderedMap<u64, V> for Spy<V> {
+        fn entries_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, V)> {
+            self.hand_out(self.inner.entries_between(lo, hi))
         }
-        fn keys_between_limited(
+        fn entries_between_limited(
             &self,
-            lo: std::ops::Bound<&u64>,
-            hi: std::ops::Bound<&u64>,
+            lo: Bound<&u64>,
+            hi: Bound<&u64>,
             limit: usize,
-        ) -> Vec<u64> {
-            let keys = self.inner.keys_between_limited(lo, hi, limit);
-            self.handed_out.fetch_add(keys.len(), Ordering::Relaxed);
-            keys
+        ) -> Vec<(u64, V)> {
+            self.hand_out(self.inner.entries_between_limited(lo, hi, limit))
+        }
+        fn remove_range(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize {
+            self.calls.lock().unwrap().push("remove_range");
+            cset::OrderedMap::remove_range(&self.inner, lo, hi)
+        }
+        fn retain_range(
+            &self,
+            lo: Bound<&u64>,
+            hi: Bound<&u64>,
+            keep: &(dyn Fn(&u64, &V) -> bool + Sync),
+        ) -> usize {
+            self.calls.lock().unwrap().push("retain_range");
+            self.inner.retain_range(lo, hi, keep)
         }
     }
 
     #[test]
     fn merged_scan_memory_is_bounded_by_shards_plus_page() {
         // 4 shards x 1000 keys; an early-exit scan of 10 keys must not pull
-        // the 4000-key result set through the merge.  The inner cursors here
-        // are cset's chunked fallbacks, so the worst case is one SCAN_CHUNK
-        // page per shard plus the emitted page — the documented bound.
+        // the 4000-key result set through the merge.  The per-shard streams
+        // are chunked pages, so the worst case is one SCAN_CHUNK page per
+        // shard plus the emitted page — the documented bound.
         const SHARDS: usize = 4;
         const PER_SHARD: u64 = 1_000;
-        let handed_out = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let set = Sharded::new(RangeRouter::covering(SHARDS, SHARDS as u64 * PER_SHARD), |_| {
-            CountingSet { inner: CoarseLockBst::new(), handed_out: Arc::clone(&handed_out) }
+            Spy::<()>::default()
         });
         for k in 0..SHARDS as u64 * PER_SHARD {
             set.insert(k);
         }
-        handed_out.store(0, Ordering::Relaxed);
-        let top: Vec<u64> = set.scan_range(..).take(10).collect();
+        let top: Vec<u64> = set.scan_keys(Unbounded, Unbounded).take(10).collect();
         assert_eq!(top, (0..10).collect::<Vec<_>>());
-        let pulled = handed_out.load(Ordering::Relaxed);
+        let pulled: usize =
+            (0..SHARDS).map(|i| set.shard(i).handed_out.load(Ordering::Relaxed)).sum();
         let bound = SHARDS * cset::SCAN_CHUNK + 10;
         assert!(
             pulled <= bound,
@@ -300,16 +321,79 @@ mod tests {
 
     #[test]
     fn scan_composes_with_locked_inner_sets() {
-        // The layer is generic: the same scan works over a lock-based inner set.
-        let set = Sharded::new(RangeRouter::covering(4, 100), |_| CoarseLockBst::new());
+        // The layer is generic: the same scan works over a lock-based inner map.
+        let set = Sharded::new(RangeRouter::covering(4, 100), |_| CoarseLockMap::<u64, ()>::new());
         for k in [5u64, 30, 55, 80, 99] {
             set.insert(k);
         }
-        assert_eq!(set.keys_in_range(10..=90), vec![30, 55, 80]);
+        assert_eq!(set.keys_between(Included(&10), Included(&90)), vec![30, 55, 80]);
+        assert_eq!(set.keys_between(Unbounded, Excluded(&55)), vec![5, 30]);
+        assert_eq!(set.name(), "coarse-mutex-btreemapx4-range");
+    }
+
+    #[test]
+    fn remove_range_fans_out_to_each_shards_own_remove_range() {
+        // The predicate-free sweep must reach each shard's own `remove_range`
+        // (for `lfbst`, the sweep that reads no values), never a
+        // `retain_range` with an always-false predicate.
+        let map = Sharded::new(RangeRouter::covering(4, 400), |_| Spy::<u64>::default());
+        for k in 0..400u64 {
+            cset::ConcurrentMap::insert(&map, k, k);
+        }
+        let removed = cset::OrderedMap::remove_range(&map, Included(&50), Excluded(&250));
+        assert_eq!(removed, 200);
+        let calls: Vec<_> = (0..4).map(|i| map.shard(i).calls()).collect();
         assert_eq!(
-            set.keys_between(std::ops::Bound::Unbounded, std::ops::Bound::Excluded(&55)),
-            vec![5, 30]
+            calls,
+            [vec!["remove_range"], vec!["remove_range"], vec!["remove_range"], vec![]]
         );
+        // A one-shard span stays on the calling thread but forwards the same way.
+        assert_eq!(cset::OrderedMap::remove_range(&map, Included(&300), Excluded(&310)), 10);
+        assert_eq!(map.shard(3).calls(), ["remove_range"]);
+        // Eviction by predicate is the one path that reaches `retain_range`.
+        let evicted =
+            cset::OrderedMap::retain_range(&map, Unbounded, Unbounded, &|k, _| k % 2 == 0);
+        assert_eq!(evicted, 95);
+        assert!((0..4).all(|i| map.shard(i).calls() == ["retain_range"]));
+    }
+
+    #[test]
+    fn set_and_map_faces_of_one_sharded_tree_agree_with_a_model() {
+        // One `Sharded<LfBst<u64>, RangeRouter>`, driven step by step through
+        // its set face (the blanket `ConcurrentSet`/`OrderedSet` impls) and
+        // its map face (`OrderedMap::entries_between`, `remove_range`).
+        use cset::OrderedMap;
+        let set: Sharded<LfBst<u64>, RangeRouter> =
+            Sharded::new(RangeRouter::covering(4, 512), |_| LfBst::new());
+        let mut model = BTreeSet::new();
+        let mut rng = StdRng::seed_from_u64(0x5E7);
+        for step in 0..4_000 {
+            let k: u64 = rng.gen_range(0..512);
+            let hi = (k + rng.gen_range(0..64)).min(511);
+            match rng.gen_range(0..8) {
+                0..=2 => assert_eq!(set.insert(k), model.insert(k), "insert {k} @ {step}"),
+                3 | 4 => assert_eq!(set.remove(&k), model.remove(&k), "remove {k} @ {step}"),
+                5 => assert_eq!(set.contains(&k), model.contains(&k), "contains {k} @ {step}"),
+                6 => {
+                    let expected: Vec<u64> = model.range(k..=hi).copied().collect();
+                    let entries = OrderedMap::entries_between(&set, Included(&k), Included(&hi));
+                    assert_eq!(entries.into_iter().map(|(k, ())| k).collect::<Vec<_>>(), expected);
+                    let keys: Vec<u64> = set.scan_keys(Included(&k), Included(&hi)).collect();
+                    assert_eq!(keys, expected, "scan {k}..={hi} @ {step}");
+                    assert_eq!(set.next_after(&k), model.range(k + 1..).next().copied());
+                }
+                _ => {
+                    let expected = model.range(k..hi).count();
+                    model.retain(|x| !(k..hi).contains(x));
+                    let removed = OrderedMap::remove_range(&set, Included(&k), Excluded(&hi));
+                    assert_eq!(removed, expected, "remove_range {k}..{hi} @ {step}");
+                }
+            }
+        }
+        assert_eq!(set.len(), model.len());
+        assert_eq!(set.first(), model.first().copied());
+        assert_eq!(set.last(), model.last().copied());
+        assert_eq!(set.keys_between(Unbounded, Unbounded), model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -346,32 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_ops_forward_through_the_router() {
-        // One guard, obtained from the facade, must serve operations routed to
-        // every shard, and the guard-based entry points must agree with the
-        // plain ones.
-        let set = Sharded::new(HashRouter::new(8), |_| LfBst::new());
-        let guard = set.op_guard();
-        for k in 0u64..2_000 {
-            assert!(set.insert_with(k, &guard));
-            assert!(!set.insert_with(k, &guard));
-        }
-        drop(guard);
-        assert_eq!(set.len(), 2_000);
-        let guard = set.op_guard();
-        for k in 0u64..2_000 {
-            assert_eq!(set.contains_with(&k, &guard), set.contains(&k));
-            if k % 2 == 0 {
-                assert!(set.remove_with(&k, &guard));
-            }
-        }
-        drop(guard);
-        assert_eq!(set.len(), 1_000);
-        // Every shard saw traffic, so forwarding really fanned out.
-        assert!(set.len_per_shard().iter().all(|&n| n > 0));
-    }
-
-    #[test]
     fn stats_aggregate_across_shards() {
         if !lfbst::stats_compiled() {
             // Counters are compiled out by default; the aggregation contract
@@ -388,12 +446,11 @@ mod tests {
         for k in 0u64..2_000 {
             set.remove(&k);
         }
-        let merged = Sharded::stats(&set);
+        let merged = set.stats();
         // Every successful insert performs at least one CAS, and those CASes
         // are spread over the shards; the merge must see them all.
         assert!(merged.cas_successes >= 2_000, "merged CAS count {merged:?}");
-        let per_shard: Vec<_> =
-            (0..set.shard_count()).map(|i| ConcurrentSet::<u64>::stats(set.shard(i))).collect();
+        let per_shard: Vec<_> = (0..set.shard_count()).map(|i| set.shard(i).stats()).collect();
         assert!(per_shard.iter().all(|s| s.cas_successes > 0), "all shards saw traffic");
         assert_eq!(merged.cas_successes, per_shard.iter().map(|s| s.cas_successes).sum::<u64>());
     }
@@ -416,12 +473,13 @@ mod tests {
 
     #[test]
     fn map_facade_routes_every_entry_to_exactly_one_shard() {
-        let map = ShardedMap::new(HashRouter::new(8), |_| LfBst::<u64, u64>::new());
+        use cset::ConcurrentMap;
+        let map = Sharded::new(HashRouter::new(8), |_| LfBst::<u64, u64>::new());
         for k in 0u64..1_000 {
             assert!(map.insert(k, k * 10));
             assert!(!map.insert(k, k), "duplicate insert must fail and not overwrite");
         }
-        assert_eq!(ConcurrentMap::len(&map), 1_000);
+        assert_eq!(map.len(), 1_000);
         for k in 0u64..1_000 {
             assert_eq!(map.get(&k), Some(k * 10));
             let routed = map.router().route(&k);
@@ -429,16 +487,17 @@ mod tests {
         }
         for k in 0u64..1_000 {
             assert_eq!(map.upsert(k, k + 1), Some(k * 10));
-            assert_eq!(ConcurrentMap::remove(&map, &k), Some(k + 1));
-            assert_eq!(ConcurrentMap::remove(&map, &k), None);
+            assert_eq!(map.remove(&k), Some(k + 1));
+            assert_eq!(map.remove(&k), None);
         }
-        assert!(ConcurrentMap::is_empty(&map));
+        assert!(map.is_empty());
     }
 
     #[test]
     fn map_facade_agrees_with_model_under_random_ops() {
+        use cset::ConcurrentMap;
         use std::collections::BTreeMap;
-        let map = ShardedMap::new(HashRouter::new(4), |_| LfBst::<u64, u64>::new());
+        let map = Sharded::new(HashRouter::new(4), |_| LfBst::<u64, u64>::new());
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(0xFACE);
         for step in 0..20_000u64 {
@@ -456,22 +515,18 @@ mod tests {
                     assert_eq!(map.insert(k, v), expected, "insert {k} @ {step}");
                 }
                 1 => assert_eq!(map.upsert(k, v), model.insert(k, v), "upsert {k} @ {step}"),
-                2 => assert_eq!(
-                    ConcurrentMap::remove(&map, &k),
-                    model.remove(&k),
-                    "remove {k} @ {step}"
-                ),
+                2 => assert_eq!(map.remove(&k), model.remove(&k), "remove {k} @ {step}"),
                 _ => assert_eq!(map.get(&k), model.get(&k).copied(), "get {k} @ {step}"),
             }
         }
-        assert_eq!(ConcurrentMap::len(&map), model.len());
+        assert_eq!(map.len(), model.len());
     }
 
     #[test]
     fn map_facade_ordered_scan_matches_model() {
+        use cset::{ConcurrentMap, OrderedMap};
         use std::collections::BTreeMap;
-        use std::ops::Bound;
-        let map = ShardedMap::new(RangeRouter::covering(8, 5_000), |_| LfBst::<u64, u64>::new());
+        let map = Sharded::new(RangeRouter::covering(8, 5_000), |_| LfBst::<u64, u64>::new());
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..3_000 {
@@ -485,34 +540,34 @@ mod tests {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             let expected: Vec<(u64, u64)> = model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
             assert_eq!(
-                map.entries_between(Bound::Included(&lo), Bound::Included(&hi)),
+                map.entries_between(Included(&lo), Included(&hi)),
                 expected,
                 "range {lo}..={hi}"
             );
         }
         let all: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(map.entries_between(Bound::Unbounded, Bound::Unbounded), all);
+        assert_eq!(map.entries_between(Unbounded, Unbounded), all);
     }
 
     #[test]
     fn map_facade_composes_with_the_locked_oracle() {
-        let map = ShardedMap::new(RangeRouter::covering(4, 100), |_| {
-            locked_bst::CoarseLockMap::<u64, String>::new()
-        });
+        use cset::{ConcurrentMap, OrderedMap};
+        // `ShardedMap` is the same type, kept under its map-face name.
+        let map: ShardedMap<_, _> =
+            ShardedMap::new(RangeRouter::covering(4, 100), |_| CoarseLockMap::<u64, String>::new());
         for k in [5u64, 30, 55, 80] {
             map.insert(k, format!("v{k}"));
         }
         assert_eq!(map.get(&30).as_deref(), Some("v30"));
         assert_eq!(map.name(), "coarse-mutex-btreemapx4-range");
-        let entries =
-            map.entries_between(std::ops::Bound::Included(&10), std::ops::Bound::Excluded(&80));
+        let entries = map.entries_between(Included(&10), Excluded(&80));
         assert_eq!(entries, vec![(30, "v30".to_string()), (55, "v55".to_string())]);
     }
 
     #[test]
     fn names_encode_configuration() {
         let a = Sharded::new(HashRouter::new(4), |_| LfBst::<u64>::new());
-        let b = Sharded::new(RangeRouter::covering(16, 100), |_| LfBst::new());
+        let b = Sharded::new(RangeRouter::covering(16, 100), |_| LfBst::<u64>::new());
         assert_eq!(a.name(), "lfbstx4-hash");
         assert_eq!(b.name(), "lfbstx16-range");
         // Interning: the same configuration yields the same static pointer.
@@ -566,7 +621,7 @@ mod tests {
         }
         assert_eq!(set.len(), expected);
         // Order-preserving router: the full scan is strictly ascending.
-        let scan = set.keys_in_range(..);
+        let scan = set.keys_between(Unbounded, Unbounded);
         assert!(scan.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(scan.len(), expected);
     }
@@ -594,16 +649,19 @@ mod tests {
         assert_eq!(set.take_loads(), loads);
         assert_eq!(set.load_per_shard(), vec![0; 4]);
 
-        let map = ShardedMap::new(RangeRouter::covering(2, 64), |_| {
-            locked_bst::CoarseLockMap::<u64, String>::new()
-        });
-        map.insert(1, "a".into());
-        map.upsert(40, "b".into());
-        map.get(&1);
-        map.contains_key(&40);
-        map.remove(&1);
-        assert_eq!(map.load_per_shard(), vec![3, 2]);
-        assert_eq!(map.take_loads(), vec![3, 2]);
-        assert_eq!(map.load_per_shard(), vec![0, 0]);
+        // The map face tallies the same way.
+        {
+            use cset::ConcurrentMap;
+            let map =
+                Sharded::new(RangeRouter::covering(2, 64), |_| CoarseLockMap::<u64, String>::new());
+            map.insert(1, "a".into());
+            map.upsert(40, "b".into());
+            map.get(&1);
+            map.contains_key(&40);
+            map.remove(&1);
+            assert_eq!(map.load_per_shard(), vec![3, 2]);
+            assert_eq!(map.take_loads(), vec![3, 2]);
+            assert_eq!(map.load_per_shard(), vec![0, 0]);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A cross-shard ordered scan used to collect every shard's result `Vec` and
 //! concatenate — O(total result) memory before the caller saw the first key.
-//! The mergers here hold exactly **one pending item per shard cursor** in a
+//! The merger here holds exactly **one pending item per shard cursor** in a
 //! [`BinaryHeap`] and pull replacements lazily as items are consumed, so a
 //! scan's resident cost is `O(shards)` plus whatever page the caller is
 //! building, independent of the range size.  Early-exit consumers (top-k,
@@ -16,7 +16,7 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 
-use cset::{EntryCursor, KeyCursor};
+use cset::EntryCursor;
 
 /// One pending item of the merge: the current head of cursor `src`.
 ///
@@ -51,8 +51,8 @@ impl<K: Ord, V> Ord for Head<K, V> {
     }
 }
 
-/// K-way merge over per-shard **entry** cursors; yields `(key, value)` pairs
-/// in ascending key order.
+/// K-way merge over per-shard entry cursors; yields `(key, value)` pairs in
+/// ascending key order.  A set scan is the `V = ()` case.
 pub struct MergedEntries<'a, K, V> {
     heap: BinaryHeap<Head<K, V>>,
     /// Disjoint-run fast path: the overall minimum, kept out of the heap
@@ -108,85 +108,36 @@ impl<K, V> std::fmt::Debug for MergedEntries<'_, K, V> {
     }
 }
 
-/// K-way merge over per-shard **key** cursors; yields keys ascending.
-pub struct MergedKeys<'a, K> {
-    heap: BinaryHeap<Head<K, ()>>,
-    /// Disjoint-run fast path, as in [`MergedEntries`].
-    front: Option<Head<K, ()>>,
-    cursors: Vec<KeyCursor<'a, K>>,
-}
-
-impl<'a, K: Ord> MergedKeys<'a, K> {
-    /// Builds the merge, priming the heap with each cursor's first key.
-    pub fn new(mut cursors: Vec<KeyCursor<'a, K>>) -> Self {
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (src, cursor) in cursors.iter_mut().enumerate() {
-            if let Some(key) = cursor.next() {
-                heap.push(Head { key, value: (), src });
-            }
-        }
-        MergedKeys { heap, front: None, cursors }
-    }
-}
-
-impl<K: Ord> Iterator for MergedKeys<'_, K> {
-    type Item = K;
-
-    fn next(&mut self) -> Option<K> {
-        let Head { key, src, .. } = match self.front.take() {
-            Some(head) => head,
-            None => self.heap.pop()?,
-        };
-        if let Some(k) = self.cursors[src].next() {
-            let head = Head { key: k, value: (), src };
-            match self.heap.peek() {
-                Some(top) if head < *top => self.heap.push(head),
-                _ => self.front = Some(head),
-            }
-        }
-        Some(key)
-    }
-}
-
-impl<K> std::fmt::Debug for MergedKeys<'_, K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MergedKeys")
-            .field("cursors", &self.cursors.len())
-            .field("pending", &(self.heap.len() + usize::from(self.front.is_some())))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn boxed(keys: Vec<u64>) -> KeyCursor<'static, u64> {
-        Box::new(keys.into_iter())
+    fn boxed(keys: Vec<u64>) -> EntryCursor<'static, u64, ()> {
+        Box::new(keys.into_iter().map(|k| (k, ())))
+    }
+
+    fn merged_keys(cursors: Vec<EntryCursor<'static, u64, ()>>) -> Vec<u64> {
+        MergedEntries::new(cursors).map(|(k, ())| k).collect()
     }
 
     #[test]
     fn merges_disjoint_ascending_streams() {
-        let merged: Vec<u64> =
-            MergedKeys::new(vec![boxed(vec![1, 2, 3]), boxed(vec![10, 11]), boxed(vec![20])])
-                .collect();
+        let merged = merged_keys(vec![boxed(vec![1, 2, 3]), boxed(vec![10, 11]), boxed(vec![20])]);
         assert_eq!(merged, vec![1, 2, 3, 10, 11, 20]);
     }
 
     #[test]
     fn merges_interleaved_streams() {
-        let merged: Vec<u64> =
-            MergedKeys::new(vec![boxed(vec![1, 4, 7]), boxed(vec![2, 5, 8]), boxed(vec![3, 6, 9])])
-                .collect();
+        let merged =
+            merged_keys(vec![boxed(vec![1, 4, 7]), boxed(vec![2, 5, 8]), boxed(vec![3, 6, 9])]);
         assert_eq!(merged, (1..=9).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_uneven_streams() {
-        let merged: Vec<u64> =
-            MergedKeys::new(vec![boxed(vec![]), boxed(vec![5]), boxed(vec![])]).collect();
+        let merged = merged_keys(vec![boxed(vec![]), boxed(vec![5]), boxed(vec![])]);
         assert_eq!(merged, vec![5]);
-        assert!(MergedKeys::new(Vec::new()).collect::<Vec<u64>>().is_empty());
+        assert!(merged_keys(Vec::new()).is_empty());
     }
 
     #[test]
@@ -202,10 +153,11 @@ mod tests {
     #[test]
     fn merge_is_lazy() {
         // An infinite cursor: the merge must never try to drain it.
-        let mut merged = MergedKeys::new(vec![boxed(vec![100, 200]), Box::new(0u64..)]);
-        assert_eq!(merged.next(), Some(0));
-        assert_eq!(merged.next(), Some(1));
-        let first_three: Vec<u64> = merged.take(3).collect();
-        assert_eq!(first_three, vec![2, 3, 4]);
+        let mut merged =
+            MergedEntries::new(vec![boxed(vec![100, 200]), Box::new((0u64..).map(|k| (k, ())))]);
+        assert_eq!(merged.next(), Some((0, ())));
+        assert_eq!(merged.next(), Some((1, ())));
+        let next_three: Vec<u64> = merged.take(3).map(|(k, ())| k).collect();
+        assert_eq!(next_three, vec![2, 3, 4]);
     }
 }

@@ -1,17 +1,15 @@
-//! The [`Sharded`] wrapper: one logical set backed by many inner sets.
+//! The [`Sharded`] facade: one logical map (or set) backed by many inner maps.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::{Bound, RangeBounds};
+use std::ops::Bound;
 use std::sync::Mutex;
 
-use cset::{
-    ConcurrentMap, ConcurrentSet, LoadTally, OrderedMap, OrderedSet, PinnedOps, StatsSnapshot,
-};
+use cset::{ConcurrentMap, LoadTally, OrderedMap, StatsSnapshot};
 
 use crate::router::{OrderedRouter, ShardRouter};
 
-/// Interns a shard configuration label so [`ConcurrentSet::name`] can return
+/// Interns a shard configuration label so [`ConcurrentMap::name`] can return
 /// `&'static str`.  One short string leaks per **distinct** configuration
 /// (inner name × shard count × policy), which is bounded and tiny.
 ///
@@ -36,13 +34,14 @@ pub fn config_name(inner: &'static str, shards: usize, policy: &'static str) -> 
     leaked
 }
 
-/// A key-space-partitioned concurrent set.
+/// A key-space-partitioned concurrent map, and through `cset`'s blanket
+/// impls a concurrent set whenever the inner maps carry `()` values.
 ///
-/// `Sharded` owns a boxed slice of inner sets and a [`ShardRouter`]; every
+/// `Sharded` owns a boxed slice of inner maps and a [`ShardRouter`]; every
 /// operation is forwarded to the shard the router selects for its key.  Since
 /// each key always lands on the same shard, per-key linearizability of the
-/// inner sets lifts directly to the whole: `Sharded` is a linearizable Set
-/// whenever its inner sets are.
+/// inner maps lifts directly to the whole: `Sharded` is a linearizable map
+/// (and set) whenever its inner maps are.
 ///
 /// What sharding buys:
 ///
@@ -52,37 +51,50 @@ pub fn config_name(inner: &'static str, shards: usize, policy: &'static str) -> 
 /// * **Smaller structures** — each shard holds `1/N` of the keys, shortening
 ///   search paths (`log(n/N)` vs `log n`).
 ///
-/// Cross-shard aggregate queries (`len`, [`stats`](Sharded::stats)) sum
-/// shard-local values; see [`StatsSnapshot::merge`] for the exact/monotone
-/// contract of such sums.  With an order-preserving router
-/// ([`OrderedRouter`], e.g. [`RangeRouter`](crate::RangeRouter)), ordered
-/// range scans remain available, served as a bounded-memory k-way merge over
-/// per-shard streaming cursors — see [`Sharded::scan_range`] /
-/// [`Sharded::keys_in_range`] and the [`crate::merge`] module.
+/// Cross-shard aggregate queries (`len`, `stats`) sum shard-local values; see
+/// [`StatsSnapshot::merge`] for the exact/monotone contract of such sums.
+/// With an order-preserving router ([`OrderedRouter`], e.g.
+/// [`RangeRouter`](crate::RangeRouter)), ordered range scans remain
+/// available, served as a bounded-memory k-way merge over per-shard paged
+/// cursors — see [`OrderedMap::scan_entries`] (and, on the set face,
+/// [`OrderedSet::scan_keys`](cset::OrderedSet::scan_keys)) and the
+/// [`crate::merge`] module.
+///
+/// A `V = ()` composition implements both the map and the set traits, so a
+/// method call with both traits in scope is ambiguous: import one of them,
+/// or call through the trait (`ConcurrentSet::insert(&set, k)`).
 ///
 /// # Examples
 ///
 /// ```
-/// use cset::ConcurrentSet;
-/// use shard::{HashRouter, Sharded};
-/// use std::collections::BTreeSet;
-/// use std::sync::Mutex;
+/// use cset::{ConcurrentSet, OrderedSet};
+/// use lfbst::LfBst;
+/// use shard::{RangeRouter, Sharded};
+/// use std::ops::Bound;
 ///
-/// // Any ConcurrentSet works as the inner set.
-/// #[derive(Default)]
-/// struct MutexSet(Mutex<BTreeSet<u64>>);
-/// impl ConcurrentSet<u64> for MutexSet {
-///     fn insert(&self, k: u64) -> bool { self.0.lock().unwrap().insert(k) }
-///     fn remove(&self, k: &u64) -> bool { self.0.lock().unwrap().remove(k) }
-///     fn contains(&self, k: &u64) -> bool { self.0.lock().unwrap().contains(k) }
-///     fn len(&self) -> usize { self.0.lock().unwrap().len() }
-///     fn name(&self) -> &'static str { "mutex-btreeset" }
+/// // The set face: inner trees with `()` values.
+/// let set = Sharded::new(RangeRouter::covering(4, 100), |_| LfBst::<u64>::new());
+/// for k in [5u64, 30, 55, 80] {
+///     assert!(set.insert(k));
 /// }
+/// assert!(set.contains(&55));
+/// assert_eq!(set.keys_between(Bound::Included(&10), Bound::Included(&80)), vec![30, 55, 80]);
+/// // Top-2 without touching the rest of the key space.
+/// let top: Vec<u64> = set.scan_keys(Bound::Included(&10), Bound::Unbounded).take(2).collect();
+/// assert_eq!(top, vec![30, 55]);
+/// ```
 ///
-/// let set = Sharded::new(HashRouter::new(4), |_| MutexSet::default());
-/// assert!(set.insert(7));
-/// assert!(set.contains(&7));
-/// assert_eq!(set.len(), 1);
+/// ```
+/// use cset::ConcurrentMap;
+/// use lfbst::LfBst;
+/// use shard::{HashRouter, Sharded};
+///
+/// // The map face: inner trees carrying values.
+/// let map = Sharded::new(HashRouter::new(4), |_| LfBst::<u64, u64>::new());
+/// assert!(map.insert(7, 70));
+/// assert_eq!(map.get(&7), Some(70));
+/// assert_eq!(map.upsert(7, 71), Some(70));
+/// assert_eq!(map.remove(&7), Some(71));
 /// ```
 pub struct Sharded<S, R> {
     router: R,
@@ -94,24 +106,24 @@ pub struct Sharded<S, R> {
     name: &'static str,
 }
 
-fn load_tallies(n: usize) -> Box<[LoadTally]> {
-    (0..n).map(|_| LoadTally::new()).collect()
-}
+/// The name the map-shaped compositions were built under; the same type as
+/// [`Sharded`].
+pub type ShardedMap<S, R> = Sharded<S, R>;
 
 impl<S, R> Sharded<S, R> {
-    /// Builds one inner set per shard with `make(shard_index)`.
+    /// Builds one inner map per shard with `make(shard_index)`.
     ///
     /// The router decides the shard count; `make` lets callers configure each
-    /// inner set (or build heterogeneous ones for testing).
-    pub fn new<K>(router: R, mut make: impl FnMut(usize) -> S) -> Self
+    /// inner map (or build heterogeneous ones for testing).
+    pub fn new<K, V>(router: R, make: impl FnMut(usize) -> S) -> Self
     where
-        S: ConcurrentSet<K>,
+        S: ConcurrentMap<K, V>,
         R: ShardRouter<K>,
     {
-        let shards: Box<[S]> = (0..router.shard_count()).map(&mut make).collect();
+        let shards: Box<[S]> = (0..router.shard_count()).map(make).collect();
         assert!(!shards.is_empty(), "router must declare at least one shard");
         let name = config_name(shards[0].name(), shards.len(), router.policy_name());
-        let loads = load_tallies(shards.len());
+        let loads = (0..shards.len()).map(|_| LoadTally::new()).collect();
         Sharded { router, shards, loads, name }
     }
 
@@ -132,11 +144,11 @@ impl<S, R> Sharded<S, R> {
 
     /// Per-shard quiescent sizes, in shard order.
     ///
-    /// Useful for observing load balance; the sum is [`len`](ConcurrentSet::len).
-    pub fn len_per_shard<K>(&self) -> Vec<usize>
+    /// Useful for observing load balance; the sum is
+    /// [`len`](ConcurrentMap::len).
+    pub fn len_per_shard<K, V>(&self) -> Vec<usize>
     where
-        S: ConcurrentSet<K>,
-        R: ShardRouter<K>,
+        S: ConcurrentMap<K, V>,
     {
         self.shards.iter().map(|s| s.len()).collect()
     }
@@ -144,8 +156,8 @@ impl<S, R> Sharded<S, R> {
     /// Per-shard operation tallies since construction (or since the last
     /// [`take_loads`](Self::take_loads)), in shard order.
     ///
-    /// Every point operation (set and map facade alike, pinned or not) bumps
-    /// its target shard's relaxed counter, independently of the `stats` cargo
+    /// Every point operation (through the map or the set face) bumps its
+    /// target shard's relaxed counter, independently of the `stats` cargo
     /// feature, so this is always live.  Cross-shard scans are not counted:
     /// the signal is per-key routing pressure, which is what hot-shard
     /// detection and rebalancing act on.
@@ -159,45 +171,92 @@ impl<S, R> Sharded<S, R> {
         self.loads.iter().map(LoadTally::take).collect()
     }
 
+    /// The shard `key` routes to, with its load tally bumped.
     #[inline]
-    fn hit(&self, shard: usize) -> usize {
-        self.loads[shard].bump();
-        shard
-    }
-
-    /// Merged operation statistics across all shards.
-    ///
-    /// Shard snapshots are taken one after another and summed; the result is
-    /// exact at quiescence and component-wise monotone under concurrency
-    /// (see [`StatsSnapshot::merge`]).
-    pub fn stats<K>(&self) -> StatsSnapshot
+    fn route<K>(&self, key: &K) -> &S
     where
-        S: ConcurrentSet<K>,
         R: ShardRouter<K>,
     {
-        self.shards.iter().map(|s| s.stats()).sum()
+        let shard = self.router.route(key);
+        self.loads[shard].bump();
+        &self.shards[shard]
+    }
+
+    /// The contiguous shard interval a monotone router confines `[lo, hi]`
+    /// to, or `None` for inverted bounds (the scan is empty).
+    fn shard_span<K>(&self, lo: Bound<&K>, hi: Bound<&K>) -> Option<&[S]>
+    where
+        R: OrderedRouter<K>,
+    {
+        let first = match lo {
+            Bound::Unbounded => 0,
+            Bound::Included(k) | Bound::Excluded(k) => self.router.route(k),
+        };
+        let last = match hi {
+            Bound::Unbounded => self.shards.len() - 1,
+            Bound::Included(k) | Bound::Excluded(k) => self.router.route(k),
+        };
+        (first <= last).then(|| &self.shards[first..=last])
+    }
+
+    /// Runs `sweep` on every shard of the span `[lo, hi]` and sums the
+    /// counts.  Shards hold disjoint key sets under a monotone router, so each
+    /// can be handed the full bounds and the sum is exact.  A multi-shard span
+    /// fans out on scoped threads; a span of one shard stays on the calling
+    /// thread.
+    fn sweep_span<K>(
+        &self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        sweep: impl Fn(&S) -> usize + Sync,
+    ) -> usize
+    where
+        S: Sync,
+        R: OrderedRouter<K>,
+    {
+        let Some(span) = self.shard_span(lo, hi) else {
+            return 0;
+        };
+        if let [shard] = span {
+            return sweep(shard);
+        }
+        let sweep = &sweep;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                span.iter().map(|shard| scope.spawn(move || sweep(shard))).collect();
+            handles.into_iter().map(|h| h.join().expect("shard sweep panicked")).sum()
+        })
     }
 }
 
-impl<K, S, R> ConcurrentSet<K> for Sharded<S, R>
+impl<K, V, S, R> ConcurrentMap<K, V> for Sharded<S, R>
 where
-    S: ConcurrentSet<K>,
+    S: ConcurrentMap<K, V>,
     R: ShardRouter<K>,
 {
     #[inline]
-    fn insert(&self, key: K) -> bool {
-        let shard = self.hit(self.router.route(&key));
-        self.shards[shard].insert(key)
+    fn insert(&self, key: K, value: V) -> bool {
+        self.route(&key).insert(key, value)
     }
 
     #[inline]
-    fn remove(&self, key: &K) -> bool {
-        self.shards[self.hit(self.router.route(key))].remove(key)
+    fn get(&self, key: &K) -> Option<V> {
+        self.route(key).get(key)
     }
 
     #[inline]
-    fn contains(&self, key: &K) -> bool {
-        self.shards[self.hit(self.router.route(key))].contains(key)
+    fn upsert(&self, key: K, value: V) -> Option<V> {
+        self.route(&key).upsert(key, value)
+    }
+
+    #[inline]
+    fn remove(&self, key: &K) -> Option<V> {
+        self.route(key).remove(key)
+    }
+
+    #[inline]
+    fn contains_key(&self, key: &K) -> bool {
+        self.route(key).contains_key(key)
     }
 
     /// Sum of the per-shard quiescent counts.
@@ -213,341 +272,59 @@ where
         self.name
     }
 
+    /// Merged operation statistics across all shards: shard snapshots are
+    /// taken one after another and summed, exact at quiescence and
+    /// component-wise monotone under concurrency (see
+    /// [`StatsSnapshot::merge`]).
     fn stats(&self) -> StatsSnapshot {
-        Sharded::stats(self)
+        self.shards.iter().map(|s| s.stats()).sum()
     }
 }
 
-impl<K, S, R> PinnedOps<K> for Sharded<S, R>
-where
-    S: PinnedOps<K>,
-    R: ShardRouter<K>,
-{
-    type OpGuard = S::OpGuard;
-
-    /// One guard covers every shard: the [`PinnedOps`] contract requires
-    /// guards to be domain-wide, so the guard of shard 0 protects operations
-    /// routed to any shard.
-    fn op_guard(&self) -> S::OpGuard {
-        self.shards[0].op_guard()
-    }
-
-    #[inline]
-    fn insert_with(&self, key: K, guard: &S::OpGuard) -> bool {
-        let shard = self.hit(self.router.route(&key));
-        self.shards[shard].insert_with(key, guard)
-    }
-
-    #[inline]
-    fn remove_with(&self, key: &K, guard: &S::OpGuard) -> bool {
-        self.shards[self.hit(self.router.route(key))].remove_with(key, guard)
-    }
-
-    #[inline]
-    fn contains_with(&self, key: &K, guard: &S::OpGuard) -> bool {
-        self.shards[self.hit(self.router.route(key))].contains_with(key, guard)
-    }
-}
-
-impl<S, R> Sharded<S, R> {
-    /// The contiguous shard interval a monotone router confines `[lo, hi]`
-    /// to, or `None` for inverted bounds (the scan is empty).
-    fn shard_span<K>(&self, lo: Bound<&K>, hi: Bound<&K>) -> Option<(usize, usize)>
-    where
-        R: OrderedRouter<K>,
-    {
-        let first = match lo {
-            Bound::Unbounded => 0,
-            Bound::Included(k) | Bound::Excluded(k) => self.router.route(k),
-        };
-        let last = match hi {
-            Bound::Unbounded => self.shards.len() - 1,
-            Bound::Included(k) | Bound::Excluded(k) => self.router.route(k),
-        };
-        (first <= last).then_some((first, last))
-    }
-}
-
-impl<K, S, R> OrderedSet<K> for Sharded<S, R>
-where
-    S: OrderedSet<K>,
-    R: OrderedRouter<K>,
-{
-    /// A bounded-memory cross-shard scan: one streaming cursor per shard in
-    /// the router-confined interval `[route(lo), route(hi)]`, k-way merged
-    /// through a [`BinaryHeap`](std::collections::BinaryHeap) holding one
-    /// pending key per shard (see [`crate::merge`]).  Nothing is collected up
-    /// front, so `scan.take(k)` touches O(shards + k) items however large the
-    /// range is.
-    ///
-    /// The per-shard streams are served in bounded pages
-    /// ([`cset::chunked_scan_keys`] over each shard's
-    /// `keys_between_limited`), **not** through the shards' own long-lived
-    /// cursors: a native cursor may hold a resource (e.g. an epoch
-    /// reclamation pin) for its whole lifetime, and a merged scan keeps the
-    /// later shards' cursors idle until the earlier shards drain — paging
-    /// guarantees that between pulls the merge holds only owned keys, so a
-    /// long or slowly consumed scan never stalls reclamation.
-    fn scan_keys<'a>(&'a self, lo: Bound<&K>, hi: Bound<&K>) -> cset::KeyCursor<'a, K>
-    where
-        K: Clone + Ord + 'a,
-    {
-        let Some((first, last)) = self.shard_span(lo, hi) else {
-            // Inverted bounds: empty, matching every inner implementation.
-            return Box::new(std::iter::empty());
-        };
-        let cursors: Vec<_> =
-            self.shards[first..=last].iter().map(|s| cset::chunked_scan_keys(s, lo, hi)).collect();
-        Box::new(crate::merge::MergedKeys::new(cursors))
-    }
-
-    /// A full collect materialises its result anyway, so it concatenates
-    /// per-shard bulk scans (key-disjoint and ascending in shard order under
-    /// a monotone router) instead of draining the merge cursor — which for
-    /// inner sets *without* a native cursor would page the whole range
-    /// through their chunked fallbacks quadratically.
-    fn keys_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
-    where
-        K: Clone + Ord,
-    {
-        let Some((first, last)) = self.shard_span(lo, hi) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for shard in &self.shards[first..=last] {
-            out.extend(shard.keys_between(lo, hi));
-        }
-        out
-    }
-
-    fn keys_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K>
-    where
-        K: Clone + Ord,
-    {
-        self.scan_keys(lo, hi).take(limit).collect()
-    }
-
-    /// Served shard-by-shard in router order: with a monotone router the
-    /// first non-empty shard holds the global minimum.
-    fn first(&self) -> Option<K>
-    where
-        K: Clone + Ord,
-    {
-        self.shards.iter().find_map(|s| s.first())
-    }
-
-    fn last(&self) -> Option<K>
-    where
-        K: Clone + Ord,
-    {
-        self.shards.iter().rev().find_map(|s| s.last())
-    }
-
-    /// Starts at `route(key)` (no earlier shard can hold a larger key under a
-    /// monotone router) and walks forward to the first shard with a
-    /// successor.
-    fn next_after(&self, key: &K) -> Option<K>
-    where
-        K: Clone + Ord,
-    {
-        let start = self.router.route(key);
-        self.shards[start..].iter().find_map(|s| s.next_after(key))
-    }
-
-    /// Parallel cross-shard teardown: every shard in the router-confined
-    /// interval runs its own `remove_range` on a scoped thread (shards hold
-    /// disjoint key sets under a monotone router, so each can be handed the
-    /// full bounds and the counts sum exactly).  A span of one shard stays on
-    /// the calling thread.
-    fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
-    where
-        K: Clone + Ord + Send + Sync,
-    {
-        let Some((first, last)) = self.shard_span(lo, hi) else {
-            return 0;
-        };
-        if first == last {
-            return self.shards[first].remove_range(lo, hi);
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self.shards[first..=last]
-                .iter()
-                .map(|shard| scope.spawn(move || shard.remove_range(lo, hi)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard teardown panicked")).sum()
-        })
-    }
-}
-
-/// A key-space-partitioned concurrent **map**: the [`ConcurrentMap`] facade
-/// over the same routing machinery as [`Sharded`].
-///
-/// This is a separate facade type rather than extra trait impls on
-/// [`Sharded`] so that set-shaped compositions (whose inner type implements
-/// both `ConcurrentSet<K>` and `ConcurrentMap<K, ()>`, as `lfbst` does) keep
-/// unambiguous method calls; the wrapper adds no state and no indirection
-/// beyond the inner [`Sharded`] it exposes through [`as_sharded`](Self::as_sharded).
-///
-/// The linearizability argument is identical: every key routes to exactly one
-/// shard, so per-key linearizability of the inner maps lifts to the whole.
-///
-/// # Examples
-///
-/// ```
-/// use cset::ConcurrentMap;
-/// use lfbst::LfBst;
-/// use shard::{HashRouter, ShardedMap};
-///
-/// let map = ShardedMap::new(HashRouter::new(4), |_| LfBst::<u64, u64>::new());
-/// assert!(map.insert(7, 70));
-/// assert_eq!(map.get(&7), Some(70));
-/// assert_eq!(map.upsert(7, 71), Some(70));
-/// assert_eq!(map.remove(&7), Some(71));
-/// ```
-pub struct ShardedMap<S, R> {
-    inner: Sharded<S, R>,
-}
-
-impl<S, R> ShardedMap<S, R> {
-    /// Builds one inner map per shard with `make(shard_index)`.
-    pub fn new<K, V>(router: R, mut make: impl FnMut(usize) -> S) -> Self
-    where
-        S: ConcurrentMap<K, V>,
-        R: ShardRouter<K>,
-    {
-        let shards: Box<[S]> = (0..router.shard_count()).map(&mut make).collect();
-        assert!(!shards.is_empty(), "router must declare at least one shard");
-        let name = config_name(shards[0].name(), shards.len(), router.policy_name());
-        let loads = load_tallies(shards.len());
-        ShardedMap { inner: Sharded { router, shards, loads, name } }
-    }
-
-    /// The underlying [`Sharded`] composition (shard access, router,
-    /// per-shard diagnostics).
-    pub fn as_sharded(&self) -> &Sharded<S, R> {
-        &self.inner
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    /// Direct access to shard `i` (diagnostics and tests).
-    pub fn shard(&self, i: usize) -> &S {
-        self.inner.shard(i)
-    }
-
-    /// The router in use.
-    pub fn router(&self) -> &R {
-        self.inner.router()
-    }
-
-    /// Per-shard op tallies (see [`Sharded::load_per_shard`]).
-    pub fn load_per_shard(&self) -> Vec<u64> {
-        self.inner.load_per_shard()
-    }
-
-    /// Reads and resets the per-shard tallies (see [`Sharded::take_loads`]).
-    pub fn take_loads(&self) -> Vec<u64> {
-        self.inner.take_loads()
-    }
-}
-
-impl<S, R: fmt::Debug> fmt::Debug for ShardedMap<S, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedMap").field("inner", &self.inner).finish()
-    }
-}
-
-impl<K, V, S, R> ConcurrentMap<K, V> for ShardedMap<S, R>
-where
-    S: ConcurrentMap<K, V>,
-    R: ShardRouter<K>,
-{
-    #[inline]
-    fn insert(&self, key: K, value: V) -> bool {
-        let shard = self.inner.hit(self.inner.router.route(&key));
-        self.inner.shards[shard].insert(key, value)
-    }
-
-    #[inline]
-    fn get(&self, key: &K) -> Option<V> {
-        self.inner.shards[self.inner.hit(self.inner.router.route(key))].get(key)
-    }
-
-    #[inline]
-    fn upsert(&self, key: K, value: V) -> Option<V> {
-        let shard = self.inner.hit(self.inner.router.route(&key));
-        self.inner.shards[shard].upsert(key, value)
-    }
-
-    #[inline]
-    fn remove(&self, key: &K) -> Option<V> {
-        self.inner.shards[self.inner.hit(self.inner.router.route(key))].remove(key)
-    }
-
-    #[inline]
-    fn contains_key(&self, key: &K) -> bool {
-        self.inner.shards[self.inner.hit(self.inner.router.route(key))].contains_key(key)
-    }
-
-    /// Sum of the per-shard quiescent counts (same contract as the set
-    /// facade's [`ConcurrentSet::len`]).
-    fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.len()).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.shards.iter().map(|s| s.stats()).sum()
-    }
-}
-
-impl<K, V, S, R> OrderedMap<K, V> for ShardedMap<S, R>
+impl<K, V, S, R> OrderedMap<K, V> for Sharded<S, R>
 where
     S: OrderedMap<K, V>,
     R: OrderedRouter<K>,
 {
-    /// Same shape as [`Sharded`]'s `scan_keys`: per-shard entry streams over
-    /// the router-confined shard interval, served in bounded pages
-    /// ([`cset::chunked_scan_entries`], so no per-shard resource outlives a
-    /// page fetch) and k-way merged with one pending entry per shard (see
-    /// [`crate::merge`]).
+    /// A bounded-memory cross-shard scan: one stream per shard in the
+    /// router-confined interval `[route(lo), route(hi)]`, k-way merged through
+    /// a [`BinaryHeap`](std::collections::BinaryHeap) holding one pending
+    /// entry per shard (see [`crate::merge`]).  Nothing is collected up front,
+    /// so `scan.take(k)` touches O(shards + k) items however large the range
+    /// is.
+    ///
+    /// The per-shard streams are served in bounded pages
+    /// ([`cset::chunked_scan_entries`] over each shard's
+    /// `entries_between_limited`), **not** through the shards' own long-lived
+    /// cursors: a native cursor may hold a resource (e.g. an epoch
+    /// reclamation pin) for its whole lifetime, and a merged scan keeps the
+    /// later shards' cursors idle until the earlier shards drain — paging
+    /// guarantees that between pulls the merge holds only owned entries, so a
+    /// long or slowly consumed scan never stalls reclamation.
     fn scan_entries<'a>(&'a self, lo: Bound<&K>, hi: Bound<&K>) -> cset::EntryCursor<'a, K, V>
     where
         K: Clone + Ord + 'a,
         V: 'a,
     {
-        let Some((first, last)) = self.inner.shard_span(lo, hi) else {
+        let Some(span) = self.shard_span(lo, hi) else {
+            // Inverted bounds: empty, matching every inner implementation.
             return Box::new(std::iter::empty());
         };
-        let cursors: Vec<_> = self.inner.shards[first..=last]
-            .iter()
-            .map(|s| cset::chunked_scan_entries(s, lo, hi))
-            .collect();
+        let cursors = span.iter().map(|s| cset::chunked_scan_entries(s, lo, hi)).collect();
         Box::new(crate::merge::MergedEntries::new(cursors))
     }
 
-    /// Concatenates per-shard bulk scans, for the same reason as
-    /// [`Sharded`]'s `keys_between`: a collect materialises its result, and
-    /// concatenation never pays the chunked-fallback paging of cursor-less
-    /// inner maps.
+    /// A full collect materialises its result anyway, so it concatenates
+    /// per-shard bulk scans (key-disjoint and ascending in shard order under
+    /// a monotone router) instead of draining the merge cursor — which for
+    /// inner maps *without* a native cursor would page the whole range
+    /// through their chunked fallbacks quadratically.
     fn entries_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)>
     where
         K: Clone + Ord,
     {
-        let Some((first, last)) = self.inner.shard_span(lo, hi) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for shard in &self.inner.shards[first..=last] {
-            out.extend(shard.entries_between(lo, hi));
-        }
-        out
+        let span = self.shard_span(lo, hi).unwrap_or_default();
+        span.iter().flat_map(|s| s.entries_between(lo, hi)).collect()
     }
 
     fn entries_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<(K, V)>
@@ -557,39 +334,44 @@ where
         self.scan_entries(lo, hi).take(limit).collect()
     }
 
+    /// Served shard-by-shard in router order: with a monotone router the
+    /// first non-empty shard holds the global minimum.
     fn first_entry(&self) -> Option<(K, V)>
     where
         K: Clone + Ord,
     {
-        self.inner.shards.iter().find_map(|s| s.first_entry())
+        self.shards.iter().find_map(|s| s.first_entry())
     }
 
     fn last_entry(&self) -> Option<(K, V)>
     where
         K: Clone + Ord,
     {
-        self.inner.shards.iter().rev().find_map(|s| s.last_entry())
+        self.shards.iter().rev().find_map(|s| s.last_entry())
     }
 
+    /// Starts at `route(key)` (no earlier shard can hold a larger key under a
+    /// monotone router) and walks forward to the first shard with a
+    /// successor.
     fn next_entry_after(&self, key: &K) -> Option<(K, V)>
     where
         K: Clone + Ord,
     {
-        let start = self.inner.router.route(key);
-        self.inner.shards[start..].iter().find_map(|s| s.next_entry_after(key))
+        let start = self.router.route(key);
+        self.shards[start..].iter().find_map(|s| s.next_entry_after(key))
     }
 
-    /// Parallel cross-shard teardown, exactly as on the set facade: disjoint
-    /// key sets per shard make the fan-out trivially correct.
+    /// Parallel cross-shard teardown: every shard in the span runs its own
+    /// `remove_range` (for `lfbst`, the predicate-free streaming sweep).
     fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
     where
         K: Clone + Ord + Send + Sync,
     {
-        self.retain_range(lo, hi, &|_, _| false)
+        self.sweep_span(lo, hi, |s| s.remove_range(lo, hi))
     }
 
-    /// Parallel cross-shard eviction sweep: one scoped thread per shard in
-    /// the span, all judging with the same (`Sync`) predicate.
+    /// Parallel cross-shard eviction sweep: every shard in the span judges
+    /// with the same (`Sync`) predicate.
     fn retain_range(
         &self,
         lo: Bound<&K>,
@@ -599,81 +381,7 @@ where
     where
         K: Clone + Ord + Send + Sync,
     {
-        let Some((first, last)) = self.inner.shard_span(lo, hi) else {
-            return 0;
-        };
-        if first == last {
-            return self.inner.shards[first].retain_range(lo, hi, keep);
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self.inner.shards[first..=last]
-                .iter()
-                .map(|shard| scope.spawn(move || shard.retain_range(lo, hi, keep)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard teardown panicked")).sum()
-        })
-    }
-}
-
-impl<S, R> Sharded<S, R> {
-    /// Collects the keys in `range` across all shards, in ascending order.
-    ///
-    /// Only available with an order-preserving router.  Like the inner sets'
-    /// scans this is **weakly consistent** under concurrent mutation and exact
-    /// in a quiescent state.  This is the collecting convenience over
-    /// [`scan_range`](Self::scan_range).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    /// use shard::{RangeRouter, Sharded};
-    /// use cset::ConcurrentSet;
-    ///
-    /// let set = Sharded::new(RangeRouter::covering(4, 100), |_| LfBst::new());
-    /// for k in [5u64, 30, 55, 80] {
-    ///     set.insert(k);
-    /// }
-    /// assert_eq!(set.keys_in_range(10..=80), vec![30, 55, 80]);
-    /// assert_eq!(set.keys_in_range(..), vec![5, 30, 55, 80]);
-    /// ```
-    pub fn keys_in_range<K, Rg>(&self, range: Rg) -> Vec<K>
-    where
-        K: Clone + Ord,
-        S: OrderedSet<K>,
-        R: OrderedRouter<K>,
-        Rg: RangeBounds<K>,
-    {
-        self.keys_between(range.start_bound(), range.end_bound())
-    }
-
-    /// Streams the keys in `range` across all shards, ascending, without
-    /// materialising anything: a k-way merge over per-shard cursors holding
-    /// one pending key per shard (see [`crate::merge`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    /// use shard::{RangeRouter, Sharded};
-    /// use cset::ConcurrentSet;
-    ///
-    /// let set = Sharded::new(RangeRouter::covering(4, 100), |_| LfBst::new());
-    /// for k in [5u64, 30, 55, 80] {
-    ///     set.insert(k);
-    /// }
-    /// // Top-2 without touching the rest of the key space.
-    /// let top: Vec<u64> = set.scan_range(10..).take(2).collect();
-    /// assert_eq!(top, vec![30, 55]);
-    /// ```
-    pub fn scan_range<'a, K, Rg>(&'a self, range: Rg) -> cset::KeyCursor<'a, K>
-    where
-        K: Clone + Ord + 'a,
-        S: OrderedSet<K>,
-        R: OrderedRouter<K>,
-        Rg: RangeBounds<K>,
-    {
-        self.scan_keys(range.start_bound(), range.end_bound())
+        self.sweep_span(lo, hi, |s| s.retain_range(lo, hi, keep))
     }
 }
 

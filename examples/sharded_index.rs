@@ -13,12 +13,13 @@
 //!
 //! Run with: `cargo run --release -p examples --bin sharded_index`
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cset::ConcurrentSet;
+use cset::{ConcurrentSet, OrderedSet};
 use examples::format_rate;
 use lfbst::LfBst;
 use rand::rngs::StdRng;
@@ -113,7 +114,8 @@ fn main() {
         ordered.insert(k);
     }
     println!("\nrange-routed streaming scan of 100..=950 over {} shards:", ordered.shard_count());
-    let streamed: Vec<u64> = ordered.scan_range(100..=950u64).collect();
+    let streamed: Vec<u64> =
+        ordered.scan_keys(Bound::Included(&100), Bound::Included(&950)).collect();
     println!("  {streamed:?}");
     println!(
         "  (shards holding keys: {:?})",
@@ -128,12 +130,12 @@ fn main() {
 
     // Early exit through the same merge cursor: the top-3 keys cost three
     // heap pops, not a cross-shard collect of the whole range.
-    let top3: Vec<u64> = ordered.scan_range(..).take(3).collect();
+    let top3: Vec<u64> = ordered.scan_keys(Bound::Unbounded, Bound::Unbounded).take(3).collect();
     println!("  top-3 via early-exit merge cursor: {top3:?}");
     println!(
         "  cross-shard successor queries: first={:?} next_after(500)={:?} last={:?}",
-        cset::OrderedSet::first(&ordered),
-        cset::OrderedSet::next_after(&ordered, &500),
-        cset::OrderedSet::last(&ordered),
+        ordered.first(),
+        ordered.next_after(&500),
+        ordered.last(),
     );
 }

@@ -7,7 +7,7 @@ use integration_tests::SetConformance;
 use ellen_bst::EllenBst;
 use lfbst::{Config, HelpPolicy, LfBst, RestartPolicy};
 use lflist::LockFreeList;
-use locked_bst::{CoarseLockBst, RwLockBst};
+use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use shard::{HashRouter, RangeRouter, Sharded};
 
@@ -69,8 +69,9 @@ fn sharded_range_lfbst_conformance() {
 
 #[test]
 fn sharded_layer_is_generic_over_inner_sets() {
-    // The same wrapper must conform over a lock-based inner set.
-    battery().check_all(|| Sharded::new(HashRouter::new(4), |_| CoarseLockBst::<u64>::new()));
+    // The same facade must conform over a lock-based inner map with `()`
+    // values, whose set face comes from the blanket impls alone.
+    battery().check_all(|| Sharded::new(HashRouter::new(4), |_| CoarseLockMap::<u64, ()>::new()));
 }
 
 #[test]

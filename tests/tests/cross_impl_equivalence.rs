@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Mutex;
 
-use cset::{ConcurrentMap, ConcurrentSet, MapAsSet, OrderedMap};
+use cset::{ConcurrentMap, ConcurrentSet, OrderedMap, OrderedSet};
 use ellen_bst::EllenBst;
 use lfbst::LfBst;
 use lflist::LockFreeList;
@@ -21,7 +21,7 @@ use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{HashRouter, RangeRouter, Sharded, ShardedMap};
+use shard::{HashRouter, RangeRouter, Sharded};
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -121,7 +121,7 @@ fn snapshots_agree_after_identical_updates() {
     assert_eq!(reference, natarajan.iter_keys());
     assert_eq!(reference, list.iter_keys());
     // The order-preserving sharded scan must reproduce the global order.
-    assert_eq!(reference, sharded_range.keys_in_range(..));
+    assert_eq!(reference, sharded_range.keys_between(Bound::Unbounded, Bound::Unbounded));
     lfbst::validate::validate(&lfbst).expect("lfbst structure must validate");
 }
 
@@ -132,7 +132,6 @@ fn streaming_cursors_agree_across_all_ordered_implementations() {
     // baselines, and the sharded k-way merge — must stream the same keys in
     // the same order as the BTreeSet oracle, for collecting, limited and
     // cursor access alike.
-    use cset::OrderedSet;
     let ops = random_ops(15_000, 300, 4321);
     let lfbst = LfBst::new();
     let ellen = EllenBst::new();
@@ -199,7 +198,6 @@ fn remove_range_agrees_across_all_ordered_implementations() {
     // single-hold overrides, sharded strip fan-out) must remove exactly the
     // keys the BTreeSet oracle says lie in the range, for every bound shape —
     // including empty, reversed and fully-missing ranges.
-    use cset::OrderedSet;
     let lfbst = LfBst::new();
     let ellen = EllenBst::new();
     let natarajan = NatarajanBst::new();
@@ -336,9 +334,9 @@ fn map_implementations_agree_with_btreemap_oracle_on_sequential_histories() {
         let ops = random_map_ops(30_000, 300, seed);
         let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
         let lfbst: LfBst<u64, u64> = LfBst::new();
-        let sharded_hash = ShardedMap::new(HashRouter::new(8), |_| LfBst::<u64, u64>::new());
+        let sharded_hash = Sharded::new(HashRouter::new(8), |_| LfBst::<u64, u64>::new());
         let sharded_range =
-            ShardedMap::new(RangeRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
+            Sharded::new(RangeRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
         let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
         let maps: Vec<&dyn ConcurrentMap<u64, u64>> =
             vec![&lfbst, &sharded_hash, &sharded_range, &locked];
@@ -372,8 +370,7 @@ fn map_ordered_scans_agree_with_the_oracle() {
     let ops = random_map_ops(20_000, 200, 4321);
     let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
     let lfbst: LfBst<u64, u64> = LfBst::new();
-    let sharded_range =
-        ShardedMap::new(RangeRouter::covering(8, 200), |_| LfBst::<u64, u64>::new());
+    let sharded_range = Sharded::new(RangeRouter::covering(8, 200), |_| LfBst::<u64, u64>::new());
     let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
     for &op in &ops {
         if matches!(op, MapOp::Get(_) | MapOp::ContainsKey(_)) {
@@ -413,8 +410,7 @@ fn map_retain_and_remove_range_agree_with_the_oracle() {
     // single-lock override alike.
     let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
     let lfbst: LfBst<u64, u64> = LfBst::new();
-    let sharded_range =
-        ShardedMap::new(RangeRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
+    let sharded_range = Sharded::new(RangeRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
     let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
     let maps: [&dyn OrderedMap<u64, u64>; 3] = [&lfbst, &sharded_range, &locked];
     let mut rng = StdRng::seed_from_u64(0xBEEF);
@@ -474,20 +470,31 @@ fn map_retain_and_remove_range_agree_with_the_oracle() {
 
 #[test]
 fn map_as_set_bridge_matches_the_set_face_of_the_same_tree() {
-    // Any ConcurrentMap<K, ()> serves as a ConcurrentSet<K> through the
-    // blanket bridge; driving the bridged lfbst against the native set face
-    // step-by-step proves the two agree operation for operation.
+    // `LfBst<u64>` is a set only through the blanket impls over its map face:
+    // trait dispatch on one tree must agree step by step with the inherent
+    // set methods on another.
     let ops = random_ops(20_000, 250, 777);
+    let bridged: LfBst<u64> = LfBst::new();
     let native: LfBst<u64> = LfBst::new();
-    let bridged = MapAsSet(LfBst::<u64, ()>::new());
     for (i, &op) in ops.iter().enumerate() {
-        assert_eq!(
-            apply(&bridged, op),
-            apply(&native, op),
-            "bridged map diverged from the native set at step {i} ({op:?})"
-        );
+        let inherent = match op {
+            Op::Insert(k) => native.insert(k),
+            Op::Remove(k) => native.remove(&k),
+            Op::Contains(k) => native.contains(&k),
+        };
+        assert_eq!(apply(&bridged, op), inherent, "trait dispatch diverged at step {i} ({op:?})");
     }
-    assert_eq!(ConcurrentSet::len(&bridged), native.len());
+    let set: &dyn OrderedSet<u64> = &bridged;
+    assert_eq!(set.len(), native.len());
+    assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), native.iter_keys());
+    assert_eq!(set.first(), native.min_key());
+    assert_eq!(set.last(), native.max_key());
+    assert_eq!(set.next_after(&100), native.next_key_after(&100));
+    assert_eq!(
+        set.remove_range(Bound::Included(&50), Bound::Excluded(&150)),
+        native.remove_range(50..150)
+    );
+    assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), native.iter_keys());
 }
 
 /// The upsert-vs-remove race battery the map contract promises: `get` must

@@ -133,7 +133,7 @@ fn teardown_under_churn_stress() {
         // Sharded: a sweep fanning out across strips races per-key removers.
         let set = Arc::new(Sharded::new(RangeRouter::covering(SHARDS, KEYS), |_| LfBst::new()));
         for k in 0..KEYS {
-            assert!(set.insert(k));
+            assert!(ConcurrentSet::insert(&*set, k));
         }
         let hits = Arc::new(AtomicU64::new(0));
         let sweeper = {
@@ -154,7 +154,7 @@ fn teardown_under_churn_stress() {
                     let mut rng = StdRng::seed_from_u64(round * 31 + t);
                     for _ in 0..KEYS / 2 {
                         let k = rng.gen_range(0..KEYS);
-                        if set.remove(&k) {
+                        if ConcurrentSet::remove(&*set, &k) {
                             hits.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -175,7 +175,7 @@ fn teardown_under_churn_stress() {
             KEYS,
             "round {round}: sharded teardown lost or double-counted keys"
         );
-        assert_eq!(set.len(), 0, "round {round}: sharded teardown left residue");
+        assert!(ConcurrentSet::is_empty(&*set), "round {round}: sharded teardown left residue");
 
         // Elastic: whole-strip swaps race inserters that immediately refill.
         let map: Arc<ElasticMap<LfBst<u64, u64>>> =
