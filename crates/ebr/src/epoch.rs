@@ -22,10 +22,14 @@
 //! escalation ladder (which cannot free anything while the epoch is frozen,
 //! but caps the cost of trying and counts the trips for observability).
 //!
-//! Garbage and the participant registry live behind mutexes taken with
-//! `try_lock` on a sampled cadence; a contended attempt skips collection
-//! rather than blocking, so set operations stay non-blocking.  Reclamation
-//! is amortized, not real-time — the same contract as crossbeam.
+//! Retired nodes go into per-thread bags (see [`crate::bags`]): a retirement
+//! touches only its own thread's bag and never waits on a lock another thread
+//! holds.  Each thread frees its own garbage on its pin cadence and at its
+//! bag's high-water mark, and the cadence also drains the orphaned bags of
+//! exited threads; a global collect sweeps every bag.  The participant
+//! registry and the bags are only ever taken with `try_lock` on these paths:
+//! a contended attempt skips rather than blocking.  Reclamation is amortized,
+//! not real-time — the same contract as crossbeam.
 
 use std::cell::Cell;
 use std::fmt;
@@ -33,42 +37,47 @@ use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::bags::{self, Bag, BagList, Deferred, OwnBag};
 use crate::{block, bound, ReclaimGuard, Reclaimer, ReclamationStats, Shared};
 
 /// Sentinel slot value meaning "this participant is not currently pinned".
 const NOT_PINNED: usize = usize::MAX;
 
-/// Pins between collection attempts (per thread).
+/// Pins between local collection attempts (per thread); every fourth
+/// attempt also sweeps the orphaned bags of exited threads, so they drain on
+/// the same cadence.  Live threads' bags are left to their owners, so the
+/// allocator frees a node on the thread that allocated it.
 ///
 /// Each attempt takes the registry lock (`try_lock`) and scans every slot, so
 /// the cadence is a direct tax on pin-heavy (read-mostly) workloads.  256
 /// keeps reclamation latency bounded by a few hundred pins while making the
-/// common pin a pure store + fence; the garbage high-water mark below still
+/// common pin a pure store + fence; the bag high-water mark below still
 /// triggers eager collection under write bursts.
 const PINS_PER_COLLECT: u64 = 256;
 
-/// Retired-node count that triggers an eager collection attempt.
-const GARBAGE_HIGH_WATER: usize = 1024;
+/// Per-thread retired-node count that triggers an eager local collect.
+const BAG_HIGH_WATER: usize = 1024;
 
 /// The global epoch.  Monotonically increasing; advances only when every
 /// pinned participant has observed the current value.
 static GLOBAL_EPOCH: AtomicUsize = AtomicUsize::new(0);
 
 /// Reclamation health counters for this backend (see
-/// [`ReclamationStats`]).  All updates sit on cold paths — collection
-/// attempts, retirement (which already takes the garbage lock), and explicit
-/// repins — so the counters are always on: the pin fast path is untouched.
+/// [`ReclamationStats`]).  The counters are always on: the pin fast path
+/// never touches them.  Retirement bumps `NODES_RETIRED` (one shared
+/// `fetch_add` per retired node) and the high-water mark only when it rises;
+/// the rest sit on collection attempts and explicit repins.
 mod health {
     use std::sync::atomic::AtomicU64;
 
     /// Successful global-epoch advancements.
     pub static EPOCH_ADVANCES: AtomicU64 = AtomicU64::new(0);
-    /// Nodes pushed into the garbage bag by `defer_destroy`.
+    /// Nodes pushed into a garbage bag by `defer_destroy`.
     pub static NODES_RETIRED: AtomicU64 = AtomicU64::new(0);
     /// Retired nodes whose destructor has run.
     pub static NODES_FREED: AtomicU64 = AtomicU64::new(0);
-    /// Collection attempts that skipped the bag scan via the cached minimum
-    /// stamp (nothing old enough to free).
+    /// Bag collections that skipped the scan via the bag's cached minimum
+    /// stamp (nothing old enough to free); a sweep counts one per bag.
     pub static MIN_STAMP_SKIPS: AtomicU64 = AtomicU64::new(0);
     /// Explicit `Guard::repin` calls that actually cycled the slot.
     pub static REPINS: AtomicU64 = AtomicU64::new(0);
@@ -115,31 +124,72 @@ struct Slot {
 /// to scan during collection.
 static REGISTRY: Mutex<Vec<Arc<Slot>>> = Mutex::new(Vec::new());
 
-/// A type-erased deferred destruction of a reclaimable block.
-struct Deferred {
-    ptr: *mut u8,
-    drop_fn: unsafe fn(*mut u8),
-}
-
-// Deferred items are only created from owned blocks and only consumed once.
-unsafe impl Send for Deferred {}
-
-/// Retired nodes, stamped with the global epoch at retirement, plus the
-/// smallest stamp present: a collection attempt first checks the cached
+/// One thread's retired nodes, stamped with the global epoch at retirement,
+/// plus the smallest stamp present: a collection first checks the cached
 /// minimum and returns in O(1) when no entry can be freed yet, so a burst of
 /// retirements during a stalled epoch (pinned readers) does not degenerate
 /// into an O(n) scan per retirement.
-struct GarbageBag {
+struct EpochBag {
     items: Vec<(usize, Deferred)>,
     min_stamp: usize,
 }
 
-static GARBAGE: Mutex<GarbageBag> =
-    Mutex::new(GarbageBag { items: Vec::new(), min_stamp: usize::MAX });
+impl Default for EpochBag {
+    fn default() -> Self {
+        EpochBag { items: Vec::new(), min_stamp: usize::MAX }
+    }
+}
+
+impl Bag for EpochBag {
+    type Item = (usize, Deferred);
+
+    fn push(&mut self, item: (usize, Deferred)) {
+        self.min_stamp = self.min_stamp.min(item.0);
+        self.items.push(item);
+    }
+
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+}
+
+impl EpochBag {
+    /// Frees every entry retired at least two epochs before `now`.
+    fn collect(&mut self, now: usize) {
+        if self.min_stamp.saturating_add(2) > now {
+            // Nothing is old enough yet: skip the scan entirely.
+            health::MIN_STAMP_SKIPS.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let mut new_min = usize::MAX;
+        let mut freed = 0u64;
+        let mut i = 0;
+        while i < self.items.len() {
+            if self.items[i].0 + 2 <= now {
+                let (_, d) = self.items.swap_remove(i);
+                // SAFETY: retired at least two epochs before `now`, so no
+                // thread pinned then is still pinned (module docs).
+                unsafe { d.run() };
+                freed += 1;
+            } else {
+                new_min = new_min.min(self.items[i].0);
+                i += 1;
+            }
+        }
+        self.min_stamp = new_min;
+        if freed > 0 {
+            health::NODES_FREED.fetch_add(freed, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Every thread's bag, live or orphaned.
+static BAGS: BagList<EpochBag> = BagList::new();
 
 /// Per-thread participant state.
 struct Local {
     slot: Arc<Slot>,
+    bag: OwnBag<EpochBag>,
     /// Re-entrant pin depth; the slot is written only at depth 0 -> 1.
     pin_depth: Cell<usize>,
     /// Total pins, used to sample collection attempts.
@@ -150,7 +200,7 @@ impl Local {
     fn register() -> Local {
         let slot = Arc::new(Slot { state: AtomicUsize::new(NOT_PINNED) });
         REGISTRY.lock().expect("ebr registry poisoned").push(Arc::clone(&slot));
-        Local { slot, pin_depth: Cell::new(0), pin_count: Cell::new(0) }
+        Local { slot, bag: BAGS.register(), pin_depth: Cell::new(0), pin_count: Cell::new(0) }
     }
 
     fn pin(&self) {
@@ -177,10 +227,22 @@ impl Local {
             let c = self.pin_count.get().wrapping_add(1);
             self.pin_count.set(c);
             if c % PINS_PER_COLLECT == 0 {
-                try_collect();
+                self.collect_on_cadence(c);
             }
         }
         self.pin_depth.set(self.pin_depth.get() + 1);
+    }
+
+    /// The pin cadence's collection, kept out of line so the pin fast path
+    /// stays small enough to inline its thread-local access.
+    #[cold]
+    #[inline(never)]
+    fn collect_on_cadence(&self, pin_count: u64) {
+        collect_local(&self.bag);
+        if pin_count % (4 * PINS_PER_COLLECT) == 0 {
+            let now = GLOBAL_EPOCH.load(Ordering::SeqCst);
+            BAGS.sweep_orphans(|b| b.collect(now));
+        }
     }
 
     fn unpin(&self) {
@@ -198,7 +260,8 @@ impl Local {
 impl Drop for Local {
     fn drop(&mut self) {
         // Thread exit: withdraw from the registry so a dead thread cannot
-        // block epoch advancement forever.
+        // block epoch advancement forever.  The bag stays registered as an
+        // orphan — sweeps drain and prune it.
         if let Ok(mut reg) = REGISTRY.lock() {
             reg.retain(|s| !Arc::ptr_eq(s, &self.slot));
         }
@@ -209,52 +272,40 @@ thread_local! {
     static LOCAL: Local = Local::register();
 }
 
-/// Attempts one epoch advancement and frees sufficiently old garbage.
+/// Attempts one epoch advancement and returns the epoch after the attempt.
 ///
-/// Uses `try_lock` throughout: a contended attempt is simply skipped, so the
-/// caller never blocks on another thread's collection.  The garbage bag is
-/// process-global, so a single attempt is already the "global collect" scope
-/// of the [`crate::GarbageBound`] ladder.
-fn try_collect() {
+/// Uses `try_lock`: a contended registry skips the advance, so the caller
+/// never blocks on another thread's collection.
+fn try_advance() -> usize {
     let e = GLOBAL_EPOCH.load(Ordering::SeqCst);
-    let can_advance = {
-        let Ok(registry) = REGISTRY.try_lock() else { return };
-        registry.iter().all(|s| {
+    let can_advance = match REGISTRY.try_lock() {
+        Ok(registry) => registry.iter().all(|s| {
             let st = s.state.load(Ordering::SeqCst);
             st == NOT_PINNED || st == e
-        })
+        }),
+        Err(_) => false,
     };
-    if can_advance {
-        // A racing advance is fine; the epoch only needs to be monotonic.
-        if GLOBAL_EPOCH.compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
-            health::EPOCH_ADVANCES.fetch_add(1, Ordering::Relaxed);
-        }
+    // A racing advance is fine; the epoch only needs to be monotonic.
+    if can_advance
+        && GLOBAL_EPOCH.compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::SeqCst).is_ok()
+    {
+        health::EPOCH_ADVANCES.fetch_add(1, Ordering::Relaxed);
     }
-    let now = GLOBAL_EPOCH.load(Ordering::SeqCst);
-    if let Ok(mut bag) = GARBAGE.try_lock() {
-        if bag.min_stamp.saturating_add(2) > now {
-            // Nothing is old enough yet: skip the scan entirely.
-            health::MIN_STAMP_SKIPS.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut new_min = usize::MAX;
-        let mut freed = 0u64;
-        let mut i = 0;
-        while i < bag.items.len() {
-            if bag.items[i].0 + 2 <= now {
-                let (_, d) = bag.items.swap_remove(i);
-                unsafe { (d.drop_fn)(d.ptr) };
-                freed += 1;
-            } else {
-                new_min = new_min.min(bag.items[i].0);
-                i += 1;
-            }
-        }
-        bag.min_stamp = new_min;
-        if freed > 0 {
-            health::NODES_FREED.fetch_add(freed, Ordering::Relaxed);
-        }
-    }
+    GLOBAL_EPOCH.load(Ordering::SeqCst)
+}
+
+/// Local-scope collect: advance if possible, then free what the calling
+/// thread's own bag holds that is old enough.
+fn collect_local(bag: &OwnBag<EpochBag>) {
+    let now = try_advance();
+    bag.collect(|b| b.collect(now));
+}
+
+/// Global-scope collect: advance if possible, then sweep every bag,
+/// orphans included.
+fn collect_global() {
+    let now = try_advance();
+    BAGS.sweep(|b| b.collect(now));
 }
 
 /// Pins the current thread and returns a guard; shared nodes may be read for
@@ -302,63 +353,28 @@ impl Guard {
             drop(block::dealloc_block(raw));
             return;
         }
-        let deferred = Deferred { ptr: raw.cast(), drop_fn: block::drop_block_erased::<T> };
+        let deferred = Deferred::new(raw, "ebr");
         let stamp = GLOBAL_EPOCH.load(Ordering::SeqCst);
-        let (len, duplicate) = {
-            let mut bag = GARBAGE.lock().expect("ebr garbage poisoned");
-            // Double-retire audit: a node retired twice sits in the bag twice
-            // and is freed twice — silent UB whose crash surfaces arbitrarily
-            // far from the bug.  In debug builds (and release builds with the
-            // `retire-audit` feature) scan the bag for the pointer and turn
-            // the UB into a panic at the second retirement site, where the
-            // offending stack is still on the call stack.  The scan is O(bag)
-            // per retirement, which is why it is not always on.
-            let duplicate = cfg!(any(feature = "retire-audit", debug_assertions))
-                && bag.items.iter().any(|(_, d)| std::ptr::eq(d.ptr, raw.cast::<u8>()));
-            if !duplicate {
-                bag.items.push((stamp, deferred));
-                bag.min_stamp = bag.min_stamp.min(stamp);
+        LOCAL.with(|local| {
+            let len = local.bag.push((stamp, deferred));
+            health::NODES_RETIRED.fetch_add(1, Ordering::Relaxed);
+            bags::raise_hwm(&health::BAG_DEPTH_HWM, pending_depth() as u64);
+            if bound::deferring() {
+                // Inside a batch-retire window: the window's close runs one
+                // high-water collect and one bound ladder for the whole batch.
+                return;
             }
-            (bag.items.len(), duplicate)
-        };
-        // Panic outside the lock scope so the bag is not poisoned for every
-        // other thread by our unwinding.
-        if duplicate {
-            panic!(
-                "ebr: double retire of {raw:p} — the node is already in the garbage bag \
-                 awaiting reclamation, so a second `defer_destroy` would double-free it"
-            );
-        }
-        health::NODES_RETIRED.fetch_add(1, Ordering::Relaxed);
-        health::BAG_DEPTH_HWM.fetch_max(len as u64, Ordering::Relaxed);
-        if bound::deferring() {
-            // Inside a batch-retire window: the window's close runs one
-            // high-water collect and one bound ladder for the whole batch.
-            return;
-        }
-        if len >= GARBAGE_HIGH_WATER {
-            try_collect();
-        }
-        if bound::over(pending_depth()) {
-            // Over the configured garbage ceiling: escalate on the writer's
-            // dime.  Local and global scope coincide for this backend (one
-            // process-global bag), but each ladder step still retries the
-            // epoch advance that a stalled reader may be blocking.
-            bound::enforce(
-                &pending_depth,
-                &try_collect,
-                &try_collect,
-                &health::BOUND_TRIPS,
-                &health::BOUND_ESCALATIONS,
-            );
-        }
+            if len >= BAG_HIGH_WATER {
+                collect_local(&local.bag);
+            }
+            settle_bound(local);
+        });
     }
 
-    /// Forces a collection attempt (best effort, non-blocking).  The bag is
-    /// process-global, so this drains every thread's garbage, not just the
-    /// caller's.
+    /// Forces a **global** collection attempt: every thread's bag plus the
+    /// orphans, best effort, non-blocking.
     pub fn flush(&self) {
-        try_collect();
+        collect_global();
     }
 
     /// Momentarily unpins and re-pins the guard's thread at the current epoch
@@ -414,20 +430,30 @@ impl ReclaimGuard for Guard {
         // window will settle for us, and for the unprotected guard, whose
         // retirements free immediately and leave nothing pending).
         if self.protected && !bound::deferring() {
-            if pending_depth() >= GARBAGE_HIGH_WATER {
-                try_collect();
-            }
-            if bound::over(pending_depth()) {
-                bound::enforce(
-                    &pending_depth,
-                    &try_collect,
-                    &try_collect,
-                    &health::BOUND_TRIPS,
-                    &health::BOUND_ESCALATIONS,
-                );
-            }
+            LOCAL.with(|local| {
+                if local.bag.len() >= BAG_HIGH_WATER {
+                    collect_local(&local.bag);
+                }
+                settle_bound(local);
+            });
         }
         out
+    }
+}
+
+/// Over the configured garbage ceiling: escalate on the writer's dime (the
+/// [`crate::GarbageBound`] ladder).  Every step retries the epoch advance a
+/// stalled reader may be blocking; the global steps also free what other
+/// threads' bags hold.
+fn settle_bound(local: &Local) {
+    if bound::over(pending_depth()) {
+        bound::enforce(
+            &pending_depth,
+            &|| collect_local(&local.bag),
+            &collect_global,
+            &health::BOUND_TRIPS,
+            &health::BOUND_ESCALATIONS,
+        );
     }
 }
 
@@ -463,7 +489,7 @@ impl Reclaimer for Ebr {
     }
 
     fn collect() {
-        try_collect();
+        collect_global();
     }
 
     fn stats() -> ReclamationStats {
@@ -555,6 +581,29 @@ mod tests {
         reader.join().unwrap();
         let guard = pin();
         unsafe { drop(a.load(Ordering::SeqCst, &guard).into_owned()) };
+    }
+
+    /// No explicit collect: the surviving thread's pin cadence alone must
+    /// drain the bag an exited thread left behind.
+    #[test]
+    fn orphaned_garbage_drains_on_the_pin_cadence() {
+        let _serial = crate::serial_test();
+        let before = reclamation_stats();
+        std::thread::spawn(|| {
+            let guard = pin();
+            for i in 0..100u64 {
+                let p = Owned::new(i).into_shared(&guard);
+                unsafe { guard.defer_destroy(p) };
+            }
+        })
+        .join()
+        .unwrap();
+        for _ in 0..12 * PINS_PER_COLLECT {
+            drop(pin());
+        }
+        let delta = reclamation_stats().since(&before);
+        assert_eq!(delta.nodes_retired, 100);
+        assert_eq!(delta.nodes_freed, 100, "orphaned garbage never drained: {delta:?}");
     }
 
     #[test]

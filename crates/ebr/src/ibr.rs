@@ -36,8 +36,8 @@
 //!
 //! ## Bags and orphans
 //!
-//! Retired nodes go into per-thread bags (own mutex each) registered in a
-//! global list, so any thread can run a *global* collect — the
+//! Retired nodes go into per-thread bags (see [`crate::bags`], shared with
+//! the epoch backend), so any thread can run a *global* collect — the
 //! [`crate::GarbageBound`] ladder depends on that to free garbage a stalled
 //! or exited peer left behind.  A thread that exits leaves its bag in the
 //! list as an orphan; global collects drain it and drop it once empty.
@@ -48,6 +48,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::bags::{self, Bag, BagList, Deferred, OwnBag};
 use crate::{block, bound, ReclaimGuard, Reclaimer, ReclamationStats, Shared};
 
 /// Reservation value meaning "this participant is not currently pinned".
@@ -78,7 +79,7 @@ pub(crate) fn current_era() -> u64 {
 }
 
 /// Reclamation health counters for this backend.  Same contract as the epoch
-/// backend's: cold-path updates only, free-running since process start.
+/// backend's: always on, free-running since process start.
 mod health {
     use std::sync::atomic::AtomicU64;
 
@@ -136,47 +137,23 @@ static REGISTRY: Mutex<Vec<Arc<IbrSlot>>> = Mutex::new(Vec::new());
 struct Retired {
     birth: u64,
     retire: u64,
-    ptr: *mut u8,
-    drop_fn: unsafe fn(*mut u8),
+    deferred: Deferred,
 }
 
-// Retired items are only created from owned blocks and only consumed once.
-unsafe impl Send for Retired {}
+impl Bag for Vec<Retired> {
+    type Item = Retired;
 
-/// One thread's retire bag.  Behind its own mutex (not thread-local state)
-/// so *other* threads can drain it during a global collect.
-#[derive(Default)]
-struct Bag {
-    items: Vec<Retired>,
-}
-
-/// Every live and orphaned bag.  A thread leaves its bag here on exit;
-/// global collects drain orphans and prune them once empty.
-static BAGS: Mutex<Vec<Arc<Mutex<Bag>>>> = Mutex::new(Vec::new());
-
-/// Double-retire audit set, mirroring the epoch backend's bag scan.  The
-/// bags are sharded per thread here, so the audit keeps its own global index
-/// of pending pointers instead of scanning.
-#[cfg(any(feature = "retire-audit", debug_assertions))]
-static AUDIT: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-#[cfg(any(feature = "retire-audit", debug_assertions))]
-fn audit_insert(ptr: *mut u8) -> bool {
-    let mut set = AUDIT.lock().expect("ibr audit poisoned");
-    if set.contains(&(ptr as usize)) {
-        return false;
+    fn push(&mut self, item: Retired) {
+        Vec::push(self, item);
     }
-    set.push(ptr as usize);
-    true
-}
 
-#[cfg(any(feature = "retire-audit", debug_assertions))]
-fn audit_remove(ptr: *mut u8) {
-    let mut set = AUDIT.lock().expect("ibr audit poisoned");
-    if let Some(i) = set.iter().position(|&p| p == ptr as usize) {
-        set.swap_remove(i);
+    fn len(&self) -> usize {
+        Vec::len(self)
     }
 }
+
+/// Every thread's bag, live or orphaned.
+static BAGS: BagList<Vec<Retired>> = BagList::new();
 
 /// Advances the era on the retirement cadence.
 fn tick_era() {
@@ -188,16 +165,16 @@ fn tick_era() {
 }
 
 /// Frees every entry of `items` whose lifespan overlaps no active
-/// reservation.  Returns the number freed (0 if the registry was contended).
-fn collect_locked(items: &mut Vec<Retired>) -> u64 {
+/// reservation (none if the registry was contended).
+fn collect_bag(items: &mut Vec<Retired>) {
     if items.is_empty() {
-        return 0;
+        return;
     }
     // Order the reservation snapshot after the retirements that queued these
     // items (their SeqCst era loads), matching the readers' pin fences.
     fence(Ordering::SeqCst);
     let reservations: Vec<(u64, u64)> = {
-        let Ok(registry) = REGISTRY.try_lock() else { return 0 };
+        let Ok(registry) = REGISTRY.try_lock() else { return };
         registry
             .iter()
             .filter_map(|slot| {
@@ -215,43 +192,27 @@ fn collect_locked(items: &mut Vec<Retired>) -> u64 {
             .collect()
     };
     let mut freed = 0u64;
-    items.retain(|n| {
-        let reserved = reservations.iter().any(|&(lo, hi)| n.birth <= hi && n.retire >= lo);
-        if !reserved {
-            #[cfg(any(feature = "retire-audit", debug_assertions))]
-            audit_remove(n.ptr);
-            unsafe { (n.drop_fn)(n.ptr) };
+    let mut i = 0;
+    while i < items.len() {
+        let n = &items[i];
+        if reservations.iter().any(|&(lo, hi)| n.birth <= hi && n.retire >= lo) {
+            i += 1;
+        } else {
+            // SAFETY: the node's lifespan overlaps no active reservation, so
+            // no reader can still hold it (module docs).
+            unsafe { items.swap_remove(i).deferred.run() };
             freed += 1;
         }
-        reserved
-    });
+    }
     if freed > 0 {
         health::NODES_FREED.fetch_add(freed, Ordering::Relaxed);
-    }
-    freed
-}
-
-/// Collects one bag (try_lock; a contended bag is skipped).
-fn try_collect_bag(bag: &Arc<Mutex<Bag>>) {
-    if let Ok(mut b) = bag.try_lock() {
-        collect_locked(&mut b.items);
     }
 }
 
 /// Collects every registered bag and prunes empty orphans.  Non-blocking
 /// throughout; a contended bag or registry is skipped, not waited on.
 fn try_collect_global() {
-    let Ok(mut bags) = BAGS.try_lock() else { return };
-    bags.retain(|bag| {
-        if let Ok(mut b) = bag.try_lock() {
-            collect_locked(&mut b.items);
-            // An empty bag whose owning thread is gone (our clone is the only
-            // handle left) has nothing more to deliver.
-            !(b.items.is_empty() && Arc::strong_count(bag) == 1)
-        } else {
-            true
-        }
-    });
+    BAGS.sweep(collect_bag);
 }
 
 /// Global-scope collect used by the escalation ladder: nudge the era forward
@@ -266,7 +227,7 @@ fn escalate_collect() {
 /// Per-thread participant state.
 struct Local {
     slot: Arc<IbrSlot>,
-    bag: Arc<Mutex<Bag>>,
+    bag: OwnBag<Vec<Retired>>,
     /// Re-entrant pin depth; the reservation is written only at depth 0 -> 1.
     pin_depth: Cell<usize>,
     /// Total pins, used to sample collection attempts.
@@ -280,11 +241,9 @@ impl Local {
     fn register() -> Local {
         let slot = Arc::new(IbrSlot { lo: AtomicU64::new(INACTIVE), hi: AtomicU64::new(INACTIVE) });
         REGISTRY.lock().expect("ibr registry poisoned").push(Arc::clone(&slot));
-        let bag = Arc::new(Mutex::new(Bag::default()));
-        BAGS.lock().expect("ibr bags poisoned").push(Arc::clone(&bag));
         Local {
             slot,
-            bag,
+            bag: BAGS.register(),
             pin_depth: Cell::new(0),
             pin_count: Cell::new(0),
             hi_cache: Cell::new(INACTIVE),
@@ -313,7 +272,7 @@ impl Local {
                 if c % (4 * PINS_PER_COLLECT) == 0 {
                     try_collect_global();
                 } else {
-                    try_collect_bag(&self.bag);
+                    self.bag.collect(collect_bag);
                 }
             }
         }
@@ -388,27 +347,10 @@ impl ReclaimGuard for IbrGuard {
         }
         let birth = block::birth_of(raw);
         let retire = ERA.load(Ordering::SeqCst);
-        // Double-retire audit (see the epoch backend for the rationale): the
-        // second retirement panics here, before anything is queued twice.
-        #[cfg(any(feature = "retire-audit", debug_assertions))]
-        if !audit_insert(raw.cast()) {
-            panic!(
-                "ibr: double retire of {raw:p} — the node is already queued for \
-                 reclamation, so a second `defer_destroy` would double-free it"
-            );
-        }
-        let len = LOCAL.with(|local| {
-            let mut bag = local.bag.lock().expect("ibr bag poisoned");
-            bag.items.push(Retired {
-                birth,
-                retire,
-                ptr: raw.cast(),
-                drop_fn: block::drop_block_erased::<T>,
-            });
-            bag.items.len()
-        });
+        let deferred = Deferred::new(raw, "ibr");
+        let len = LOCAL.with(|local| local.bag.push(Retired { birth, retire, deferred }));
         health::NODES_RETIRED.fetch_add(1, Ordering::Relaxed);
-        health::BAG_DEPTH_HWM.fetch_max(pending_depth() as u64, Ordering::Relaxed);
+        bags::raise_hwm(&health::BAG_DEPTH_HWM, pending_depth() as u64);
         tick_era();
         if bound::deferring() {
             // Inside a batch-retire window: the window's close runs one
@@ -416,13 +358,13 @@ impl ReclaimGuard for IbrGuard {
             return;
         }
         if len >= BAG_HIGH_WATER {
-            LOCAL.with(|local| try_collect_bag(&local.bag));
+            LOCAL.with(|local| local.bag.collect(collect_bag));
         }
         if bound::over(pending_depth()) {
             LOCAL.with(|local| {
                 bound::enforce(
                     &pending_depth,
-                    &|| try_collect_bag(&local.bag),
+                    &|| local.bag.collect(collect_bag),
                     &escalate_collect,
                     &health::BOUND_TRIPS,
                     &health::BOUND_ESCALATIONS,
@@ -496,13 +438,13 @@ impl ReclaimGuard for IbrGuard {
         // immediately).
         if self.protected && !bound::deferring() {
             LOCAL.with(|local| {
-                if local.bag.lock().expect("ibr bag poisoned").items.len() >= BAG_HIGH_WATER {
-                    try_collect_bag(&local.bag);
+                if local.bag.len() >= BAG_HIGH_WATER {
+                    local.bag.collect(collect_bag);
                 }
                 if bound::over(pending_depth()) {
                     bound::enforce(
                         &pending_depth,
-                        &|| try_collect_bag(&local.bag),
+                        &|| local.bag.collect(collect_bag),
                         &escalate_collect,
                         &health::BOUND_TRIPS,
                         &health::BOUND_ESCALATIONS,

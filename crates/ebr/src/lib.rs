@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod bags;
 mod block;
 mod bound;
 mod epoch;
@@ -159,7 +160,8 @@ pub struct ReclamationStats {
     /// Retired nodes actually freed.
     pub nodes_freed: u64,
     /// Bag scans skipped because the cached minimum stamp proved nothing was
-    /// old enough (the O(1) fast path of the epoch backend's collect).
+    /// old enough (the O(1) fast path of the epoch backend's collect).  One
+    /// per bag: a global sweep over several bags can add several.
     pub min_stamp_skips: u64,
     /// Explicit guard repins.
     pub repins: u64,
@@ -402,6 +404,63 @@ mod tests {
     fn retire_batch_frees_and_survives_panic_under_ibr() {
         let _serial = crate::serial_test();
         retire_batch_frees_and_survives_panic::<Ibr>();
+    }
+
+    /// A thread that retires and exits leaves its garbage in an orphaned bag;
+    /// only a global collect from another thread can free it.
+    fn exited_thread_garbage_is_freed_by_a_global_collect<R: Reclaimer>() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+
+        struct NoteDrop(Arc<AtomicUsize>);
+        impl Drop for NoteDrop {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
+        // Fewer retirements than either backend's pin cadence or bag
+        // high-water mark, so the thread never collects its own bag.
+        const N: usize = 100;
+        let dropped = Arc::new(AtomicUsize::new(0));
+        {
+            let dropped = Arc::clone(&dropped);
+            std::thread::spawn(move || {
+                for _ in 0..N {
+                    let guard = R::pin();
+                    let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
+                    unsafe { guard.defer_destroy(p) };
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            0,
+            "{}: freed before the thread exited",
+            R::NAME
+        );
+        for _ in 0..256 {
+            if dropped.load(Ordering::SeqCst) == N {
+                break;
+            }
+            drop(R::pin());
+            R::collect();
+        }
+        assert_eq!(dropped.load(Ordering::SeqCst), N, "{}: orphaned garbage never freed", R::NAME);
+    }
+
+    #[test]
+    fn exited_thread_garbage_is_freed_by_a_global_collect_under_ebr() {
+        let _serial = crate::serial_test();
+        exited_thread_garbage_is_freed_by_a_global_collect::<Ebr>();
+    }
+
+    #[test]
+    fn exited_thread_garbage_is_freed_by_a_global_collect_under_ibr() {
+        let _serial = crate::serial_test();
+        exited_thread_garbage_is_freed_by_a_global_collect::<Ibr>();
     }
 
     #[test]
