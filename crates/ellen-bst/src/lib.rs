@@ -11,10 +11,19 @@
 //! when they modify disjoint links — exactly the disjoint-access limitation the
 //! threaded internal BST removes.
 //!
-//! Tree nodes are reclaimed through `crossbeam-epoch`; operation descriptors
-//! are retired by the operation that allocated them once it completes (helpers
-//! only ever dereference a descriptor they read while it was reachable under
-//! their own epoch pin, so this is safe).
+//! Memory is reclaimed through `crossbeam-epoch`, and nothing is retired
+//! while a thread that pins later could still reach it:
+//!
+//! * an operation descriptor is retired by the CAS that overwrites it in the
+//!   `update` word that flagged it — not when its operation completes, since
+//!   the word still holds it (CLEAN) afterwards and a thread pinned later may
+//!   load it as a CAS expected value;
+//! * a node a descriptor names (an insert's replaced leaf, a delete's parent
+//!   and leaf) is retired only after that descriptor's flag is cleared, so a
+//!   late helper can no longer reach it through the flagged word;
+//! * an insert replaces its leaf with a fresh copy rather than re-linking it,
+//!   as in the original paper, so a removed node can never become a child
+//!   again and a stale helper's child CAS cannot succeed twice.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -209,13 +218,17 @@ impl<K: Ord> EllenBst<K> {
                 continue;
             }
             // Build: new internal whose children are a fresh leaf for `key`
-            // and the existing leaf.
+            // and a fresh copy of the existing leaf.  Reusing `l` itself would
+            // let `l` become `p`'s child again (when the new leaf is deleted),
+            // and a stale helper's child CAS would then re-link the removed
+            // internal node.
             let new_leaf = epoch::alloc_raw(ENode::leaf(EKey::Key(key.clone())));
+            let sibling = epoch::alloc_raw(ENode::leaf(clone_ekey(&l_ref.key)));
             let (ikey, left, right): (EKey<K>, *const ENode<K>, *const ENode<K>) =
                 if l_ref.key.goes_left(&key) {
-                    (clone_ekey(&l_ref.key), new_leaf, s.l.as_raw())
+                    (clone_ekey(&l_ref.key), new_leaf, sibling)
                 } else {
-                    (EKey::Key(key.clone()), s.l.as_raw(), new_leaf)
+                    (EKey::Key(key.clone()), sibling, new_leaf)
                 };
             let new_internal = epoch::alloc_raw(ENode::internal(ikey));
             unsafe {
@@ -232,16 +245,21 @@ impl<K: Ord> EllenBst<K> {
                 guard,
             ) {
                 Ok(_) => {
+                    // SAFETY: this CAS replaced `s.pupdate` with `op`.
+                    unsafe { retire_overwritten(s.pupdate, guard) };
                     self.help_insert(op, guard);
                     self.size.fetch_add(1, Ordering::AcqRel);
-                    // The descriptor is no longer needed once the operation is
-                    // complete; helpers that still hold it are pinned.
-                    unsafe { guard.defer_destroy(op) };
+                    // SAFETY: the leaf left the tree in `help_insert`, and
+                    // `p` is unflagged now, so no thread pinning from here on
+                    // can reach it through the descriptor either.  Only the
+                    // insert that flagged `p` retires it.
+                    unsafe { guard.defer_destroy(s.l) };
                     return true;
                 }
                 Err(e) => {
                     unsafe {
                         drop(epoch::dealloc_raw(new_leaf));
+                        drop(epoch::dealloc_raw(sibling));
                         drop(epoch::dealloc_raw(new_internal));
                         drop(op.into_owned());
                     }
@@ -287,15 +305,15 @@ impl<K: Ord> EllenBst<K> {
                 guard,
             ) {
                 Ok(_) => {
+                    // SAFETY: this CAS replaced `s.gpupdate` with `op`.
+                    unsafe { retire_overwritten(s.gpupdate, guard) };
                     if self.help_delete(op, guard) {
                         self.size.fetch_sub(1, Ordering::AcqRel);
-                        unsafe { guard.defer_destroy(op) };
                         return true;
                     }
-                    // Backtracked: the descriptor was unflagged; retry with a
-                    // fresh search.  (The descriptor may still be referenced by
-                    // the now-CLEAN update word, so retire rather than drop.)
-                    unsafe { guard.defer_destroy(op) };
+                    // Backtracked: the descriptor was unflagged and stays in
+                    // the grandparent's word until a later flag overwrites
+                    // it; retry with a fresh search.
                 }
                 Err(e) => {
                     unsafe { drop(op.into_owned()) };
@@ -348,6 +366,10 @@ impl<K: Ord> EllenBst<K> {
         let expected = unpack::<K>(*pupdate, guard);
         let result = p_ref.update.compare_exchange(expected, op.with_tag(MARK), ORD, ORD, guard);
         let marked_by_us = result.is_ok();
+        if marked_by_us {
+            // SAFETY: this CAS replaced `expected` with `op`.
+            unsafe { retire_overwritten(expected, guard) };
+        }
         let current = match result {
             Ok(_) => op.with_tag(MARK),
             Err(e) => e.current,
@@ -386,20 +408,27 @@ impl<K: Ord> EllenBst<K> {
         let other =
             if left.with_tag(0) == l_shared { p_ref.child[1].load(ORD, guard) } else { left };
         let p_shared: Shared<'_, ENode<K>> = Shared::from(*p);
+        let mut spliced = false;
         for dir in 0..2 {
             let c = gp_ref.child[dir].load(ORD, guard);
             if c.with_tag(0) == p_shared
                 && gp_ref.child[dir].compare_exchange(c, other.with_tag(0), ORD, ORD, guard).is_ok()
             {
-                // Winner retires the removed parent and leaf.
-                unsafe {
-                    guard.defer_destroy(p_shared);
-                    guard.defer_destroy(l_shared);
-                }
+                spliced = true;
             }
         }
         let _ =
             gp_ref.update.compare_exchange(op.with_tag(DFLAG), op.with_tag(CLEAN), ORD, ORD, guard);
+        if spliced {
+            // SAFETY: the splice winner retires the removed parent and
+            // leaf, exactly once, but only now that the grandparent is
+            // unflagged: until then a thread that pins late could still
+            // reach them through the flagged descriptor.
+            unsafe {
+                guard.defer_destroy(p_shared);
+                guard.defer_destroy(l_shared);
+            }
+        }
     }
 
     /// Keys in ascending order (weakly consistent; exact at quiescence).
@@ -526,6 +555,23 @@ fn clone_ekey<K: Ord + Clone>(key: &EKey<K>) -> EKey<K> {
     }
 }
 
+/// Retires the descriptor an `update`-word CAS has just overwritten.
+///
+/// Every overwriting CAS expects a CLEAN word, so `old`'s operation is over,
+/// and a descriptor is flagged into exactly one word (the MARK a delete
+/// leaves on its parent is never overwritten), so each descriptor is retired
+/// once, by the single CAS that replaced it.
+///
+/// # Safety
+///
+/// The caller's CAS must have succeeded in replacing `old` with a different
+/// descriptor.
+unsafe fn retire_overwritten<K>(old: Shared<'_, Info<K>>, guard: &Guard) {
+    if !old.is_null() {
+        guard.defer_destroy(old.with_tag(0));
+    }
+}
+
 /// Packs an update word (pointer + state tag) into a plain usize for storage
 /// inside a descriptor.
 fn pack<K>(s: Shared<'_, Info<K>>) -> usize {
@@ -545,6 +591,12 @@ impl<K> Drop for EllenBst<K> {
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
             unsafe {
+                // A reachable node's flag word owns its descriptor; a MARK
+                // borrows the one its grandparent's word owns.
+                let u = (*p).update.load(ORD, guard);
+                if !u.is_null() && u.tag() != MARK {
+                    drop(u.with_tag(0).into_owned());
+                }
                 for dir in 0..2 {
                     let c = (*p).child[dir].load(ORD, guard);
                     if !c.is_null() {

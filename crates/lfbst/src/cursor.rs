@@ -104,7 +104,14 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         B: RangeBounds<K>,
     {
         let next = self.seek_lower_bound(range.start_bound(), guard);
-        Cursor { tree: self, guard, next, end: range.end_bound().cloned(), finished: false }
+        Cursor {
+            tree: self,
+            guard,
+            next,
+            last: None,
+            end: range.end_bound().cloned(),
+            finished: false,
+        }
     }
 
     /// Returns an owning streaming iterator over the `(key, value)` entries
@@ -137,6 +144,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             tree: self,
             guard: R::pin(),
             pos: std::ptr::null(),
+            last: std::ptr::null(),
             seeked: false,
             start: range.start_bound().cloned(),
             end: range.end_bound().cloned(),
@@ -233,6 +241,8 @@ pub struct Cursor<'g, K, V: MapValue = (), R: Reclaimer = crossbeam_epoch::Ebr> 
     guard: &'g R::Guard,
     /// The next node to consider (already at or past the lower bound).
     next: Shared<'g, Node<K, V>>,
+    /// The key of the last yielded node, read in place under the guard.
+    last: Option<&'g K>,
     end: Bound<K>,
     finished: bool,
 }
@@ -262,6 +272,9 @@ impl<'g, K: Ord, V: MapValue, R: Reclaimer> Cursor<'g, K, V, R> {
             // cursor positioned for the next call.
             self.next = self.tree.in_order_successor(curr, self.guard);
             match &node.key {
+                // The successor of a node removed mid-scan can be a node
+                // reinserted at or below the last key yielded: skip it.
+                KeyBound::Key(k) if self.last.is_some_and(|last| k <= last) => {}
                 KeyBound::Key(k) => {
                     let past_end = match &self.end {
                         Bound::Unbounded => false,
@@ -272,6 +285,7 @@ impl<'g, K: Ord, V: MapValue, R: Reclaimer> Cursor<'g, K, V, R> {
                         self.finished = true;
                         break;
                     }
+                    self.last = Some(k);
                     return Some(Entry { node, guard: self.guard });
                 }
                 // A concurrent removal can briefly route a stale seek through
@@ -299,6 +313,9 @@ pub struct RangeIter<'t, K, V: MapValue = (), R: Reclaimer = crossbeam_epoch::Eb
     /// and `seeked` is `true`; cleared (and re-derived from `start`) after
     /// every repin.
     pos: *const Node<K, V>,
+    /// The key of the last node yielded under the current pin (null until
+    /// the first yield after a seek).
+    last: *const K,
     seeked: bool,
     /// Advances to `Excluded(last yielded key)` as the scan progresses, so a
     /// re-seek resumes exactly where the stream left off.
@@ -353,6 +370,7 @@ where
                 // after this; the re-seek below re-derives the position from
                 // the last yielded key.
                 self.guard.repin();
+                self.last = std::ptr::null();
                 self.seeked = false;
                 self.since_repin = 0;
             }
@@ -367,7 +385,13 @@ where
             }
             let node = unsafe { curr.deref() };
             self.pos = self.tree.in_order_successor(curr, &self.guard).as_raw();
+            // SAFETY: a non-null `last` was read under the current pin (a
+            // repin nulls it), so its node cannot have been freed yet.
+            let last = unsafe { self.last.as_ref() };
             match &node.key {
+                // As in `Cursor::next`: never step back to or below the
+                // last key yielded.
+                KeyBound::Key(k) if last.is_some_and(|last| k <= last) => {}
                 KeyBound::Key(k) => {
                     let past_end = match &self.end {
                         Bound::Unbounded => false,
@@ -389,6 +413,7 @@ where
                     if self.since_repin >= REPIN_SCAN_EVERY {
                         self.start = Bound::Excluded(key.clone());
                     }
+                    self.last = k;
                     return Some((key, value));
                 }
                 KeyBound::NegInf => {}

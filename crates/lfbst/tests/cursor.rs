@@ -220,3 +220,77 @@ fn long_scan_repins_without_skipping_pinned_keys() {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     churn.join().unwrap();
 }
+
+#[test]
+fn cursors_skip_a_key_reinserted_behind_them() {
+    // One thread, deterministic: the cursor stands on node 20 when 20 is
+    // removed and reinserted, and the successor hop from the dead node
+    // reaches the new one.  Neither cursor form may yield 20 twice.
+    let map: LfBst<u64, u64> = LfBst::new();
+    for k in [10u64, 20, 30] {
+        map.insert_entry(k, k);
+    }
+    let guard = crossbeam_epoch::pin();
+    let mut cursor = map.range_cursor(.., &guard);
+    let mut seen = vec![*cursor.next().unwrap().key()];
+    assert_eq!(map.remove_entry(&20), Some(20));
+    assert!(map.insert_entry(20, 21));
+    while let Some(e) = cursor.next() {
+        seen.push(*e.key());
+    }
+    assert_eq!(seen, vec![10, 20, 30], "range_cursor");
+
+    let mut iter = map.range_iter(..);
+    let mut seen = vec![iter.next().unwrap().0];
+    assert_eq!(map.remove_entry(&20), Some(21));
+    assert!(map.insert_entry(20, 22));
+    seen.extend(iter.map(|(k, _)| k));
+    assert_eq!(seen, vec![10, 20, 30], "range_iter");
+}
+
+#[test]
+fn scans_stay_strictly_ascending_under_hot_key_reinsertion() {
+    // A second thread removes and reinserts a handful of hot keys as fast
+    // as it can, and the scans dawdle between pulls, so a cursor keeps
+    // standing on a node that dies and comes back.  Both cursor forms must
+    // stay strictly ascending, and the cold keys around the hot ones must
+    // all appear.
+    const HOT: [u64; 4] = [10, 11, 20, 21];
+    let map: Arc<LfBst<u64, u64>> = Arc::new(LfBst::new());
+    for k in 0..32u64 {
+        map.insert_entry(k, k);
+    }
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let churn = {
+        let map = Arc::clone(&map);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut i = 0usize;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let k = HOT[i % HOT.len()];
+                map.remove_entry(&k);
+                map.insert_entry(k, k);
+                i += 1;
+            }
+        })
+    };
+    let dawdle = || (0..64).for_each(|_| std::hint::spin_loop());
+    let cold: Vec<u64> = (0..32u64).filter(|k| !HOT.contains(k)).collect();
+    for _ in 0..2_000 {
+        let keys: Vec<u64> = map.range_iter(..).inspect(|_| dawdle()).map(|(k, _)| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "range_iter repeated a key: {keys:?}");
+        let seen: Vec<u64> = keys.iter().copied().filter(|k| !HOT.contains(k)).collect();
+        assert_eq!(seen, cold);
+
+        let guard = crossbeam_epoch::pin();
+        let mut cursor = map.range_cursor(.., &guard);
+        let mut keys = Vec::new();
+        while let Some(e) = cursor.next() {
+            keys.push(*e.key());
+            dawdle();
+        }
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "range_cursor repeated a key: {keys:?}");
+    }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    churn.join().unwrap();
+}

@@ -24,6 +24,12 @@
 //!   that meet a blocked strip spin briefly and land on the new trees.
 //!   Writes to *other* strips are completely unaffected — their `Strip`
 //!   objects are shared (`Arc`) between the old and new tables.
+//! * **Scans stream strip by strip.**  A scan captures the strip trees
+//!   covering its range (by `Arc`) and concatenates their own cursors, one
+//!   strip at a time: strips are key-disjoint and ascending, so no merge is
+//!   needed, and the capture outlives any table switch.  A half-consumed
+//!   scan holds what its open strip cursor holds between pulls (for
+//!   `LfBst`, one repinning `RangeIter` pin).
 //! * **Old state is retired, not leaked.**  Superseded tables go through the
 //!   pluggable [`Reclaimer`] (`defer_destroy`, backend-generic: EBR or IBR);
 //!   drained trees are dropped when the last retired table and the last
@@ -100,6 +106,15 @@ impl<S> Table<S> {
     #[inline]
     fn is_blocked(&self, strip: usize) -> bool {
         matches!(self.blocked, Some((lo, hi)) if strip >= lo && strip <= hi)
+    }
+
+    /// The inclusive strip interval `[lo, hi]` touches.
+    fn span(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> (usize, usize) {
+        let route = |b: Bound<&u64>, unbounded: usize| match b {
+            Bound::Unbounded => unbounded,
+            Bound::Included(k) | Bound::Excluded(k) => self.route(*k),
+        };
+        (route(lo, 0), route(hi, self.strips.len() - 1))
     }
 
     /// Inclusive lower key of `strip`.
@@ -377,7 +392,11 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         Self::await_writers(&old);
         reconcile(
             cset::chunked_scan_entries(&*old.tree, Bound::Unbounded, Bound::Unbounded),
-            chain_entries(&[&*left, &*right]),
+            ElasticScan::new(
+                vec![Arc::clone(&left), Arc::clone(&right)],
+                Bound::Unbounded,
+                Bound::Unbounded,
+            ),
             &[(Some(pivot), &*left), (None, &*right)],
         );
 
@@ -442,7 +461,11 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         Self::await_writers(&a);
         Self::await_writers(&b);
         reconcile(
-            chain_entries(&[&*a.tree, &*b.tree]),
+            ElasticScan::new(
+                vec![Arc::clone(&a.tree), Arc::clone(&b.tree)],
+                Bound::Unbounded,
+                Bound::Unbounded,
+            ),
             cset::chunked_scan_entries(&*merged, Bound::Unbounded, Bound::Unbounded),
             &[(None, &*merged)],
         );
@@ -495,22 +518,16 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
 
     /// Clones out the strip trees covering `[lo, hi]` under a short pin.
     ///
-    /// Scans run over this owned snapshot, so they never extend a pin across
-    /// user iteration and keep the PR 5 weak-consistency contract across a
+    /// Scans run over this owned snapshot, so the table pin ends here and a
+    /// scan keeps the streaming scans' weak-consistency contract across a
     /// rebalance: keys present for the whole scan in the *captured* trees
-    /// appear; entries migrated into strips created after the capture are
+    /// appear;
+    /// entries migrated into strips created after the capture are
     /// concurrent updates and may be missed.
     fn snapshot_trees(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<Arc<S>> {
         let guard = R::pin();
         let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-        let first = match lo {
-            Bound::Unbounded => 0,
-            Bound::Included(k) | Bound::Excluded(k) => t.route(*k),
-        };
-        let last = match hi {
-            Bound::Unbounded => t.strips.len() - 1,
-            Bound::Included(k) | Bound::Excluded(k) => t.route(*k),
-        };
+        let (first, last) = t.span(lo, hi);
         t.strips[first..=last].iter().map(|s| Arc::clone(&s.tree)).collect()
     }
 
@@ -543,14 +560,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         let (bounds0, strips0, first, last) = {
             let guard = R::pin();
             let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-            let first = match lo {
-                Bound::Unbounded => 0,
-                Bound::Included(k) | Bound::Excluded(k) => t.route(*k),
-            };
-            let last = match hi {
-                Bound::Unbounded => t.strips.len() - 1,
-                Bound::Included(k) | Bound::Excluded(k) => t.route(*k),
-            };
+            let (first, last) = t.span(lo, hi);
             (t.bounds.clone(), t.strips.clone(), first, last)
         };
         let strip_lower = |i: usize| if i == 0 { 0 } else { bounds0[i - 1] };
@@ -717,20 +727,6 @@ where
     }
 }
 
-/// Chains bounded-page cursors over several key-disjoint, ascending trees —
-/// the "old side" stream reconciliation walks for a merge.
-fn chain_entries<'a, S, V>(trees: &[&'a S]) -> impl Iterator<Item = (u64, V)> + 'a
-where
-    S: OrderedMap<u64, V>,
-    V: 'a,
-{
-    let cursors: Vec<_> = trees
-        .iter()
-        .map(|t| cset::chunked_scan_entries(*t, Bound::Unbounded, Bound::Unbounded))
-        .collect();
-    cursors.into_iter().flatten()
-}
-
 /// Makes the target trees' contents exactly equal `oracle` (the frozen old
 /// strip state) given `current` (their present contents): both streams are
 /// ascending, so one sorted merge-walk inserts the missing keys, removes the
@@ -842,11 +838,12 @@ where
     R: Reclaimer,
 {
     /// A streaming scan over the strips captured at call time: strips are
-    /// key-disjoint and ascending, so concatenating their bounded-page
-    /// cursors yields one globally ascending scan with no k-way merge.  The
-    /// capture is what lets a scan span a rebalance — see
-    /// `ElasticMap::snapshot_trees` for the consistency
-    /// contract.
+    /// key-disjoint and ascending, so concatenating the strips' own cursors,
+    /// opened one at a time, yields one globally ascending scan with no
+    /// k-way merge and no page buffer.  A half-consumed cursor holds the
+    /// open strip cursor's pin between pulls, as `LfBst::scan_entries`
+    /// does.  The capture is what lets a scan span a rebalance — see
+    /// `ElasticMap::snapshot_trees` for the consistency contract.
     fn scan_entries<'a>(&'a self, lo: Bound<&u64>, hi: Bound<&u64>) -> cset::EntryCursor<'a, u64, V>
     where
         V: 'a,
@@ -854,30 +851,7 @@ where
         if cset::range_is_empty(&lo, &hi) {
             return Box::new(std::iter::empty());
         }
-        let trees = self.snapshot_trees(lo, hi);
-        Box::new(ElasticScan {
-            trees,
-            tree_idx: 0,
-            lo: lo.cloned(),
-            hi: hi.cloned(),
-            last_key: None,
-            page: Vec::new().into_iter(),
-            chunk: cset::SCAN_CHUNK,
-        })
-    }
-
-    /// Concatenates per-strip bulk scans over the captured trees (disjoint
-    /// and ascending, as above).
-    fn entries_between(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, V)> {
-        if cset::range_is_empty(&lo, &hi) {
-            return Vec::new();
-        }
-        let trees = self.snapshot_trees(lo, hi);
-        let mut out = Vec::new();
-        for tree in &trees {
-            out.extend(tree.entries_between(lo, hi));
-        }
-        out
+        Box::new(ElasticScan::new(self.snapshot_trees(lo, hi), lo, hi))
     }
 
     fn entries_between_limited(
@@ -889,19 +863,9 @@ where
         self.scan_entries(lo, hi).take(limit).collect()
     }
 
-    fn first_entry(&self) -> Option<(u64, V)> {
-        let trees = self.snapshot_trees(Bound::Unbounded, Bound::Unbounded);
-        trees.iter().find_map(|t| t.first_entry())
-    }
-
     fn last_entry(&self) -> Option<(u64, V)> {
         let trees = self.snapshot_trees(Bound::Unbounded, Bound::Unbounded);
         trees.iter().rev().find_map(|t| t.last_entry())
-    }
-
-    fn next_entry_after(&self, key: &u64) -> Option<(u64, V)> {
-        let trees = self.snapshot_trees(Bound::Included(key), Bound::Unbounded);
-        trees.iter().find_map(|t| t.next_entry_after(key))
     }
 
     /// Whole-strip fast path: strips fully covered by the range are swapped
@@ -925,52 +889,66 @@ where
     }
 }
 
-/// The owning cursor behind [`ElasticMap`]'s `scan_entries`: pages through
-/// the captured strip trees with the same bounded-pin discipline as
-/// [`cset::chunked_scan_entries`], but holds its trees by `Arc` so the scan
-/// survives the routing table that produced it being retired.
-struct ElasticScan<S, V> {
+/// The owning cursor behind [`ElasticMap`]'s `scan_entries` (and the
+/// multi-tree side of a migration's reconcile): a lazy concatenation of the
+/// captured strips' own cursors.
+///
+/// Only one strip cursor is open at a time.  The next strip's cursor opens
+/// when the previous one drains, starting strictly above the last key
+/// yielded, so the stream stays strictly ascending across strips.  The
+/// trees are held by `Arc`, so the scan survives the routing table that
+/// produced it being retired.  Between pulls the open strip cursor keeps
+/// whatever its tree's cursor keeps: for `LfBst`, one `RangeIter` pin,
+/// refreshed every `REPIN_SCAN_EVERY` items.
+struct ElasticScan<'a, S, V> {
+    /// The open strip's cursor, borrowing `trees[next_tree - 1]`.  Declared
+    /// before `trees` so that it drops first.
+    strip: Option<cset::EntryCursor<'a, u64, V>>,
     trees: Vec<Arc<S>>,
-    tree_idx: usize,
+    next_tree: usize,
     lo: Bound<u64>,
     hi: Bound<u64>,
-    /// Highest key already yielded; the next page starts strictly above it.
+    /// Highest key already yielded; the next strip starts strictly above it.
     last_key: Option<u64>,
-    page: std::vec::IntoIter<(u64, V)>,
-    /// Doubles after every full page, up to [`cset::SCAN_CHUNK_MAX`].
-    chunk: usize,
 }
 
-impl<S, V> Iterator for ElasticScan<S, V>
+impl<S, V> ElasticScan<'_, S, V> {
+    /// Concatenates `trees`, which must be key-disjoint and ascending.
+    fn new(trees: Vec<Arc<S>>, lo: Bound<&u64>, hi: Bound<&u64>) -> Self {
+        let (lo, hi) = (lo.cloned(), hi.cloned());
+        ElasticScan { strip: None, trees, next_tree: 0, lo, hi, last_key: None }
+    }
+}
+
+impl<'a, S, V> Iterator for ElasticScan<'a, S, V>
 where
-    S: OrderedMap<u64, V>,
+    S: OrderedMap<u64, V> + 'a,
+    V: 'a,
 {
     type Item = (u64, V);
 
     fn next(&mut self) -> Option<(u64, V)> {
         loop {
-            if let Some((k, v)) = self.page.next() {
+            if let Some((k, v)) = self.strip.as_mut().and_then(Iterator::next) {
                 self.last_key = Some(k);
                 return Some((k, v));
             }
-            let tree = self.trees.get(self.tree_idx)?;
+            // The open strip is drained: release its cursor (and its pin)
+            // before opening the next one.
+            self.strip = None;
+            let tree = self.trees.get(self.next_tree)?;
+            self.next_tree += 1;
             let lo = match self.last_key {
                 Some(k) => Bound::Excluded(k),
                 None => self.lo,
             };
-            let fetched = tree.entries_between_limited(lo.as_ref(), self.hi.as_ref(), self.chunk);
-            if fetched.len() < self.chunk {
-                // This strip is drained (past `last_key`); move on.  Strips
-                // are disjoint and ascending, so `last_key` keeps advancing
-                // monotonically across them.
-                self.tree_idx += 1;
-            } else {
-                self.chunk = (self.chunk * 2).min(cset::SCAN_CHUNK_MAX);
-            }
-            self.page = fetched.into_iter();
-            if self.page.len() == 0 && self.tree_idx >= self.trees.len() {
-                return None;
-            }
+            // SAFETY: the tree lives behind an `Arc` in `self.trees`, which
+            // is never shrunk and drops after `self.strip`, so the `Arc`
+            // target neither moves nor is freed while the cursor borrowing
+            // it is alive.  The cursor is the only holder of the borrow:
+            // every item it yields is an owned `(u64, V)`.
+            let tree: &'a S = unsafe { &*Arc::as_ptr(tree) };
+            self.strip = Some(tree.scan_entries(lo.as_ref(), self.hi.as_ref()));
         }
     }
 }
@@ -978,7 +956,7 @@ where
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering as AtOrd};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering as AtOrd};
     use std::thread;
     use std::time::{Duration, Instant};
 
@@ -989,6 +967,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use crate::tests::Spy;
 
     fn new_map(shards: usize, span: u64) -> ElasticMap<LfBst<u64, u64>> {
         ElasticMap::covering(shards, span, LfBst::new)
@@ -1113,22 +1092,21 @@ mod tests {
         }
     }
 
-    /// A scan cursor opened before a rebalance must page straight through the
-    /// router switch: the captured strips are frozen by `Arc`, so the page
-    /// sequence stays exactly the capture-time contents, sorted.
-    #[test]
-    fn scan_page_spans_a_router_switch() {
-        let map = new_map(2, 1_000);
+    /// A scan cursor opened before a rebalance must stream straight through
+    /// the router switch: the captured strips are frozen by `Arc`, so the
+    /// stream stays exactly the capture-time contents, sorted.
+    fn scan_spans_a_router_switch<R: Reclaimer>() {
+        let map: ElasticMap<LfBst<u64, u64, R>, R> = ElasticMap::covering(2, 1_000, LfBst::new_in);
         for k in 0..1_000u64 {
             map.insert(k, k);
         }
         let mut cursor = map.scan_entries(Bound::Unbounded, Bound::Unbounded);
         let mut seen: Vec<u64> = (&mut cursor).take(10).map(|(k, _)| k).collect();
-        // Split the strip the cursor is currently paging through, then merge
-        // the far end: two full epoch switches mid-scan.
+        // Split the strip the cursor is currently streaming, then merge the
+        // far end: two full epoch switches mid-scan.
         assert!(map.split(0, 123));
         assert!(map.merge(map.shard_count() - 2));
-        // Post-capture writes must not corrupt the in-flight page sequence.
+        // Post-capture writes must not corrupt the in-flight stream.
         map.insert(2_000, 2_000);
         map.remove(&700);
         seen.extend(cursor.map(|(k, _)| k));
@@ -1136,8 +1114,77 @@ mod tests {
         // The capture predates both the insert and the remove, and captured
         // trees are only written through the cutover gate the scan does not
         // hold — so the scan yields exactly the capture-time keys.
-        assert_eq!(seen, (0..1_000u64).collect::<Vec<_>>());
+        assert_eq!(seen, (0..1_000u64).collect::<Vec<_>>(), "on {}", R::NAME);
         drop(map);
+    }
+
+    #[test]
+    fn scan_spans_a_router_switch_ebr() {
+        scan_spans_a_router_switch::<crossbeam_epoch::Ebr>();
+    }
+
+    #[test]
+    fn scan_spans_a_router_switch_ibr() {
+        scan_spans_a_router_switch::<crossbeam_epoch::Ibr>();
+    }
+
+    /// An early-exit scan pulls from the strips only what it yields (plus at
+    /// most one look-ahead), within one strip and across a strip boundary.
+    #[test]
+    fn early_exit_scan_pulls_only_what_it_yields() {
+        let handed_out = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&handed_out);
+        let map: ElasticMap<Spy<u64>> = ElasticMap::covering(2, 1_000, move || Spy {
+            handed_out: Arc::clone(&counter),
+            ..Spy::default()
+        });
+        for k in 0..1_000u64 {
+            map.insert(k, k);
+        }
+        for (lo, expected) in [(0u64, [0u64, 1, 2, 3, 4]), (497, [497, 498, 499, 500, 501])] {
+            handed_out.store(0, AtOrd::Relaxed);
+            let keys: Vec<u64> = map
+                .scan_entries(Bound::Included(&lo), Bound::Unbounded)
+                .take(5)
+                .map(|e| e.0)
+                .collect();
+            assert_eq!(keys, expected);
+            let pulled = handed_out.load(AtOrd::Relaxed);
+            assert!(pulled <= 6, "take(5) from {lo} pulled {pulled} entries from the strips");
+        }
+    }
+
+    /// A half-consumed scan holds its strip cursor's pin, so nothing retired
+    /// meanwhile can be freed; dropping it releases the pin, and a later
+    /// collection frees what was retired while it was alive.
+    #[test]
+    fn dropping_a_half_consumed_scan_releases_its_pin() {
+        let map: ElasticMap<LfBst<u64, Arc<u64>>> = ElasticMap::covering(2, 1_000, LfBst::new);
+        let mut doomed = Vec::new();
+        for k in 0..1_000u64 {
+            let v = Arc::new(k);
+            if (500..600).contains(&k) {
+                doomed.push(Arc::downgrade(&v));
+            }
+            map.insert(k, v);
+        }
+        let mut cursor = map.scan_entries(Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(cursor.next().map(|e| e.0), Some(0));
+        for k in 500..600u64 {
+            assert!(map.remove(&k).is_some());
+        }
+        Ebr::collect();
+        assert!(
+            doomed.iter().all(|w| w.strong_count() == 1),
+            "a value retired under the scan's pin was freed"
+        );
+        drop(cursor);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while doomed.iter().any(|w| w.strong_count() != 0) {
+            assert!(Instant::now() < deadline, "values retired under the dropped scan never freed");
+            Ebr::collect();
+            thread::yield_now();
+        }
     }
 
     /// ISSUE 9 acceptance: per-key results stay linearizable across router

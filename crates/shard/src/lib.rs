@@ -225,12 +225,13 @@ mod tests {
     }
 
     /// A `CoarseLockMap` inner map that records which bulk method each call
-    /// reached and counts the entries its scans hand out.
+    /// reached and counts the entries its scans hand out: a bulk scan's
+    /// whole result, a cursor's entries as they are pulled.
     #[derive(Default)]
-    struct Spy<V> {
-        inner: CoarseLockMap<u64, V>,
-        calls: Mutex<Vec<&'static str>>,
-        handed_out: AtomicUsize,
+    pub(crate) struct Spy<V> {
+        pub(crate) inner: CoarseLockMap<u64, V>,
+        pub(crate) calls: Mutex<Vec<&'static str>>,
+        pub(crate) handed_out: Arc<AtomicUsize>,
     }
 
     impl<V> Spy<V> {
@@ -276,6 +277,18 @@ mod tests {
             limit: usize,
         ) -> Vec<(u64, V)> {
             self.hand_out(self.inner.entries_between_limited(lo, hi, limit))
+        }
+        fn scan_entries<'a>(
+            &'a self,
+            lo: Bound<&u64>,
+            hi: Bound<&u64>,
+        ) -> cset::EntryCursor<'a, u64, V>
+        where
+            V: 'a,
+        {
+            Box::new(self.inner.scan_entries(lo, hi).inspect(|_| {
+                self.handed_out.fetch_add(1, Ordering::Relaxed);
+            }))
         }
         fn remove_range(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize {
             self.calls.lock().unwrap().push("remove_range");
