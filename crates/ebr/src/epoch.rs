@@ -60,7 +60,23 @@ const BAG_HIGH_WATER: usize = 1024;
 
 /// The global epoch.  Monotonically increasing; advances only when every
 /// pinned participant has observed the current value.
-static GLOBAL_EPOCH: AtomicUsize = AtomicUsize::new(0);
+///
+/// Every pin reads it twice, so it sits on its own pair of cache lines: a
+/// retirement's counter bump (`health` below) must not invalidate it.
+static GLOBAL_EPOCH: OwnLine = OwnLine(AtomicUsize::new(0));
+
+/// An atomic that shares its 128-byte block (two cache lines, the unit of
+/// adjacent-line prefetch) with no other static.
+#[repr(align(128))]
+struct OwnLine(AtomicUsize);
+
+impl std::ops::Deref for OwnLine {
+    type Target = AtomicUsize;
+
+    fn deref(&self) -> &AtomicUsize {
+        &self.0
+    }
+}
 
 /// Reclamation health counters for this backend (see
 /// [`ReclamationStats`]).  The counters are always on: the pin fast path
@@ -506,6 +522,13 @@ mod tests {
     use super::*;
     use crate::{Atomic, Owned};
     use std::sync::atomic::AtomicUsize as StdAtomicUsize;
+
+    #[test]
+    fn global_epoch_owns_its_cache_lines() {
+        let addr = &GLOBAL_EPOCH as *const OwnLine as usize;
+        assert_eq!(addr % 128, 0, "GLOBAL_EPOCH starts a 128-byte block");
+        assert_eq!(std::mem::size_of::<OwnLine>(), 128, "and fills it");
+    }
 
     #[test]
     fn unprotected_defer_runs_immediately() {

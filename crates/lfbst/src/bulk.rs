@@ -187,9 +187,10 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                                     // A keyed node always holds a value; a
                                     // node that retires mid-read stays
                                     // readable under the pin.
-                                    let v =
-                                        node.value.read(&guard).expect("keyed node has a value");
-                                    !keep(k, v)
+                                    !node
+                                        .value
+                                        .read_with(&guard, |v| keep(k, v))
+                                        .expect("keyed node has a value")
                                 }
                             };
                             // Anchor the removal at the doomed node itself.

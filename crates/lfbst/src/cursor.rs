@@ -188,7 +188,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     {
         let guard = &R::pin();
         let mut cursor = self.range_cursor((Bound::Excluded(key.clone()), Bound::Unbounded), guard);
-        cursor.next().map(|e| (e.key().clone(), e.value().clone()))
+        cursor.next().map(|e| (e.key().clone(), e.value()))
     }
 }
 
@@ -215,10 +215,16 @@ impl<'g, K, V: MapValue, R: Reclaimer> Entry<'g, K, V, R> {
         }
     }
 
-    /// The value currently in the entry's cell (the unit value for the set
-    /// alias).
-    pub fn value(&self) -> &'g V {
-        self.node.value.read(self.guard).expect("keyed node has a value")
+    /// A clone of the value currently in the entry's cell (the unit value for
+    /// the set alias).
+    ///
+    /// Returned by value: a word-sized scalar lives in the cell itself, which
+    /// a concurrent `upsert` may swap, so no reference can point into it.
+    pub fn value(&self) -> V
+    where
+        V: Clone,
+    {
+        self.node.value.read_with(self.guard, V::clone).expect("keyed node has a value")
     }
 }
 
@@ -403,8 +409,10 @@ where
                         return None;
                     }
                     let key = k.clone();
-                    let value =
-                        node.value.read(&self.guard).expect("keyed node has a value").clone();
+                    let value = node
+                        .value
+                        .read_with(&self.guard, V::clone)
+                        .expect("keyed node has a value");
                     // Only yielded items count toward the repin cadence, and
                     // the resume bound is needed only by the re-seek that
                     // follows a repin — so the extra key clone is paid once
@@ -457,7 +465,7 @@ mod tests {
         let guard = epoch::pin();
         let mut cursor = map.range_cursor(.., &guard);
         let e = cursor.next().unwrap();
-        assert_eq!((*e.key(), *e.value()), (1, 100));
+        assert_eq!((*e.key(), e.value()), (1, 100));
         // The entry reference outlives further cursor advancement.
         let first_key = e.key();
         let e2 = cursor.next().unwrap();

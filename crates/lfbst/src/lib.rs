@@ -159,7 +159,7 @@ pub use config::{Config, HelpPolicy, RestartPolicy};
 pub use cursor::{Cursor, Entry, RangeIter, REPIN_SCAN_EVERY};
 pub use guard::Pinned;
 pub use tree::LfBst;
-pub use value::{BoxedCell, MapValue, UnitCell, ValueCell};
+pub use value::{BoxedCell, InlineCell, InlineValue, MapValue, UnitCell, ValueCell};
 
 /// The epoch guard type accepted by the `*_with` entry points of the default
 /// backend ([`LfBst::insert_with`] and friends); obtain one from

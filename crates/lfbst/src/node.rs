@@ -8,8 +8,9 @@
 //!
 //! The map face adds a value cell beside the key.  Its size is decided by the
 //! value type's [`MapValue`] impl: zero bytes for the set alias (`V = ()`), so
-//! the paper's footprint survives verbatim, and one extra word (an atomic
-//! pointer to the boxed value) for every real value type — see `value.rs`.
+//! the paper's footprint survives verbatim, and one extra atomic word for every
+//! real value type — the value's own bits for a word-sized scalar, a pointer
+//! to the boxed value otherwise; see `value.rs`.
 
 use crossbeam_epoch::Atomic;
 use cset::KeyBound;
@@ -27,7 +28,8 @@ pub(crate) struct Node<K, V: MapValue = ()> {
     /// permanent dummy root nodes.
     pub(crate) key: KeyBound<K>,
     /// The value cell (zero-sized for the set alias).  Initialised before the
-    /// node is published; the two sentinel roots leave it empty.
+    /// node is published; the two sentinel roots leave it uninitialised and
+    /// never read it.
     pub(crate) value: V::Cell,
     /// `child[0]` = left link, `child[1]` = right link.  Tagged.
     pub(crate) child: [Atomic<Node<K, V>>; 2],
@@ -86,9 +88,9 @@ mod tests {
     #[test]
     fn map_node_costs_exactly_one_extra_word() {
         // The map layout's documented cost over the paper's record: one atomic
-        // word (the pointer to the boxed value), independent of the value
-        // type's own size — large payloads live behind the pointer, not in the
-        // node.
+        // word (a scalar's bits, or the pointer to the boxed value),
+        // independent of the value type's own size — large payloads live
+        // behind the pointer, not in the node.
         let set_words = std::mem::size_of::<Node<usize>>() / std::mem::size_of::<usize>();
         for (label, map_bytes) in [
             ("u64", std::mem::size_of::<Node<usize, u64>>()),
@@ -118,10 +120,12 @@ mod tests {
     #[test]
     fn new_map_node_has_empty_value_cell() {
         use crate::value::ValueCell;
-        let n: Node<u32, u64> = Node::new(KeyBound::Key(7));
+        // `String` is boxed, so a fresh cell is empty; an inline scalar cell
+        // has no empty state.
+        let n: Node<u32, String> = Node::new(KeyBound::Key(7));
         let guard = crossbeam_epoch::pin();
-        assert!(n.value.read(&guard).is_none());
-        n.value.init(70);
-        assert_eq!(n.value.read(&guard), Some(&70));
+        assert!(n.value.read_with(&guard, String::clone).is_none());
+        n.value.init("seventy".into());
+        assert_eq!(n.value.read_with(&guard, String::clone).as_deref(), Some("seventy"));
     }
 }

@@ -56,6 +56,49 @@ pub(crate) mod ord {
 
 use ord::{CAS, CAS_ERR, INIT, LOAD};
 
+/// Number of [`SizeCounter`] slots.
+const SIZE_SLOTS: usize = 8;
+
+/// One size-counter slot on its own pair of cache lines (adjacent-line
+/// prefetch pulls lines in pairs).
+#[repr(align(128))]
+#[derive(Default)]
+struct SizeSlot(AtomicUsize);
+
+/// The tree's key count, striped so that writers on different threads bump
+/// different cache lines: a successful insert or remove touches only its
+/// thread's slot, and [`get`](Self::get) sums them.
+///
+/// A key inserted on one thread and removed on another moves its `+1` and
+/// `-1` to different slots, so a slot may wrap below zero; the wrapping sum is
+/// still the exact count once the updates land.
+#[derive(Default)]
+struct SizeCounter([SizeSlot; SIZE_SLOTS]);
+
+impl SizeCounter {
+    /// This thread's slot, picked once per thread, round-robin.
+    fn slot(&self) -> &AtomicUsize {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        thread_local! {
+            static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SIZE_SLOTS;
+        }
+        &self.0[SLOT.with(|s| *s)].0
+    }
+
+    fn add(&self, delta: isize) {
+        self.slot().fetch_add(delta as usize, Ordering::Relaxed);
+    }
+
+    /// The sum of the slots, clamped at 0: exact at quiescence, a relaxed
+    /// snapshot while updates are in flight (a remove counted before its
+    /// insert can make the raw sum briefly negative).
+    fn get(&self) -> usize {
+        let sum =
+            self.0.iter().fold(0usize, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)));
+        (sum as isize).max(0) as usize
+    }
+}
+
 /// A lock-free internal (threaded) binary search tree implementing an ordered
 /// Set (`LfBst<K>`) or, with a value type, an ordered Map (`LfBst<K, V>`).
 ///
@@ -107,7 +150,7 @@ pub struct LfBst<K, V: MapValue = (), R: Reclaimer = Ebr> {
     pub(crate) roots: [*mut Node<K, V>; 2],
     pub(crate) config: Config,
     pub(crate) stats: OpStats,
-    size: AtomicUsize,
+    size: SizeCounter,
     /// The reclamation backend is a zero-sized marker: all its state is
     /// process-global and per-thread (see [`Reclaimer`]).
     pub(crate) reclaimer: PhantomData<R>,
@@ -125,7 +168,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> Default for LfBst<K, V, R> {
 impl<K, V: MapValue, R: Reclaimer> fmt::Debug for LfBst<K, V, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LfBst")
-            .field("len", &self.size.load(Ordering::Relaxed))
+            .field("len", &self.size.get())
             .field("config", &self.config)
             .finish()
     }
@@ -212,7 +255,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             roots: [r0, r1],
             config,
             stats: OpStats::new(),
-            size: AtomicUsize::new(0),
+            size: SizeCounter::default(),
             reclaimer: PhantomData,
         }
     }
@@ -290,12 +333,13 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
 
     /// Returns the number of keys currently in the set.
     ///
-    /// The count is maintained with a shared counter updated by successful
-    /// inserts and removes; it is exact in quiescent states and approximate
-    /// while mutations are in flight.  The counter is a relaxed diagnostic:
-    /// nothing in the protocol's correctness argument reads it.
+    /// The count is maintained by successful inserts and removes in
+    /// per-thread counter slots (so disjoint writers share no cache line) and
+    /// summed here; it is exact in quiescent states and approximate while
+    /// mutations are in flight.  The counter is a relaxed diagnostic: nothing
+    /// in the protocol's correctness argument reads it.
     pub fn len(&self) -> usize {
-        self.size.load(Ordering::Relaxed)
+        self.size.get()
     }
 
     /// Returns `true` if the set contains no keys (same caveat as [`len`](Self::len)).
@@ -392,7 +436,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                         if record {
                             self.stats.record_cas(true);
                         }
-                        self.size.fetch_add(1, Ordering::Relaxed);
+                        self.size.add(1);
                         return InsertOutcome::Inserted;
                     }
                     Err(_) => {
@@ -490,14 +534,15 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             return None;
         }
         let node_ref = unsafe { loc.curr.deref() };
-        Some(node_ref.value.read(guard).expect("keyed node has a value").clone())
+        Some(node_ref.value.read_with(guard, V::clone).expect("keyed node has a value"))
     }
 
     /// Inserts or replaces the entry `key -> value`; returns the previous
     /// value if the key was present, `None` if a fresh entry was inserted.
     ///
-    /// A present key is updated **in place**: the value cell's pointer is
-    /// swapped atomically, without re-running the insert protocol, so an
+    /// A present key is updated **in place**: the value cell's word (the
+    /// value's bits for a word-sized scalar, else a box pointer) is swapped
+    /// atomically, without re-running the insert protocol, so an
     /// upsert-heavy workload pays one traversal plus one swap per operation
     /// (see `DESIGN.md`, "Values on an internal BST", for the linearization
     /// argument and the remove-race caveat).
@@ -533,7 +578,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                     self.clean_mark_right(loc.curr, guard);
                     continue;
                 }
-                // Linearization point of the update: the pointer swap inside
+                // Linearization point of the update: the word swap inside
                 // the cell (a flag on the right link does not block it — a
                 // flagged node is still logically present).
                 return Some(node_ref.value.replace(value, guard));
@@ -576,11 +621,11 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         V: Clone,
     {
         let victim = self.remove_node_with(key, guard)?;
-        // The victim was located under `guard`, so the node (and the value box
+        // The victim was located under `guard`, so the node (and any value box
         // its cell points at) outlives this read even though it has already
         // been retired to the epoch collector.
         let node_ref = unsafe { victim.deref() };
-        Some(node_ref.value.read(guard).expect("keyed node has a value").clone())
+        Some(node_ref.value.read_with(guard, V::clone).expect("keyed node has a value"))
     }
 
     /// Returns `true` if `key` currently has an entry.
@@ -679,7 +724,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         let mut cursor = self.range_cursor(range, guard);
         let mut out = Vec::new();
         while let Some(entry) = cursor.next() {
-            out.push((entry.key().clone(), entry.value().clone()));
+            out.push((entry.key().clone(), entry.value()));
         }
         out
     }
@@ -736,7 +781,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         let guard = &R::pin();
         self.rightmost(guard).map(|node| {
             let k = node.key.as_key().cloned().expect("rightmost interior node carries a real key");
-            let v = node.value.read(guard).expect("keyed node has a value").clone();
+            let v = node.value.read_with(guard, V::clone).expect("keyed node has a value");
             (k, v)
         })
     }
@@ -822,7 +867,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
 
     /// Decrements the size counter; called by the owning `remove`.
     pub(crate) fn note_removal(&self) {
-        self.size.fetch_sub(1, Ordering::Relaxed);
+        self.size.add(-1);
     }
 
     /// Increments helpers counter (used by remove.rs / locate.rs).
@@ -954,7 +999,7 @@ where
         let mut out = Vec::new();
         while out.len() < limit {
             match cursor.next() {
-                Some(entry) => out.push((entry.key().clone(), entry.value().clone())),
+                Some(entry) => out.push((entry.key().clone(), entry.value())),
                 None => break,
             }
         }
@@ -975,7 +1020,7 @@ where
 
     fn first_entry(&self) -> Option<(K, V)> {
         let guard = &R::pin();
-        self.range_cursor(.., guard).next().map(|e| (e.key().clone(), e.value().clone()))
+        self.range_cursor(.., guard).next().map(|e| (e.key().clone(), e.value()))
     }
 
     fn last_entry(&self) -> Option<(K, V)> {

@@ -104,6 +104,44 @@ fn concurrent_disjoint_removes() {
     validate(&tree).unwrap();
 }
 
+/// `len()` sums per-thread counter slots.  Four threads insert and remove in
+/// disjoint key ranges prefilled by the main thread, so most removals land in
+/// a different slot from their key's insert; after join the sum must still
+/// equal the per-thread models' total.
+#[test]
+fn len_matches_model_after_disjoint_insert_remove() {
+    const THREADS: usize = 4;
+    const RANGE: u64 = 512;
+    let tree = Arc::new(LfBst::new());
+    for k in (0..THREADS as u64 * RANGE).step_by(2) {
+        tree.insert(k);
+    }
+    let handles: Vec<_> = (0..THREADS as u64)
+        .map(|t| {
+            let tree = Arc::clone(&tree);
+            thread::spawn(move || {
+                let base = t * RANGE;
+                let mut model: std::collections::BTreeSet<u64> =
+                    (base..base + RANGE).step_by(2).collect();
+                let mut rng = StdRng::seed_from_u64(t);
+                for _ in 0..20_000 {
+                    let k = base + rng.gen_range(0..RANGE);
+                    if rng.gen_bool(0.5) {
+                        assert_eq!(tree.insert(k), model.insert(k), "insert({k})");
+                    } else {
+                        assert_eq!(tree.remove(&k), model.remove(&k), "remove({k})");
+                    }
+                }
+                model.len()
+            })
+        })
+        .collect();
+    let expected: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(tree.len(), expected);
+    assert_eq!(tree.iter_keys().len(), expected);
+    validate(&tree).unwrap();
+}
+
 #[test]
 fn concurrent_removers_race_on_same_keys() {
     // Several threads race to remove the same small key set: each key must be

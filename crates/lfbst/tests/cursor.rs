@@ -66,7 +66,7 @@ fn cursor_matches_oracle_for_all_bound_combinations() {
             let mut cursor = map.range_cursor((lo, hi), &guard);
             let mut via_cursor = Vec::new();
             while let Some(e) = cursor.next() {
-                via_cursor.push((*e.key(), *e.value()));
+                via_cursor.push((*e.key(), e.value()));
             }
             assert_eq!(via_cursor, expected, "range_cursor {lo:?}..{hi:?}");
             drop(guard);

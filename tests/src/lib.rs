@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use cset::ConcurrentSet;
+use cset::{ConcurrentMap, ConcurrentSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -155,6 +155,111 @@ impl SetConformance {
             expected += b as usize;
         }
         assert_eq!(set.len(), expected, "{}: len disagrees with accounting", set.name());
+    }
+}
+
+/// A map value built from a `u64` tag and read back to it, so one race
+/// battery runs over both kinds of `lfbst` value cell: `u64` lives inline in
+/// the node, `Box<u64>` behind a retired-on-replace pointer.
+pub trait Tagged: Clone + Send + Sync + 'static {
+    /// The value carrying `tag`.
+    fn from_tag(tag: u64) -> Self;
+    /// The tag this value carries.
+    fn tag(&self) -> u64;
+}
+
+impl Tagged for u64 {
+    fn from_tag(tag: u64) -> Self {
+        tag
+    }
+    fn tag(&self) -> u64 {
+        *self
+    }
+}
+
+impl Tagged for Box<u64> {
+    fn from_tag(tag: u64) -> Self {
+        Box::new(tag)
+    }
+    fn tag(&self) -> u64 {
+        **self
+    }
+}
+
+/// The upsert-vs-remove race battery the map contract promises: `get` must
+/// stay linearizable while 2 writers replace values in place, 2 removers
+/// evict the same 16 keys and 2 readers read them, `ops` calls each.
+///
+/// Values are tagged `(writer, sequence, key)`, so a reader can prove that
+/// every observed value was genuinely written to *that* key (no torn reads,
+/// no cross-key leaks, no read through a prematurely freed box), and the
+/// per-key balance of fresh inserts minus removes must match each key's
+/// final presence.
+pub fn upsert_vs_remove_race<V: Tagged, M: ConcurrentMap<u64, V> + 'static>(map: Arc<M>, ops: u64) {
+    const KEYS: u64 = 16; // small key space -> constant collisions
+    const WRITERS: u64 = 2;
+    let encode = |writer: u64, seq: u64, key: u64| V::from_tag((writer << 48) | (seq << 8) | key);
+    let well_formed = move |v: &V, k: u64, what: &str| {
+        let tag = v.tag();
+        assert_eq!(tag & 0xFF, k, "{what} returned a value written for another key");
+        assert!(tag >> 48 < WRITERS, "{what}: impossible writer tag {}", tag >> 48);
+        assert!((tag >> 8) & 0xFF_FFFF_FFFF < ops, "{what}: impossible sequence");
+    };
+    // balance[k] = successful fresh inserts - successful removes.
+    let balance = Arc::new((0..KEYS).map(|_| AtomicI64::new(0)).collect::<Vec<_>>());
+
+    let mut handles = Vec::new();
+    for w in 0..WRITERS {
+        let (map, balance) = (Arc::clone(&map), Arc::clone(&balance));
+        handles.push(std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(w);
+            for seq in 0..ops {
+                let k = rng.gen_range(0..KEYS);
+                match map.upsert(k, encode(w, seq, k)) {
+                    None => _ = balance[k as usize].fetch_add(1, Ordering::Relaxed),
+                    Some(old) => well_formed(&old, k, "upsert"),
+                }
+            }
+        }));
+    }
+    for r in 0..2u64 {
+        let (map, balance) = (Arc::clone(&map), Arc::clone(&balance));
+        handles.push(std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(100 + r);
+            for _ in 0..ops {
+                let k = rng.gen_range(0..KEYS);
+                if let Some(evicted) = map.remove(&k) {
+                    well_formed(&evicted, k, "remove");
+                    balance[k as usize].fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+        }));
+    }
+    for r in 0..2u64 {
+        let map = Arc::clone(&map);
+        handles.push(std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(200 + r);
+            for _ in 0..ops {
+                let k = rng.gen_range(0..KEYS);
+                if let Some(v) = map.get(&k) {
+                    well_formed(&v, k, "get");
+                }
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    for k in 0..KEYS {
+        let b = balance[k as usize].load(Ordering::Relaxed);
+        assert!(b == 0 || b == 1, "impossible balance {b} for key {k}");
+        match map.get(&k) {
+            Some(v) => {
+                assert_eq!(b, 1, "key {k} present but balance says absent");
+                well_formed(&v, k, "final get");
+            }
+            None => assert_eq!(b, 0, "key {k} absent but balance says present"),
+        }
     }
 }
 

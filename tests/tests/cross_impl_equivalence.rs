@@ -497,93 +497,23 @@ fn map_as_set_bridge_matches_the_set_face_of_the_same_tree() {
     assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), native.iter_keys());
 }
 
-/// The upsert-vs-remove race battery the map contract promises: `get` must
-/// stay linearizable while writers replace values in place and removers evict
-/// the same keys.
-///
-/// Values are tagged `(writer, sequence)`, so a reader can prove that every
-/// observed value was genuinely written to *that* key (no torn reads, no
-/// cross-key leaks, no resurrection of evicted boxes), and the per-key
-/// eviction balance ties successful fresh inserts to successful removes.
+/// The upsert-vs-remove race battery the map contract promises
+/// (`integration_tests::upsert_vs_remove_race`): `get` stays linearizable
+/// while writers replace values in place and removers evict the same keys.
+fn upsert_vs_remove_keeps_gets_linearizable<V: integration_tests::Tagged + lfbst::MapValue>() {
+    let map: std::sync::Arc<LfBst<u64, V>> = std::sync::Arc::new(LfBst::new());
+    integration_tests::upsert_vs_remove_race(std::sync::Arc::clone(&map), 30_000);
+    lfbst::validate::validate(&*map).expect("map tree must validate after the race");
+}
+
+/// Over the inline `u64` cell: a replace is one word swap.
 #[test]
 fn concurrent_upsert_vs_remove_keeps_gets_linearizable() {
-    use std::sync::atomic::{AtomicI64, Ordering};
-    use std::sync::Arc;
+    upsert_vs_remove_keeps_gets_linearizable::<u64>();
+}
 
-    const KEYS: u64 = 16; // small key space -> constant collisions
-    const OPS: u64 = 30_000;
-    const WRITERS: u64 = 2;
-    const REMOVERS: u64 = 2;
-    const READERS: u64 = 2;
-
-    let map: Arc<LfBst<u64, u64>> = Arc::new(LfBst::new());
-    // fresh_balance[k] = successful fresh inserts - successful removes.
-    let balance = Arc::new((0..KEYS).map(|_| AtomicI64::new(0)).collect::<Vec<_>>());
-
-    let encode = |writer: u64, seq: u64, key: u64| (writer << 48) | (seq << 8) | key;
-
-    let mut handles = Vec::new();
-    for w in 0..WRITERS {
-        let map = Arc::clone(&map);
-        let balance = Arc::clone(&balance);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(w);
-            for seq in 0..OPS {
-                let k = rng.gen_range(0..KEYS);
-                if map.upsert(k, encode(w, seq, k)).is_none() {
-                    balance[k as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }));
-    }
-    for r in 0..REMOVERS {
-        let map = Arc::clone(&map);
-        let balance = Arc::clone(&balance);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(100 + r);
-            for _ in 0..OPS {
-                let k = rng.gen_range(0..KEYS);
-                if let Some(evicted) = map.remove_entry(&k) {
-                    assert_eq!(evicted & 0xFF, k, "evicted value belongs to a different key");
-                    balance[k as usize].fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }));
-    }
-    for r in 0..READERS {
-        let map = Arc::clone(&map);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(200 + r);
-            for _ in 0..OPS {
-                let k = rng.gen_range(0..KEYS);
-                if let Some(v) = map.get(&k) {
-                    // Linearizable get: the observed value must be one that
-                    // some writer installed for exactly this key, untorn.
-                    assert_eq!(v & 0xFF, k, "get returned a value written for another key");
-                    let writer = v >> 48;
-                    let seq = (v >> 8) & 0xFF_FFFF_FFFF;
-                    assert!(writer < WRITERS, "impossible writer tag {writer}");
-                    assert!(seq < OPS, "impossible sequence {seq}");
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    // Quiescent accounting: each key is present iff its fresh-insert/remove
-    // balance says so, and the final value is well-formed.
-    for k in 0..KEYS {
-        let b = balance[k as usize].load(std::sync::atomic::Ordering::Relaxed);
-        assert!(b == 0 || b == 1, "impossible balance {b} for key {k}");
-        match map.get(&k) {
-            Some(v) => {
-                assert_eq!(b, 1, "key {k} present but balance says absent");
-                assert_eq!(v & 0xFF, k);
-            }
-            None => assert_eq!(b, 0, "key {k} absent but balance says present"),
-        }
-    }
-    lfbst::validate::validate(&*map).expect("map tree must validate after the race");
+/// Over the boxed cell: a replace retires the old box under racing readers.
+#[test]
+fn concurrent_upsert_vs_remove_keeps_gets_linearizable_boxed() {
+    upsert_vs_remove_keeps_gets_linearizable::<Box<u64>>();
 }

@@ -13,12 +13,13 @@
 //! `tests/` is its own test binary, which makes the lock airtight.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crossbeam_epoch::{garbage_bound, set_garbage_bound};
-use lfbst::{Ebr, GarbageBound, Ibr, LfBst, Reclaimer};
+use integration_tests::Tagged;
+use lfbst::{Ebr, GarbageBound, Ibr, LfBst, MapValue, Reclaimer};
 use lflist::LockFreeList;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,67 +74,13 @@ fn map_conformance<R: Reclaimer>() {
     );
 }
 
-/// The upsert-vs-remove race (condensed from `cross_impl_equivalence`):
-/// tagged values prove `get` stays linearizable while writers replace in
-/// place and removers evict the same hot keys — on either backend, stale
-/// reads through a prematurely freed box would surface as a foreign tag.
-fn upsert_vs_remove_race<R: Reclaimer>() {
-    const KEYS: u64 = 16;
-    const OPS: u64 = 15_000;
-
-    let map: Arc<LfBst<u64, u64, R>> = Arc::new(LfBst::new_in());
-    let balance = Arc::new((0..KEYS).map(|_| AtomicI64::new(0)).collect::<Vec<_>>());
-    let encode = |writer: u64, seq: u64, key: u64| (writer << 48) | (seq << 8) | key;
-
-    let mut handles = Vec::new();
-    for w in 0..2u64 {
-        let map = Arc::clone(&map);
-        let balance = Arc::clone(&balance);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(w);
-            for seq in 0..OPS {
-                let k = rng.gen_range(0..KEYS);
-                if map.upsert(k, encode(w, seq, k)).is_none() {
-                    balance[k as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }));
-    }
-    for r in 0..2u64 {
-        let map = Arc::clone(&map);
-        let balance = Arc::clone(&balance);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(100 + r);
-            for _ in 0..OPS {
-                let k = rng.gen_range(0..KEYS);
-                if let Some(evicted) = map.remove_entry(&k) {
-                    assert_eq!(evicted & 0xFF, k, "evicted value belongs to a different key");
-                    balance[k as usize].fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }));
-    }
-    for r in 0..2u64 {
-        let map = Arc::clone(&map);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(200 + r);
-            for _ in 0..OPS {
-                let k = rng.gen_range(0..KEYS);
-                if let Some(v) = map.get(&k) {
-                    assert_eq!(v & 0xFF, k, "get returned a value written for another key");
-                    assert!(v >> 48 < 2, "impossible writer tag");
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    for k in 0..KEYS {
-        let b = balance[k as usize].load(Ordering::Relaxed);
-        assert!(b == 0 || b == 1, "impossible balance {b} for key {k}");
-        assert_eq!(map.get(&k).is_some(), b == 1, "key {k} presence disagrees with balance");
-    }
+/// The upsert-vs-remove race battery (`integration_tests::upsert_vs_remove_race`)
+/// on backend `R`: stale reads through a prematurely freed value box would
+/// surface as a foreign tag.  Run over `u64` (inline cell, nothing retired on
+/// replace) and `Box<u64>` (boxed cell, one retirement per replace).
+fn upsert_vs_remove_race<V: Tagged + MapValue, R: Reclaimer>() {
+    let map: Arc<LfBst<u64, V, R>> = Arc::new(LfBst::new_in());
+    integration_tests::upsert_vs_remove_race(Arc::clone(&map), 15_000);
     lfbst::validate::validate(&*map).expect("tree validates after the race");
 }
 
@@ -259,13 +206,25 @@ fn map_conformance_on_ibr() {
 #[test]
 fn upsert_vs_remove_race_on_ebr() {
     let _g = lock();
-    upsert_vs_remove_race::<Ebr>();
+    upsert_vs_remove_race::<u64, Ebr>();
 }
 
 #[test]
 fn upsert_vs_remove_race_on_ibr() {
     let _g = lock();
-    upsert_vs_remove_race::<Ibr>();
+    upsert_vs_remove_race::<u64, Ibr>();
+}
+
+#[test]
+fn upsert_vs_remove_race_boxed_on_ebr() {
+    let _g = lock();
+    upsert_vs_remove_race::<Box<u64>, Ebr>();
+}
+
+#[test]
+fn upsert_vs_remove_race_boxed_on_ibr() {
+    let _g = lock();
+    upsert_vs_remove_race::<Box<u64>, Ibr>();
 }
 
 /// Churns a tree on backend `R` for `duration` while one thread holds a bare
@@ -359,7 +318,8 @@ fn stalled_reader_garbage_is_bounded_on_ibr_but_not_ebr() {
 /// Nightly stress hunt against the IBR backend (run `--ignored` by the CI
 /// deep-hunt job): repeated rounds of the upsert-vs-remove race battery,
 /// periodically overlapped with a stalled-reader churn episode so eras
-/// freeze and thaw mid-race.  Round count via `IBR_STRESS_ROUNDS`
+/// freeze and thaw mid-race.  Rounds alternate boxed and inline values, so
+/// half of them retire a value box per replace.  Round count via `IBR_STRESS_ROUNDS`
 /// (default 25 so a local `--ignored` run stays minutes, not hours).
 #[test]
 #[ignore = "long-running; nightly CI runs it with IBR_STRESS_ROUNDS=200"]
@@ -368,7 +328,11 @@ fn ibr_stress_hunt() {
     let rounds: u64 =
         std::env::var("IBR_STRESS_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(25);
     for round in 0..rounds {
-        upsert_vs_remove_race::<Ibr>();
+        if round % 2 == 0 {
+            upsert_vs_remove_race::<Box<u64>, Ibr>();
+        } else {
+            upsert_vs_remove_race::<u64, Ibr>();
+        }
         if round % 8 == 0 {
             let peak = stalled_reader_peak_garbage::<Ibr>(Duration::from_millis(50));
             assert!(peak > 0, "round {round}: stalled churn retired nothing");
