@@ -3,15 +3,19 @@
 //! Reproduces the planned evaluation of *Efficient Lock-free Binary Search
 //! Trees* (the paper defers experiments to future work; the suite below is the
 //! standard concurrent-set methodology its comparators use, see `DESIGN.md`
-//! and `EXPERIMENTS.md` for the experiment index E1–E18).
+//! and `EXPERIMENTS.md` for the experiment index E1–E10 and E16–E18).
+//! Per-layer costs on the benchmark's own key stream (value cells, cursors,
+//! shard routing, latency percentiles) are priced by `perfbench`, not here.
 //!
 //! Usage:
 //!
 //! ```text
-//! experiments [e1|e2|...|e18|all|e1,e17,...] [--quick] [--duration-ms N]
-//!             [--max-threads N] [--value-bytes N] [--sample-every N]
-//!             [--dist uniform|zipf:<exp>] [--csv] [--json <path>]
+//! experiments [e1|...|e10|e16|e17|e18|all|e1,e17,...] [--quick] [--duration-ms N]
+//!             [--max-threads N] [--dist uniform|zipf:<exp>] [--csv] [--json <path>]
 //! ```
+//!
+//! An unknown flag, an unknown experiment id or a malformed number is an
+//! error (exit code 2, with the valid ids listed), not a silent no-op.
 //!
 //! Each experiment prints a markdown table (or CSV with `--csv`) whose rows are
 //! the swept parameter and whose columns are the competing implementations,
@@ -21,29 +25,29 @@
 //! threads, key range, mix, ADT kind, value payload bytes, ops/s) to a JSON
 //! file — one document per run, overwriting the path — so successive runs can
 //! be committed as trajectory points (`BENCH_*.json`) and compared across PRs;
-//! the `kind` / `value_bytes` fields keep set rows and map rows (E13)
-//! machine-comparable in one schema.
+//! the `kind` / `value_bytes` fields keep set rows and map rows (E18)
+//! machine-comparable in one schema.  The document's header records the
+//! machine and build it came from: `cpus` (available parallelism), `git_rev`
+//! and `rustc` (both captured at build time, `"unknown"` without git).
 //!
 //! `--dist` overrides the key popularity distribution for every workload-
-//! runner experiment (E11, E13, E14, E15, ... — anything built through
-//! `Options::spec`): `uniform` (the default) or `zipf:<exponent>` (bare
-//! `zipf` means the standard 0.99).  Experiments that *sweep* distributions
-//! themselves (E17's adversary, E18's uniform-vs-zipf comparison) pin their
-//! own and ignore the flag.
+//! runner experiment (anything built through `Options::spec`): `uniform`
+//! (the default) or `zipf:<exponent>` (bare `zipf` means the standard 0.99).
+//! Experiments that *sweep* distributions themselves (E8's partitions, E17's
+//! adversary, E18's uniform-vs-zipf comparison) pin their own and ignore the
+//! flag.
 //!
 //! Schema v3 (`lfbst-bench-v3`) extends v2 by **appending** fields only, so
-//! v2 consumers keep working: every record now also carries the latency
-//! sampling rate (`--sample-every`, default one op in 64, `0` = off), the
-//! sampled per-op latency percentiles in nanoseconds (p50/p90/p99/p999/max),
-//! and the epoch-reclamation deltas the run produced (epoch advances, nodes
-//! retired/freed, min-stamp skips, repins — see `ebr::ReclamationStats`).
-//! E15 sweeps those percentiles against thread count under two mixes, and a
-//! final reclamation-health table reports the process-wide `ebr` counters.
-//! The reclamation appendix further carries the bag-depth
-//! high-water mark and the `GarbageBound` trip/escalation counters; E17 A/Bs
-//! the EBR and IBR backends under a fault-injection adversary
-//! (`workload::Adversary`) and reads its headline peak-garbage number from
-//! that high-water mark.
+//! v2 consumers keep working: every record also carries the latency
+//! sampling rate (one op in 64), the sampled per-op latency percentiles in
+//! nanoseconds (p50/p90/p99/p999/max), and the epoch-reclamation deltas the
+//! run produced (epoch advances, nodes retired/freed, min-stamp skips,
+//! repins — see `ebr::ReclamationStats`).  A final reclamation-health table
+//! reports the process-wide `ebr` counters.  The reclamation appendix further
+//! carries the bag-depth high-water mark and the `GarbageBound`
+//! trip/escalation counters; E17 A/Bs the EBR and IBR backends under a
+//! fault-injection adversary (`workload::Adversary`) and reads its headline
+//! peak-garbage number from that high-water mark.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -52,46 +56,31 @@ use std::time::Duration;
 use cset::{ConcurrentMap, ConcurrentSet};
 use ellen_bst::EllenBst;
 use lfbst::{Config, HelpPolicy, LfBst, RestartPolicy};
-use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
+use locked_bst::{CoarseLockBst, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{HashRouter, RangeRouter, Sharded};
+use shard::{RangeRouter, Sharded};
 use workload::{
     format_csv, format_markdown_table, prefill, run_adversarial_workload, run_closed_loop,
-    run_map_workload, run_scan_workload, run_workload, Adversary, KeyDistribution, MapSpec,
-    Measurement, OpKind, OpStream, OperationMix, ScanMode, ThreadStats, Tick, Worker, WorkloadSpec,
+    run_map_workload, run_workload, Adversary, KeyDistribution, MapSpec, Measurement, OpKind,
+    OperationMix, ThreadStats, Tick, WorkloadSpec,
 };
 
 /// Which implementations an experiment measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SetKind {
     Lfbst,
-    /// `lfbst` behind the sharding layer with a hash router (E11).
-    LfbstShardedHash {
-        shards: usize,
-    },
-    /// `lfbst` behind the sharding layer with a range router (E11).
-    LfbstShardedRange {
-        shards: usize,
-    },
     Ellen,
     Natarajan,
     CoarseLock,
     RwLock,
 }
 
-/// Shard counts swept by E11.
-const SHARD_COUNTS: &[usize] = &[1, 4, 16, 64];
-
 impl SetKind {
     fn label(self) -> &'static str {
         match self {
             SetKind::Lfbst => "lfbst",
-            // Interned to the exact string a `Sharded` of this configuration
-            // reports from `name()`, for any shard count.
-            SetKind::LfbstShardedHash { shards } => shard::config_name("lfbst", shards, "hash"),
-            SetKind::LfbstShardedRange { shards } => shard::config_name("lfbst", shards, "range"),
             SetKind::Ellen => "ellen",
             SetKind::Natarajan => "natarajan",
             SetKind::CoarseLock => "coarse-lock",
@@ -108,21 +97,6 @@ const COMPETITORS: &[SetKind] =
 fn run_kind(kind: SetKind, spec: &WorkloadSpec, threads: usize, duration: Duration) -> Measurement {
     match kind {
         SetKind::Lfbst => run_workload(Arc::new(LfBst::new()), spec, threads, duration),
-        SetKind::LfbstShardedHash { shards } => run_workload(
-            Arc::new(Sharded::new(HashRouter::new(shards), |_| LfBst::new())),
-            spec,
-            threads,
-            duration,
-        ),
-        SetKind::LfbstShardedRange { shards } => run_workload(
-            // Partition only the populated key span so every shard sees load.
-            Arc::new(Sharded::new(RangeRouter::covering(shards, spec.key_range()), |_| {
-                LfBst::new()
-            })),
-            spec,
-            threads,
-            duration,
-        ),
         SetKind::Ellen => run_workload(Arc::new(EllenBst::new()), spec, threads, duration),
         SetKind::Natarajan => run_workload(Arc::new(NatarajanBst::new()), spec, threads, duration),
         SetKind::CoarseLock => {
@@ -134,7 +108,7 @@ fn run_kind(kind: SetKind, spec: &WorkloadSpec, threads: usize, duration: Durati
 
 /// One machine-readable throughput data point, emitted by `--json`.
 ///
-/// Set rows carry `kind: "set"` and `value_bytes: 0`; map rows (E13) carry
+/// Set rows carry `kind: "set"` and `value_bytes: 0`; map rows (E18) carry
 /// `kind: "map"` and the payload size they measured, so one schema covers
 /// both ADT faces and trajectory files stay comparable across them.
 #[derive(Clone, Debug, PartialEq)]
@@ -240,11 +214,16 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes the collected records as a self-describing JSON document.
+/// Serializes the collected records as a self-describing JSON document whose
+/// header names the machine and build that produced it.
 fn json_document(records: &[JsonRecord], duration: Duration, max_threads: usize) -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"lfbst-bench-v3\",\n");
+    out.push_str(&format!("  \"cpus\": {cpus},\n"));
+    out.push_str(&format!("  \"git_rev\": \"{}\",\n", json_escape(env!("HARNESS_GIT_REV"))));
+    out.push_str(&format!("  \"rustc\": \"{}\",\n", json_escape(env!("HARNESS_RUSTC"))));
     out.push_str(&format!("  \"duration_ms\": {},\n", duration.as_millis()));
     out.push_str(&format!("  \"max_threads\": {max_threads},\n"));
     out.push_str("  \"records\": [\n");
@@ -293,114 +272,87 @@ struct Options {
     csv: bool,
     quick: bool,
     json: Option<String>,
-    /// Overrides E13's value payload sweep with a single size.
-    value_bytes: Option<usize>,
-    /// Overrides the workload's default latency sampling rate (`0` disables
-    /// sampling — no clock reads at all on the measured hot paths).
-    sample_every: Option<u64>,
     /// Overrides the key popularity distribution for every experiment built
     /// through [`Options::spec`] (`--dist uniform|zipf:<exp>`).
     dist: Option<KeyDistribution>,
     records: RefCell<Vec<JsonRecord>>,
 }
 
+/// The one-line usage summary, listing every valid experiment id.
+fn usage() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: experiments [{}|all|comma-list] [--quick] [--duration-ms N] [--max-threads N] \
+         [--dist uniform|zipf:<exp>] [--csv] [--json <path>]",
+        ids.join("|")
+    )
+}
+
+/// Parses `flag`'s numeric value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} takes a number, got {value:?}"))
+}
+
 impl Options {
-    fn parse() -> Options {
+    /// Parses the command-line arguments (program name excluded).  Every
+    /// token must be a known flag, a flag's value, or an experiment selector
+    /// naming only known ids; anything else is an error.
+    fn parse(args: &[&str]) -> Result<Options, String> {
         let mut experiment = "all".to_string();
         let mut duration_ms = 300u64;
         let mut max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let mut csv = false;
         let mut quick = false;
         let mut json = None;
-        let mut value_bytes = None;
-        let mut sample_every = None;
         let mut dist = None;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter().copied();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+            match arg {
                 "--quick" => quick = true,
                 "--csv" => csv = true,
-                "--duration-ms" => {
-                    i += 1;
-                    duration_ms = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(duration_ms);
-                }
-                "--max-threads" => {
-                    i += 1;
-                    max_threads = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(max_threads);
-                }
-                "--value-bytes" => {
-                    i += 1;
-                    value_bytes = args.get(i).and_then(|s| s.parse().ok());
-                }
-                "--sample-every" => {
-                    i += 1;
-                    sample_every = args.get(i).and_then(|s| s.parse().ok());
-                }
+                "--duration-ms" => duration_ms = number(arg, value()?)?,
+                "--max-threads" => max_threads = number(arg, value()?)?,
                 "--dist" => {
-                    i += 1;
-                    match args.get(i).map(String::as_str).and_then(KeyDistribution::parse) {
-                        Some(d) => dist = Some(d),
-                        None => {
-                            eprintln!(
-                                "--dist takes `uniform` or `zipf:<exponent>` (got {:?})",
-                                args.get(i).map(String::as_str).unwrap_or("")
-                            );
-                            std::process::exit(2);
-                        }
-                    }
+                    let v = value()?;
+                    dist = Some(KeyDistribution::parse(v).ok_or_else(|| {
+                        format!("--dist takes `uniform` or `zipf:<exponent>`, got {v:?}")
+                    })?);
                 }
-                // Explicit form of the positional selector: `--experiments e1,e13`.
-                "--experiments" => {
-                    i += 1;
-                    if let Some(e) = args.get(i) {
-                        experiment = e.clone();
-                    }
-                }
-                "--json" => {
-                    i += 1;
-                    json = args.get(i).cloned();
-                }
-                "--help" | "-h" => {
-                    println!(
-                        "usage: experiments [e1..e18|all|comma-list] [--quick] [--duration-ms N] [--max-threads N] [--value-bytes N] [--sample-every N] [--dist uniform|zipf:<exp>] [--csv] [--json <path>]"
-                    );
-                    std::process::exit(0);
-                }
-                other => experiment = other.to_string(),
+                // Explicit form of the positional selector: `--experiments e1,e17`.
+                "--experiments" => experiment = value()?.to_string(),
+                "--json" => json = Some(value()?.to_string()),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                selector => experiment = selector.to_string(),
             }
-            i += 1;
+        }
+        for id in experiment.split(',').map(str::trim) {
+            if id != "all" && !EXPERIMENTS.iter().any(|(name, _)| *name == id) {
+                return Err(format!("unknown experiment {id:?}"));
+            }
         }
         if quick {
             duration_ms = duration_ms.min(120);
         }
-        Options {
+        Ok(Options {
             experiment,
             duration: Duration::from_millis(duration_ms),
             max_threads: max_threads.max(1),
             csv,
             quick,
             json,
-            value_bytes,
-            sample_every,
             dist,
             records: RefCell::new(Vec::new()),
-        }
+        })
     }
 
-    /// Builds a [`WorkloadSpec`], applying the `--sample-every` and `--dist`
-    /// overrides when given (otherwise the workload defaults hold: one
-    /// latency sample per 64 ops, uniform keys).  Experiments that pin their
-    /// own distribution call `.distribution(..)` *after* this and win.
+    /// Builds a [`WorkloadSpec`], applying the `--dist` override when given
+    /// (otherwise the workload defaults hold: uniform keys, one latency
+    /// sample per 64 ops).  Experiments that pin their own distribution call
+    /// `.distribution(..)` *after* this and win.
     fn spec(&self, key_range: u64, mix: OperationMix) -> WorkloadSpec {
-        let mut spec = WorkloadSpec::new(key_range, mix);
-        if let Some(n) = self.sample_every {
-            spec = spec.sample_every(n);
-        }
-        if let Some(d) = self.dist {
-            spec = spec.distribution(d);
-        }
-        spec
+        let spec = WorkloadSpec::new(key_range, mix);
+        self.dist.map_or(spec, |d| spec.distribution(d))
     }
 
     /// Returns `true` if `name` was selected on the command line (`all`, a
@@ -464,13 +416,17 @@ impl Options {
         });
     }
 
-    /// Writes the collected records to the `--json` path, if one was given.
+    /// Writes the collected records to the `--json` path, if one was given;
+    /// a failed write exits with code 1, so a lost result is not a success.
     fn write_json(&self) {
         let Some(path) = &self.json else { return };
         let doc = json_document(&self.records.borrow(), self.duration, self.max_threads);
         match std::fs::write(path, doc) {
             Ok(()) => println!("\nwrote {} JSON records to {path}", self.records.borrow().len()),
-            Err(e) => eprintln!("failed to write --json {path}: {e}"),
+            Err(e) => {
+                eprintln!("failed to write --json {path}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 
@@ -497,59 +453,59 @@ impl Options {
     }
 }
 
-/// Generic "throughput vs thread count" experiment (E1, E2, E3).
-fn thread_sweep(
-    opts: &Options,
-    exp: &str,
-    title: &str,
-    mix_label: &str,
-    mix: OperationMix,
-    key_range: u64,
-) {
-    let spec = opts.spec(key_range, mix);
-    let mut rows = Vec::new();
-    for &threads in &opts.thread_counts() {
+/// One competitor-table row: its label, workload, thread count, and the mix
+/// label its JSON records carry.
+type Row = (String, WorkloadSpec, usize, String);
+
+/// Runs every [`COMPETITORS`] entry on every row, records each run under
+/// `exp`, and prints the table (E1–E5).
+fn competitor_table(opts: &Options, exp: &str, title: &str, row_label: &str, rows: Vec<Row>) {
+    let mut table = Vec::new();
+    for (label, spec, threads, mix) in rows {
         let mut cells = Vec::new();
         for &kind in COMPETITORS {
             let (m, rec) = with_reclamation(|| run_kind(kind, &spec, threads, opts.duration));
-            opts.record_run(exp, kind.label(), key_range, mix_label, "set", 0, &m, &rec);
+            opts.record_run(exp, kind.label(), spec.key_range(), &mix, "set", 0, &m, &rec);
             cells.push((kind.label().to_string(), m.mops()));
         }
-        rows.push((threads.to_string(), cells));
+        table.push((label, cells));
     }
-    opts.emit(title, "threads", &rows);
+    opts.emit(title, row_label, &table);
+}
+
+/// E1–E3's rows: one per thread count, over key range 2^16.
+fn thread_rows(opts: &Options, mix_label: &str, mix: OperationMix) -> Vec<Row> {
+    let spec = opts.spec(1 << 16, mix);
+    opts.thread_counts().into_iter().map(|t| (t.to_string(), spec, t, mix_label.into())).collect()
 }
 
 fn e1(opts: &Options) {
-    thread_sweep(
+    competitor_table(
         opts,
         "e1",
         "E1 — throughput vs threads, read-dominated (90% contains / 9% insert / 1% remove, range 2^16)",
-        "90/9/1",
-        OperationMix::new(90, 9, 1),
-        1 << 16,
+        "threads",
+        thread_rows(opts, "90/9/1", OperationMix::new(90, 9, 1)),
     );
 }
 
 fn e2(opts: &Options) {
-    thread_sweep(
+    competitor_table(
         opts,
         "e2",
         "E2 — throughput vs threads, mixed (70% contains / 20% insert / 10% remove, range 2^16)",
-        "70/20/10",
-        OperationMix::new(70, 20, 10),
-        1 << 16,
+        "threads",
+        thread_rows(opts, "70/20/10", OperationMix::new(70, 20, 10)),
     );
 }
 
 fn e3(opts: &Options) {
-    thread_sweep(
+    competitor_table(
         opts,
         "e3",
         "E3 — throughput vs threads, write-heavy (50% insert / 50% remove, range 2^16)",
-        "0/50/50",
-        OperationMix::new(0, 50, 50),
-        1 << 16,
+        "threads",
+        thread_rows(opts, "0/50/50", OperationMix::new(0, 50, 50)),
     );
 }
 
@@ -561,51 +517,34 @@ fn e4(opts: &Options) {
     } else {
         &[1 << 7, 1 << 9, 1 << 11, 1 << 13, 1 << 15, 1 << 17, 1 << 20]
     };
-    let mut rows = Vec::new();
-    for &range in ranges {
-        let spec = opts.spec(range, OperationMix::updates(50));
-        let mut cells = Vec::new();
-        for &kind in COMPETITORS {
-            let (m, rec) = with_reclamation(|| run_kind(kind, &spec, threads, opts.duration));
-            opts.record_run("e4", kind.label(), range, "50% updates", "set", 0, &m, &rec);
-            cells.push((kind.label().to_string(), m.mops()));
-        }
-        rows.push((format!("2^{}", range.trailing_zeros()), cells));
-    }
-    opts.emit(
+    let spec = |range| opts.spec(range, OperationMix::updates(50));
+    let rows = ranges
+        .iter()
+        .map(|&r| (format!("2^{}", r.trailing_zeros()), spec(r), threads, "50% updates".into()))
+        .collect();
+    competitor_table(
+        opts,
+        "e4",
         &format!("E4 — throughput vs key range (50% updates, {threads} threads)"),
         "key range",
-        &rows,
+        rows,
     );
 }
 
 fn e5(opts: &Options) {
     let threads = opts.max_threads;
     let ratios: &[u8] = if opts.quick { &[0, 50, 100] } else { &[0, 10, 20, 40, 60, 80, 100] };
-    let mut rows = Vec::new();
-    for &u in ratios {
-        let spec = opts.spec(1 << 16, OperationMix::updates(u));
-        let mut cells = Vec::new();
-        for &kind in COMPETITORS {
-            let (m, rec) = with_reclamation(|| run_kind(kind, &spec, threads, opts.duration));
-            opts.record_run(
-                "e5",
-                kind.label(),
-                1 << 16,
-                &format!("{u}% updates"),
-                "set",
-                0,
-                &m,
-                &rec,
-            );
-            cells.push((kind.label().to_string(), m.mops()));
-        }
-        rows.push((format!("{u}%"), cells));
-    }
-    opts.emit(
+    let spec = |u| opts.spec(1 << 16, OperationMix::updates(u));
+    let rows = ratios
+        .iter()
+        .map(|&u| (format!("{u}%"), spec(u), threads, format!("{u}% updates")))
+        .collect();
+    competitor_table(
+        opts,
+        "e5",
         &format!("E5 — throughput vs update ratio (range 2^16, {threads} threads)"),
         "updates",
-        &rows,
+        rows,
     );
 }
 
@@ -824,313 +763,13 @@ fn e10(opts: &Options) {
     opts.emit(&format!("E10 — sequential sanity, n = {n} random keys"), "metric", &rows);
 }
 
-fn e11(opts: &Options) {
-    // Sharding sweep: shard count x thread count x operation mix, for both
-    // routing policies.  Rows are shard counts (1 = the unsharded baseline
-    // modulo one routing call); columns are policy/thread-count cells, so one
-    // table per mix shows whether partitioning pays off as threads grow.
-    let mut thread_counts: Vec<usize> =
-        if opts.quick { vec![1, opts.max_threads] } else { opts.thread_counts() };
-    thread_counts.dedup();
-    for (mix_label, mix) in [
-        ("read-dominated 90/9/1", OperationMix::new(90, 9, 1)),
-        ("write-heavy 0/50/50", OperationMix::new(0, 50, 50)),
-    ] {
-        let spec = opts.spec(1 << 16, mix);
-        let mut rows = Vec::new();
-        for &shards in SHARD_COUNTS {
-            let mut cells = Vec::new();
-            for &threads in &thread_counts {
-                for kind in
-                    [SetKind::LfbstShardedHash { shards }, SetKind::LfbstShardedRange { shards }]
-                {
-                    let (m, rec) =
-                        with_reclamation(|| run_kind(kind, &spec, threads, opts.duration));
-                    let policy = match kind {
-                        SetKind::LfbstShardedHash { .. } => "hash",
-                        _ => "range",
-                    };
-                    opts.record_run("e11", kind.label(), 1 << 16, mix_label, "set", 0, &m, &rec);
-                    cells.push((format!("{policy}/{threads}t"), m.mops()));
-                }
-            }
-            rows.push((shards.to_string(), cells));
-        }
-        opts.emit(
-            &format!("E11 — sharding sweep over lfbst, {mix_label} (range 2^16)"),
-            "shards",
-            &rows,
-        );
-    }
-}
-
-/// E12's reusable-guard worker: `run_workload`'s key stream and op dispatch,
-/// issued through one [`lfbst::Pinned`] handle instead of an epoch pin per
-/// operation.
-struct GuardWorker<'t> {
-    pinned: lfbst::Pinned<'t, u64>,
-    ops: OpStream,
-}
-
-impl Worker for GuardWorker<'_> {
-    fn batch(&mut self, _stats: &mut ThreadStats) {
-        // One refresh per batch keeps reclamation moving while amortizing
-        // the pin across the batch.
-        self.pinned.refresh();
-    }
-
-    fn op(&mut self, stats: &mut ThreadStats, tick: &mut Tick) {
-        let (kind, key) = self.ops.next(tick);
-        let hit = match kind {
-            OpKind::Contains => self.pinned.contains(&key),
-            OpKind::Insert => self.pinned.insert(key),
-            _ => self.pinned.remove(&key),
-        };
-        stats.count(kind, hit);
-    }
-}
-
-/// Prefills a fresh `lfbst` and runs `spec` on it through [`GuardWorker`]s.
-fn run_lfbst_pinned(spec: &WorkloadSpec, threads: usize, duration: Duration) -> Measurement {
-    let set = LfBst::new();
-    prefill(spec, |k| set.insert(k));
-    run_closed_loop(spec, threads, duration, |t| GuardWorker {
-        pinned: set.pin(),
-        ops: OpStream::new(spec, t),
-    })
-}
-
-fn e12(opts: &Options) {
-    // Hot-path microbenchmark over lfbst alone: the per-operation taxes this
-    // experiment tracks (atomic ordering strength, stats branches, sentinel
-    // comparisons, epoch pinning) are invisible in the cross-implementation
-    // sweeps but dominate single-structure throughput.  Rows are workload
-    // variant × key range; columns are thread counts × pinning modes.  The
-    // 2^9 range keeps the traversal shallow so the per-operation pin is a
-    // visible fraction of the cost (the reusable guard's best case); 2^16 is
-    // the traversal-dominated canonical range of E1.
-    let mut thread_counts = vec![1usize, opts.max_threads];
-    thread_counts.dedup();
-    let mut rows = Vec::new();
-    for key_range in [1u64 << 9, 1u64 << 16] {
-        for (variant, mix_label, mix) in [
-            ("contains-only", "100/0/0", OperationMix::new(100, 0, 0)),
-            ("read-dominated", "90/9/1", OperationMix::new(90, 9, 1)),
-        ] {
-            let spec = opts.spec(key_range, mix);
-            let mut cells = Vec::new();
-            for &threads in &thread_counts {
-                let (m, rec) =
-                    with_reclamation(|| run_kind(SetKind::Lfbst, &spec, threads, opts.duration));
-                let impl_name = format!("lfbst-{variant}");
-                opts.record_run("e12", &impl_name, key_range, mix_label, "set", 0, &m, &rec);
-                cells.push((format!("{threads}t"), m.mops()));
-                let (m, rec) = with_reclamation(|| run_lfbst_pinned(&spec, threads, opts.duration));
-                let pinned_name = format!("lfbst-pinned-{variant}");
-                opts.record_run("e12", &pinned_name, key_range, mix_label, "set", 0, &m, &rec);
-                cells.push((format!("{threads}t guard"), m.mops()));
-            }
-            rows.push((format!("{variant}@2^{}", key_range.trailing_zeros()), cells));
-        }
-    }
-    opts.emit(
-        "E12 — hot-path throughput over lfbst (per-op pin vs reusable guard)",
-        "workload",
-        &rows,
-    );
-}
-
-/// The value payload sizes E13 sweeps when `--value-bytes` is not given.
-const E13_VALUE_BYTES: &[usize] = &[8, 64, 256];
-
-fn e13(opts: &Options) {
-    // Map mixed workload: the same tree carrying real payloads.  Rows are
-    // value payload sizes; columns are the map-shaped implementations —
-    // `lfbst` as LfBst<u64, Vec<u8>>, the sharded composition of the same,
-    // and the mutex-BTreeMap oracle as the lock-based comparator.  The mix is
-    // E2's 70/20/10 reinterpreted for the map ADT (get / upsert / remove), so
-    // e2 set rows and e13 map rows of a trajectory file measure the same
-    // traffic shape with and without payloads.
-    let threads = opts.max_threads;
-    let key_range = 1u64 << 16;
-    let mix_label = "70/20/10";
-    let mix = OperationMix::new(70, 20, 10);
-    let sizes: Vec<usize> = match opts.value_bytes {
-        Some(n) => vec![n],
-        None if opts.quick => vec![8, 256],
-        None => E13_VALUE_BYTES.to_vec(),
-    };
-    let mut rows = Vec::new();
-    for &value_bytes in &sizes {
-        let spec = MapSpec::new(opts.spec(key_range, mix), value_bytes);
-        let mut cells = Vec::new();
-
-        let (m, rec) = with_reclamation(|| {
-            run_map_workload(Arc::new(LfBst::<u64, Vec<u8>>::new()), &spec, threads, opts.duration)
-        });
-        opts.record_run("e13", "lfbst", key_range, mix_label, "map", value_bytes, &m, &rec);
-        cells.push(("lfbst".to_string(), m.mops()));
-
-        let sharded = Sharded::new(HashRouter::new(16), |_| LfBst::<u64, Vec<u8>>::new());
-        let label = sharded.name();
-        let (m, rec) =
-            with_reclamation(|| run_map_workload(Arc::new(sharded), &spec, threads, opts.duration));
-        opts.record_run("e13", label, key_range, mix_label, "map", value_bytes, &m, &rec);
-        cells.push((label.to_string(), m.mops()));
-
-        let (m, rec) = with_reclamation(|| {
-            run_map_workload(
-                Arc::new(CoarseLockMap::<u64, Vec<u8>>::new()),
-                &spec,
-                threads,
-                opts.duration,
-            )
-        });
-        opts.record_run(
-            "e13",
-            "coarse-mutex-btreemap",
-            key_range,
-            mix_label,
-            "map",
-            value_bytes,
-            &m,
-            &rec,
-        );
-        cells.push(("coarse-mutex-btreemap".to_string(), m.mops()));
-
-        rows.push((format!("{value_bytes} B"), cells));
-    }
-    opts.emit(
-        &format!(
-            "E13 — map mixed workload (get/upsert/remove {mix_label}, range 2^16, {threads} threads, value payload swept)"
-        ),
-        "value bytes",
-        &rows,
-    );
-}
-
-/// The scan lengths E14 sweeps (keys per scan operation).  The last row of a
-/// full run uses the whole key range, where the cursor path degenerates into
-/// exactly the collect path's work — the "at least matching" check.
-const E14_SCAN_LENS: &[usize] = &[16, 256, 4096];
-
-fn e14(opts: &Options) {
-    // Scan-heavy mixed workload: the streaming-cursor architecture against
-    // the historical collect-everything scans, over the single tree and the
-    // range-sharded composition (whose cross-shard scans go through the
-    // k-way merge cursor).  Rows are scan lengths; columns are
-    // implementation x scan-serving mode.  Every scan reads up to `len` keys
-    // from a sampled lower bound: the cursor rows stop there, the collect
-    // rows first materialise the whole tail the way the pre-cursor API
-    // forced, so short rows show the early-exit/top-k win and the full-range
-    // row checks the cursor costs nothing when the scan consumes everything.
-    let threads = opts.max_threads;
-    let key_range = 1u64 << 16;
-    let mix = OperationMix::with_scans(50, 15, 15, 20);
-    let mix_label = "50/15/15+20%scan";
-    let shards = 16usize;
-    let mut lens: Vec<usize> = if opts.quick { vec![16, 4096] } else { E14_SCAN_LENS.to_vec() };
-    if !opts.quick {
-        lens.push(key_range as usize);
-    }
-    let mut rows = Vec::new();
-    for &len in &lens {
-        let spec = opts.spec(key_range, mix).scan_len(len);
-        let row_mix = format!("{mix_label} len={len}");
-        let mut cells = Vec::new();
-        for mode in [ScanMode::Cursor, ScanMode::Collect] {
-            let (m, rec) = with_reclamation(|| {
-                run_scan_workload(Arc::new(LfBst::new()), &spec, threads, opts.duration, mode)
-            });
-            let name = format!("lfbst-{}", mode.label());
-            opts.record_run("e14", &name, key_range, &row_mix, "set", 0, &m, &rec);
-            cells.push((name, m.mops()));
-        }
-        for mode in [ScanMode::Cursor, ScanMode::Collect] {
-            let set = Sharded::new(RangeRouter::covering(shards, key_range), |_| LfBst::new());
-            let base = ConcurrentSet::<u64>::name(&set);
-            let (m, rec) = with_reclamation(|| {
-                run_scan_workload(Arc::new(set), &spec, threads, opts.duration, mode)
-            });
-            let name = format!("{base}-{}", mode.label());
-            opts.record_run("e14", &name, key_range, &row_mix, "set", 0, &m, &rec);
-            cells.push((name, m.mops()));
-        }
-        rows.push((len.to_string(), cells));
-    }
-    opts.emit(
-        &format!(
-            "E14 — scan-heavy mixed workload (get/insert/remove/scan {mix_label}, range 2^16, \
-             {threads} threads; cursor = streaming, collect = materialise-the-tail)"
-        ),
-        "scan len",
-        &rows,
-    );
-}
-
-/// Appends one implementation's latency percentile columns to an E15 row.
+/// Appends one implementation's latency percentile columns to an E18 row.
 fn push_latency_cells(cells: &mut Vec<(String, f64)>, name: &str, m: &Measurement) {
     cells.push((format!("{name} p50ns"), m.latency.p50() as f64));
     cells.push((format!("{name} p99ns"), m.latency.p99() as f64));
     cells.push((format!("{name} p999ns"), m.latency.p999() as f64));
     cells.push((format!("{name} maxns"), m.latency.max() as f64));
     cells.push((format!("{name} Mops"), m.mops()));
-}
-
-fn e15(opts: &Options) {
-    // Latency under contention: the per-op latency distribution (sampled, see
-    // --sample-every) as thread count grows, for the single tree against the
-    // hash-sharded composition of the same tree.  Throughput sweeps (E1-E3)
-    // hide tail behaviour entirely: a structure can keep its Mops while its
-    // p999 collapses under helping storms.  Map ADT so the rows carry real
-    // payload traffic; two mixes bracket the contention regimes.
-    if opts.sample_every == Some(0) {
-        println!("\n(note: --sample-every 0 disables latency sampling — E15 would be all zeros; skipping)");
-        return;
-    }
-    let key_range = 1u64 << 16;
-    let value_bytes = 8usize;
-    let shards = 16usize;
-    for (mix_label, mix) in
-        [("90/9/1", OperationMix::new(90, 9, 1)), ("0/50/50", OperationMix::new(0, 50, 50))]
-    {
-        let mut rows = Vec::new();
-        let mut sample_rate = 0u64;
-        for &threads in &opts.thread_counts() {
-            let spec = MapSpec::new(opts.spec(key_range, mix), value_bytes);
-            sample_rate = spec.base().sample_rate();
-            let mut cells = Vec::new();
-
-            let (m, rec) = with_reclamation(|| {
-                run_map_workload(
-                    Arc::new(LfBst::<u64, Vec<u8>>::new()),
-                    &spec,
-                    threads,
-                    opts.duration,
-                )
-            });
-            opts.record_run("e15", "lfbst", key_range, mix_label, "map", value_bytes, &m, &rec);
-            push_latency_cells(&mut cells, "lfbst", &m);
-
-            let sharded = Sharded::new(HashRouter::new(shards), |_| LfBst::<u64, Vec<u8>>::new());
-            let label = sharded.name();
-            let (m, rec) = with_reclamation(|| {
-                run_map_workload(Arc::new(sharded), &spec, threads, opts.duration)
-            });
-            opts.record_run("e15", label, key_range, mix_label, "map", value_bytes, &m, &rec);
-            push_latency_cells(&mut cells, label, &m);
-
-            rows.push((threads.to_string(), cells));
-        }
-        opts.emit(
-            &format!(
-                "E15 — per-op latency under contention ({mix_label} map mix, range 2^16, \
-                 {value_bytes} B payloads; nanosecond percentiles from 1-in-{sample_rate} sampling)"
-            ),
-            "threads",
-            &rows,
-        );
-    }
 }
 
 /// The teardown chunk sizes E16 sweeps (keys per `remove_range` call).
@@ -1564,36 +1203,43 @@ fn reclamation_report(opts: &Options) {
     opts.emit("Reclamation health (process totals over every experiment run)", "gauge", &rows);
 }
 
+/// The experiments, in run order: the one dispatch table, and the list of
+/// ids the command line accepts.
+type Experiment = (&'static str, fn(&Options));
+const EXPERIMENTS: [Experiment; 13] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e16", e16),
+    ("e17", e17),
+    ("e18", e18),
+];
+
 fn main() {
-    let opts = Options::parse();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return;
+    }
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let opts = Options::parse(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{}", usage());
+        std::process::exit(2);
+    });
     println!(
         "# Lock-free BST evaluation — {} threads max, {:?} per data point{}",
         opts.max_threads,
         opts.duration,
         if opts.quick { " (quick mode)" } else { "" }
     );
-    type Experiment = (&'static str, fn(&Options));
-    let experiments: [Experiment; 18] = [
-        ("e1", e1),
-        ("e2", e2),
-        ("e3", e3),
-        ("e4", e4),
-        ("e5", e5),
-        ("e6", e6),
-        ("e7", e7),
-        ("e8", e8),
-        ("e9", e9),
-        ("e10", e10),
-        ("e11", e11),
-        ("e12", e12),
-        ("e13", e13),
-        ("e14", e14),
-        ("e15", e15),
-        ("e16", e16),
-        ("e17", e17),
-        ("e18", e18),
-    ];
-    for (name, run) in experiments {
+    for (name, run) in EXPERIMENTS {
         if opts.selected(name) {
             run(&opts);
         }
@@ -1622,8 +1268,6 @@ mod tests {
             csv: false,
             quick: true,
             json: None,
-            value_bytes: None,
-            sample_every: None,
             dist: None,
             records: RefCell::new(Vec::new()),
         }
@@ -1662,11 +1306,11 @@ mod tests {
                 },
             },
             JsonRecord {
-                experiment: "e13".into(),
-                impl_name: "lfbst".into(),
+                experiment: "e18".into(),
+                impl_name: "elastic-rebal-off".into(),
                 threads: 1,
                 key_range: 65536,
-                mix: "70/20/10".into(),
+                mix: "70/20/10@uniform".into(),
                 kind: "map",
                 value_bytes: 64,
                 mops: 8.0,
@@ -1676,12 +1320,18 @@ mod tests {
         ];
         let doc = json_document(&records, Duration::from_millis(300), 8);
         assert!(doc.contains("\"schema\": \"lfbst-bench-v3\""));
+        // The header names the machine and the build.
+        let cpus = std::thread::available_parallelism().unwrap().get();
+        assert!(doc.contains(&format!("\"cpus\": {cpus},")));
+        assert!(doc.contains(&format!("\"git_rev\": \"{}\",", env!("HARNESS_GIT_REV"))));
+        assert!(doc.contains(&format!("\"rustc\": \"{}\",", env!("HARNESS_RUSTC"))));
+        assert!(!env!("HARNESS_GIT_REV").is_empty() && !env!("HARNESS_RUSTC").is_empty());
         assert!(doc.contains("\"duration_ms\": 300"));
         assert!(doc.contains("\"ops_per_sec\": 12500000.0"));
         // Every record is self-describing about its ADT face and payload.
         assert!(doc.contains("\"kind\": \"set\", \"value_bytes\": 0"));
         assert!(doc.contains("\"kind\": \"map\", \"value_bytes\": 64"));
-        assert!(doc.contains("\"experiment\": \"e13\""));
+        assert!(doc.contains("\"experiment\": \"e18\""));
         // The v3 appendix rides on every record (zeros when absent).
         assert!(doc.contains("\"schema_version\": 3"));
         assert!(doc.contains("\"sample_rate\": 64"));
@@ -1724,14 +1374,14 @@ mod tests {
             bound_trips: 0,
             bound_escalations: 0,
         };
-        opts.record_run("e13", "lfbst", 1 << 16, "70/20/10", "map", 256, &m, &rec);
+        opts.record_run("e18", "elastic-rebal-off", 1 << 16, "70/20/10", "map", 256, &m, &rec);
         let records = opts.records.borrow();
         assert_eq!(records[0].kind, "set");
         assert_eq!(records[0].value_bytes, 0);
         assert_eq!(records[0].latency, LatencyFields::default());
         assert_eq!(records[1].kind, "map");
         assert_eq!(records[1].value_bytes, 256);
-        assert_eq!(records[1].experiment, "e13");
+        assert_eq!(records[1].experiment, "e18");
         assert_eq!(records[1].threads, 2);
         assert_eq!(records[1].latency.sample_rate, 64);
         assert_eq!(records[1].reclamation.nodes_retired, 4);
@@ -1739,33 +1389,80 @@ mod tests {
 
     #[test]
     fn selection_accepts_lists() {
-        let opts = test_opts("e1,e13");
+        let opts = test_opts("e1,e18");
         assert!(opts.selected("e1"));
-        assert!(opts.selected("e13"));
+        assert!(opts.selected("e18"));
         assert!(!opts.selected("e2"));
     }
 
     #[test]
-    fn sample_every_override_applies_to_specs() {
-        let mut opts = test_opts("all");
-        assert_eq!(
-            opts.spec(100, OperationMix::default()).sample_rate(),
-            workload::DEFAULT_SAMPLE_EVERY
-        );
-        opts.sample_every = Some(7);
-        assert_eq!(opts.spec(100, OperationMix::default()).sample_rate(), 7);
-        opts.sample_every = Some(0);
-        assert_eq!(opts.spec(100, OperationMix::default()).sample_rate(), 0);
+    fn parse_accepts_the_documented_command_lines() {
+        let opts = Options::parse(&["e1,e17", "--quick", "--duration-ms", "500"]).unwrap();
+        assert!(opts.selected("e17") && !opts.selected("e2"));
+        assert_eq!(opts.duration, Duration::from_millis(120), "--quick caps the duration");
+        let opts = Options::parse(&[
+            "--experiments",
+            "e9",
+            "--max-threads",
+            "3",
+            "--dist",
+            "zipf",
+            "--csv",
+            "--json",
+            "out.json",
+        ])
+        .unwrap();
+        assert!(opts.selected("e9") && opts.csv && opts.json.as_deref() == Some("out.json"));
+        assert_eq!(opts.max_threads, 3);
+        assert_eq!(opts.duration, Duration::from_millis(300));
+        assert!(Options::parse(&[]).unwrap().selected("e18"), "no selector means all");
     }
 
     #[test]
-    fn e8_and_e12_records_carry_the_latency_appendix() {
-        let opts = test_opts("e8,e12");
+    fn parse_rejects_unknown_ids_flags_and_malformed_numbers() {
+        for args in [
+            &["e13"][..],
+            &["e1,e19"],
+            &["--quik"],
+            &["e9", "--duration-ms", "abc"],
+            &["--max-threads", "-1"],
+            &["--json"],
+            &["--dist", "pareto"],
+        ] {
+            let err = Options::parse(args).expect_err(&format!("{args:?} parsed"));
+            assert!(!err.is_empty(), "{args:?}");
+        }
+        // The error path lists what would have been accepted.
+        let usage = usage();
+        for (id, _) in EXPERIMENTS {
+            assert!(usage.contains(id), "usage omits {id}");
+        }
+        assert!(!usage.contains("e13"));
+    }
+
+    #[test]
+    fn competitor_tables_record_every_cell() {
+        let opts = test_opts("e1,e4");
+        e1(&opts);
+        e4(&opts);
+        let records = opts.records.borrow();
+        // E1 at one thread, then E4's three quick-mode key ranges.
+        assert_eq!(records.len(), (1 + 3) * COMPETITORS.len());
+        let e4: Vec<_> = records.iter().filter(|r| r.experiment == "e4").collect();
+        assert_eq!(e4[0].key_range, 1 << 7);
+        assert_eq!(e4.last().unwrap().key_range, 1 << 15);
+        for (r, kind) in e4.iter().zip(COMPETITORS.iter().cycle()) {
+            assert_eq!((r.impl_name.as_str(), r.mix.as_str()), (kind.label(), "50% updates"));
+        }
+        assert!(records.iter().all(|r| r.threads == 1 && r.kind == "set"));
+    }
+
+    #[test]
+    fn e8_records_carry_the_latency_appendix() {
+        let opts = test_opts("e8");
         e8(&opts);
-        e12(&opts);
         let records = opts.records.borrow();
         assert!(records.iter().any(|r| r.experiment == "e8"), "e8 emitted no records");
-        assert!(records.iter().any(|r| r.impl_name.starts_with("lfbst-pinned-")));
         for r in records.iter() {
             assert!(r.latency.sample_rate > 0, "{}/{} lacks latency", r.experiment, r.impl_name);
         }

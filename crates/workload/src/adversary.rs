@@ -178,7 +178,6 @@ where
     R: Reclaimer,
     S: ConcurrentSet<u64>,
 {
-    assert_eq!(spec.mix().scan_pct(), 0, "the adversarial driver issues point operations only");
     prefill(spec, |k| set.insert(k));
     let prefill_size = set.len();
     let faults = Faults::default();

@@ -17,10 +17,6 @@
 //!   runner and reports throughput and per-operation counts;
 //! * [`run_map_workload`] — the same driver over any
 //!   [`cset::ConcurrentMap`]`<u64, Vec<u8>>`;
-//! * [`run_scan_workload`] — the ordered driver: mixes built with
-//!   [`OperationMix::with_scans`] issue range reads of
-//!   [`WorkloadSpec::scan_len`] keys, served either through a streaming
-//!   cursor or the historical collect-everything path ([`ScanMode`]);
 //! * [`run_adversarial_workload`] — the fault-injection driver ([`Adversary`]):
 //!   stalled readers, mid-retire pauses and retire storms, generic over the
 //!   reclamation backend so EBR and IBR can be A/B'd (experiment E17);
@@ -45,11 +41,10 @@ mod spec;
 pub use adversary::{run_adversarial_workload, Adversary, AdversaryReport};
 pub use distribution::{KeyDistribution, KeySampler};
 pub use runner::{
-    prefill, run_closed_loop, run_map_workload, run_scan_workload, run_teardown_cycle,
-    run_workload, Measurement, OpKind, OpStream, ScanMode, TeardownMeasurement, TeardownMode,
-    ThreadStats, Tick, Worker,
+    prefill, run_closed_loop, run_map_workload, run_teardown_cycle, run_workload, Measurement,
+    OpKind, OpStream, TeardownMeasurement, TeardownMode, ThreadStats, Tick, Worker,
 };
-pub use spec::{MapSpec, OperationMix, WorkloadSpec, DEFAULT_SAMPLE_EVERY, DEFAULT_SCAN_LEN};
+pub use spec::{MapSpec, OperationMix, WorkloadSpec, DEFAULT_SAMPLE_EVERY};
 
 /// Formats a series of labelled measurements as a GitHub-flavoured markdown table.
 ///

@@ -2,10 +2,9 @@
 //! owns the start barrier, stop flag, batching, latency sampling and join;
 //! [`prefill`] builds every starting population.  The `run_*` entry points
 //! are thin adapters that map an [`OpStream`] draw onto one ADT face —
-//! [`run_workload`] for the Set ADT, [`run_map_workload`] for the Map ADT,
-//! [`run_scan_workload`] for scan-carrying mixes over any ordered set
-//! (experiment E14).  [`run_teardown_cycle`] is the single-threaded
-//! refill/teardown cycle of experiment E16.
+//! [`run_workload`] for the Set ADT, [`run_map_workload`] for the Map ADT.
+//! [`run_teardown_cycle`] is the single-threaded refill/teardown cycle of
+//! experiment E16.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -34,21 +33,15 @@ pub struct ThreadStats {
     pub remove_hits: u64,
     /// Successful contains (key found).
     pub contains_hits: u64,
-    /// Range-scan operations issued (see [`run_scan_workload`]).
-    pub scans: u64,
-    /// Total keys yielded by those scans.
-    pub scan_keys: u64,
 }
 
 impl ThreadStats {
-    /// Total operations issued by this thread (a scan of any length counts
-    /// as one operation).
+    /// Total operations issued by this thread.
     pub fn total(&self) -> u64 {
-        self.contains + self.inserts + self.removes + self.scans
+        self.contains + self.inserts + self.removes
     }
 
-    /// Counts one issued operation of `kind` and, for point operations,
-    /// whether it succeeded (a scan's yield goes to [`scan_keys`](Self::scan_keys)).
+    /// Counts one issued operation of `kind` and whether it succeeded.
     pub fn count(&mut self, kind: OpKind, hit: bool) {
         let hit = u64::from(hit);
         match kind {
@@ -64,40 +57,6 @@ impl ThreadStats {
                 self.removes += 1;
                 self.remove_hits += hit;
             }
-            OpKind::Scan => self.scans += 1,
-        }
-    }
-}
-
-/// How [`run_scan_workload`] serves each scan operation.
-///
-/// Both modes read the same data (up to `scan_len` keys from a sampled lower
-/// bound); they differ in *how much work the API shape forces*:
-///
-/// * [`Cursor`](Self::Cursor) — the streaming path: a lazy
-///   [`OrderedSet::scan_keys`] cursor consumed `scan_len` items deep, so an
-///   early exit never touches the tail of the key space.
-/// * [`Collect`](Self::Collect) — the historical collect-everything path:
-///   [`OrderedSet::keys_between`] materialises every key from the bound to
-///   the end of the key space, then the first `scan_len` are consumed.
-///
-/// Comparing the two (experiment E14) quantifies what the cursor pipeline
-/// buys on top-k/paginated reads and what it costs when the scan really does
-/// consume the whole range.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Lazy streaming cursor, early exit after `scan_len` keys.
-    Cursor,
-    /// Collect the full tail into a `Vec`, then read `scan_len` keys.
-    Collect,
-}
-
-impl ScanMode {
-    /// A short label for benchmark rows (`"cursor"` / `"collect"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ScanMode::Cursor => "cursor",
-            ScanMode::Collect => "collect",
         }
     }
 }
@@ -319,8 +278,6 @@ pub enum OpKind {
     Insert,
     /// A remove.
     Remove,
-    /// An ordered range scan (mixes built with [`OperationMix::with_scans`]).
-    Scan,
 }
 
 /// One worker thread's seeded key and operation stream.
@@ -356,10 +313,8 @@ impl OpStream {
             OpKind::Contains
         } else if op < mix.contains_pct() + mix.insert_pct() {
             OpKind::Insert
-        } else if op < mix.contains_pct() + mix.insert_pct() + mix.remove_pct() {
-            OpKind::Remove
         } else {
-            OpKind::Scan
+            OpKind::Remove
         };
         tick.start();
         (kind, key)
@@ -416,15 +371,18 @@ impl<F: FnMut(&mut ThreadStats, &mut Tick)> Worker for F {
     }
 }
 
+/// Operations a [`run_closed_loop`] worker issues between checks of the stop
+/// flag (and between [`Worker::batch`] calls).
+const BATCH: usize = 64;
+
 /// The one closed-loop driver: runs `threads` workers built by `worker(t)`
 /// for `duration` and measures them.
 ///
 /// Workers are built on their own threads (so they may hold thread-bound
 /// state such as an epoch guard), then start together at a barrier.  Each
-/// issues operations in batches between checks of the stop flag — 64 per
-/// batch, or 8 when the spec's mix carries scans, which are orders of
-/// magnitude heavier — and every [`WorkloadSpec::sample_rate`]-th operation
-/// is timed into a thread-private histogram, merged after the join.
+/// issues operations in batches of 64 between checks of the stop flag,
+/// and every [`WorkloadSpec::sample_rate`]-th operation is timed into a
+/// thread-private histogram, merged after the join.
 ///
 /// The returned [`Measurement`] leaves `set_name`, `prefill_size` and
 /// `final_size` empty: they belong to the structure, which the caller owns.
@@ -460,7 +418,6 @@ where
     W: Worker,
     F: Fn(usize) -> W + Sync,
 {
-    let batch = if spec.mix().scan_pct() > 0 { 8 } else { 64 };
     let sample_every = spec.sample_rate();
     let stop = AtomicBool::new(false);
     let barrier = Barrier::new(threads + 1);
@@ -479,7 +436,7 @@ where
                     barrier.wait();
                     while !stop.load(Ordering::Relaxed) {
                         w.batch(&mut stats);
-                        for _ in 0..batch {
+                        for _ in 0..BATCH {
                             let sampled = sample_every != 0 && n % sample_every == 0;
                             n = n.wrapping_add(1);
                             let mut tick = Tick { n, sampled, started: None };
@@ -563,70 +520,8 @@ pub fn run_workload<S>(
 where
     S: ConcurrentSet<u64>,
 {
-    // A real assert (once per run, not per op): in release builds a scan
-    // percentage silently falling into the remove branch would corrupt the
-    // reported mix.
-    assert_eq!(
-        spec.mix().scan_pct(),
-        0,
-        "scan-carrying mixes need an OrderedSet driver: use run_scan_workload"
-    );
     prefill(spec, |k| set.insert(k));
     let prefill_size = set.len();
-    let m = run_closed_loop(spec, threads, duration, |t| {
-        let mut ops = OpStream::new(spec, t);
-        let set = &*set;
-        move |stats: &mut ThreadStats, tick: &mut Tick| {
-            let (kind, key) = ops.next(tick);
-            let hit = match kind {
-                OpKind::Contains => set.contains(&key),
-                OpKind::Insert => set.insert(key),
-                _ => set.remove(&key),
-            };
-            stats.count(kind, hit);
-        }
-    });
-    Measurement { set_name: set.name().to_string(), prefill_size, final_size: set.len(), ..m }
-}
-
-/// Prefills `set` to the spec's target size and then runs a scan-carrying
-/// operation mix from `threads` threads for `duration`.
-///
-/// The ordered twin of [`run_workload`]: point operations behave identically,
-/// and the mix's scan percentage issues ordered range reads of
-/// [`WorkloadSpec::scan_length`] keys from a sampled lower bound, served
-/// through `mode` ([`ScanMode::Cursor`] streams and exits early,
-/// [`ScanMode::Collect`] materialises the tail first — the pre-cursor
-/// architecture).  A scan counts as **one** operation in the throughput
-/// numbers; the keys it yielded are tallied in [`ThreadStats::scan_keys`].
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use workload::{run_scan_workload, OperationMix, ScanMode, WorkloadSpec};
-/// use locked_bst::CoarseLockBst;
-///
-/// let set = Arc::new(CoarseLockBst::new());
-/// let spec =
-///     WorkloadSpec::new(1024, OperationMix::with_scans(50, 20, 20, 10)).scan_len(16);
-/// let m = run_scan_workload(set, &spec, 2, std::time::Duration::from_millis(50), ScanMode::Cursor);
-/// assert!(m.total_ops() > 0);
-/// assert!(m.per_thread.iter().any(|t| t.scans > 0));
-/// ```
-pub fn run_scan_workload<S>(
-    set: Arc<S>,
-    spec: &WorkloadSpec,
-    threads: usize,
-    duration: Duration,
-    mode: ScanMode,
-) -> Measurement
-where
-    S: OrderedSet<u64>,
-{
-    prefill(spec, |k| set.insert(k));
-    let prefill_size = set.len();
-    let scan_len = spec.scan_length();
     let m = run_closed_loop(spec, threads, duration, |t| {
         let mut ops = OpStream::new(spec, t);
         let set = &*set;
@@ -636,23 +531,6 @@ where
                 OpKind::Contains => set.contains(&key),
                 OpKind::Insert => set.insert(key),
                 OpKind::Remove => set.remove(&key),
-                OpKind::Scan => {
-                    let lo = std::ops::Bound::Included(&key);
-                    let hi = std::ops::Bound::Unbounded;
-                    let yielded = match mode {
-                        ScanMode::Cursor => {
-                            set.scan_keys(lo, hi).take(scan_len).map(std::hint::black_box).count()
-                        }
-                        ScanMode::Collect => set
-                            .keys_between(lo, hi)
-                            .iter()
-                            .take(scan_len)
-                            .map(std::hint::black_box)
-                            .count(),
-                    };
-                    stats.scan_keys += yielded as u64;
-                    false
-                }
             };
             stats.count(kind, hit);
         }
@@ -692,12 +570,6 @@ where
     S: ConcurrentMap<u64, Vec<u8>>,
 {
     let base = spec.base();
-    // Same guard as run_workload: this driver has no scan branch either.
-    assert_eq!(
-        base.mix().scan_pct(),
-        0,
-        "scan-carrying mixes need an OrderedSet driver: use run_scan_workload"
-    );
     prefill(base, |k| map.insert(k, spec.payload_for(k)));
     let prefill_size = map.len();
     let m = run_closed_loop(base, threads, duration, |t| {
@@ -708,7 +580,7 @@ where
             let hit = match kind {
                 OpKind::Contains => map.get(&key).is_some(),
                 OpKind::Insert => map.upsert(key, spec.payload_for(key)).is_none(),
-                _ => map.remove(&key).is_some(),
+                OpKind::Remove => map.remove(&key).is_some(),
             };
             stats.count(kind, hit);
         }
@@ -758,15 +630,9 @@ mod tests {
         use locked_bst::CoarseLockMap;
         const D: Duration = Duration::from_millis(40);
         type Face = fn(&WorkloadSpec) -> Measurement;
-        let faces: [(&str, OperationMix, Face); 5] = [
+        let faces: [(&str, OperationMix, Face); 3] = [
             ("set", OperationMix::updates(20), |s| {
                 run_workload(Arc::new(CoarseLockBst::new()), s, 2, D)
-            }),
-            ("scan/cursor", OperationMix::with_scans(40, 20, 20, 20), |s| {
-                run_scan_workload(Arc::new(CoarseLockBst::new()), s, 2, D, ScanMode::Cursor)
-            }),
-            ("scan/collect", OperationMix::with_scans(40, 20, 20, 20), |s| {
-                run_scan_workload(Arc::new(CoarseLockBst::new()), s, 2, D, ScanMode::Collect)
             }),
             ("map", OperationMix::updates(20), |s| {
                 run_map_workload(Arc::new(CoarseLockMap::new()), &MapSpec::new(*s, 16), 2, D)
@@ -780,7 +646,7 @@ mod tests {
             }),
         ];
         for (face, mix, run) in faces {
-            let spec = WorkloadSpec::new(512, mix).scan_len(8).seed(5);
+            let spec = WorkloadSpec::new(512, mix).seed(5);
             let m = run(&spec.sample_every(8));
             assert!(m.total_ops() > 0, "{face}: no ops");
             assert_eq!(m.sample_rate, 8, "{face}");
@@ -800,26 +666,6 @@ mod tests {
     fn thread_stats_total() {
         let t = ThreadStats { contains: 1, inserts: 2, removes: 3, ..Default::default() };
         assert_eq!(t.total(), 6);
-    }
-
-    #[test]
-    fn scan_run_counts_scans_in_both_modes() {
-        for mode in [ScanMode::Cursor, ScanMode::Collect] {
-            let set = Arc::new(CoarseLockBst::new());
-            let spec =
-                WorkloadSpec::new(512, crate::spec::OperationMix::with_scans(40, 20, 20, 20))
-                    .scan_len(8)
-                    .seed(11);
-            let m = run_scan_workload(set, &spec, 2, Duration::from_millis(60), mode);
-            assert!(m.total_ops() > 0, "{mode:?}");
-            let scans: u64 = m.per_thread.iter().map(|t| t.scans).sum();
-            let scan_keys: u64 = m.per_thread.iter().map(|t| t.scan_keys).sum();
-            assert!(scans > 0, "{mode:?} issued no scans");
-            // Each scan yields at most scan_len keys; most yield exactly that
-            // on a half-full 512-key range.
-            assert!(scan_keys <= scans * 8, "{mode:?}");
-            assert!(scan_keys > 0, "{mode:?} scans never produced keys");
-        }
     }
 
     #[test]

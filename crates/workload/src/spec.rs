@@ -4,11 +4,8 @@ use crate::distribution::KeyDistribution;
 
 /// Relative frequencies of the set operations, in percent.
 ///
-/// The percentages must sum to 100.  Besides the paper's three point
-/// operations (`contains` / `insert` / `remove`), a mix may carry a **scan**
-/// percentage ([`with_scans`](Self::with_scans)): ordered range reads of
-/// [`WorkloadSpec::scan_len`] keys starting at a sampled lower bound, the
-/// workload shape that exercises the streaming-cursor path (experiment E14).
+/// The percentages of the paper's three point operations (`contains` /
+/// `insert` / `remove`) must sum to 100.
 ///
 /// # Examples
 ///
@@ -16,43 +13,30 @@ use crate::distribution::KeyDistribution;
 /// use workload::OperationMix;
 /// let mix = OperationMix::new(90, 9, 1);
 /// assert_eq!(mix.contains_pct() + mix.insert_pct() + mix.remove_pct(), 100);
-/// assert_eq!(mix.scan_pct(), 0);
 /// let updates = OperationMix::updates(20);
 /// assert_eq!(updates.insert_pct(), 10);
 /// assert_eq!(updates.remove_pct(), 10);
-/// let scans = OperationMix::with_scans(50, 15, 15, 20);
-/// assert_eq!(scans.scan_pct(), 20);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OperationMix {
     contains: u8,
     insert: u8,
     remove: u8,
-    scan: u8,
 }
 
 impl OperationMix {
-    /// Creates a point-operation mix from explicit percentages (no scans).
+    /// Creates a mix from explicit percentages.
     ///
     /// # Panics
     ///
     /// Panics if the percentages do not sum to 100.
     pub fn new(contains: u8, insert: u8, remove: u8) -> Self {
-        Self::with_scans(contains, insert, remove, 0)
-    }
-
-    /// Creates a mix that includes ordered range scans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the percentages do not sum to 100.
-    pub fn with_scans(contains: u8, insert: u8, remove: u8, scan: u8) -> Self {
         assert_eq!(
-            contains as u32 + insert as u32 + remove as u32 + scan as u32,
+            contains as u32 + insert as u32 + remove as u32,
             100,
             "operation mix must sum to 100"
         );
-        OperationMix { contains, insert, remove, scan }
+        OperationMix { contains, insert, remove }
     }
 
     /// The conventional "x% updates" mix: updates are split evenly between
@@ -66,7 +50,7 @@ impl OperationMix {
         assert!(update_pct <= 100);
         let insert = update_pct / 2;
         let remove = update_pct - insert;
-        OperationMix { contains: 100 - update_pct, insert, remove, scan: 0 }
+        OperationMix { contains: 100 - update_pct, insert, remove }
     }
 
     /// Percentage of `contains` operations.
@@ -82,11 +66,6 @@ impl OperationMix {
     /// Percentage of `remove` operations.
     pub fn remove_pct(&self) -> u8 {
         self.remove
-    }
-
-    /// Percentage of ordered range-scan operations.
-    pub fn scan_pct(&self) -> u8 {
-        self.scan
     }
 
     /// Total update percentage (inserts plus removes).
@@ -121,13 +100,8 @@ pub struct WorkloadSpec {
     distribution: KeyDistribution,
     prefill_fraction: f64,
     seed: u64,
-    scan_len: usize,
     sample_every: u64,
 }
-
-/// Default number of keys a scan operation reads (see
-/// [`WorkloadSpec::scan_len`]).
-pub const DEFAULT_SCAN_LEN: usize = 64;
 
 /// Default latency sampling rate: one operation in every
 /// `DEFAULT_SAMPLE_EVERY` is timed (see [`WorkloadSpec::sample_every`]).
@@ -139,8 +113,7 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 impl WorkloadSpec {
     /// Creates a spec over `[0, key_range)` with the given operation mix,
-    /// uniform keys, 50% prefill, the default scan length and a fixed default
-    /// seed.
+    /// uniform keys, 50% prefill and a fixed default seed.
     pub fn new(key_range: u64, mix: OperationMix) -> Self {
         WorkloadSpec {
             key_range,
@@ -148,7 +121,6 @@ impl WorkloadSpec {
             distribution: KeyDistribution::Uniform,
             prefill_fraction: 0.5,
             seed: 0xBAD5EED,
-            scan_len: DEFAULT_SCAN_LEN,
             sample_every: DEFAULT_SAMPLE_EVERY,
         }
     }
@@ -174,23 +146,6 @@ impl WorkloadSpec {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Sets how many keys each scan operation reads (only meaningful for
-    /// mixes built with [`OperationMix::with_scans`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn scan_len(mut self, len: usize) -> Self {
-        assert!(len > 0, "scan length must be positive");
-        self.scan_len = len;
-        self
-    }
-
-    /// Number of keys each scan operation reads.
-    pub fn scan_length(&self) -> usize {
-        self.scan_len
     }
 
     /// Sets the latency sampling rate: every `n`-th operation per thread is
@@ -302,28 +257,6 @@ mod tests {
         // Zero-byte payloads are legal (membership-only maps).
         let empty = MapSpec::new(WorkloadSpec::new(100, OperationMix::updates(50)), 0);
         assert!(empty.payload_for(7).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 100")]
-    fn scan_mix_must_sum_to_100() {
-        let _ = OperationMix::with_scans(50, 20, 20, 20);
-    }
-
-    #[test]
-    fn scan_spec_roundtrip() {
-        let mix = OperationMix::with_scans(50, 15, 15, 20);
-        assert_eq!(mix.scan_pct(), 20);
-        assert_eq!(mix.update_pct(), 30);
-        let spec = WorkloadSpec::new(1000, mix).scan_len(128);
-        assert_eq!(spec.scan_length(), 128);
-        assert_eq!(WorkloadSpec::new(1000, mix).scan_length(), DEFAULT_SCAN_LEN);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_scan_len_rejected() {
-        let _ = WorkloadSpec::new(10, OperationMix::default()).scan_len(0);
     }
 
     #[test]
