@@ -1440,6 +1440,17 @@ mod tests {
         assert!(!usage.contains("e13"));
     }
 
+    /// `--value-bytes` and `--sample-every` fed only the retired E13 and
+    /// E15; they are unknown flags now, not silently ignored ones.
+    #[test]
+    fn parse_rejects_the_retired_flags() {
+        for flag in ["--value-bytes", "--sample-every"] {
+            let err = Options::parse(&["e9", flag, "64"]).expect_err(flag);
+            assert!(err.contains(flag), "{flag}: {err}");
+            assert!(!usage().contains(flag), "usage still lists {flag}");
+        }
+    }
+
     #[test]
     fn competitor_tables_record_every_cell() {
         let opts = test_opts("e1,e4");

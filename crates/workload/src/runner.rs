@@ -662,6 +662,52 @@ mod tests {
         }
     }
 
+    fn draw(ops: &mut OpStream) -> (OpKind, u64) {
+        ops.next(&mut Tick { n: 0, sampled: false, started: None })
+    }
+
+    /// Each kind is drawn at its mix percentage; a pure mix draws only its
+    /// own kind, so no percentage leaks into the fall-through branch.
+    #[test]
+    fn op_stream_draws_kinds_in_mix_proportions() {
+        for (mix, only) in [
+            (OperationMix::new(100, 0, 0), OpKind::Contains),
+            (OperationMix::new(0, 100, 0), OpKind::Insert),
+            (OperationMix::new(0, 0, 100), OpKind::Remove),
+        ] {
+            let mut ops = OpStream::new(&WorkloadSpec::new(64, mix).seed(6), 0);
+            assert!((0..1_000).all(|_| draw(&mut ops).0 == only), "{mix:?}");
+        }
+        const N: u32 = 20_000;
+        let mut ops = OpStream::new(&WorkloadSpec::new(64, OperationMix::new(50, 30, 20)), 0);
+        let mut counts = [0u32; 3];
+        for _ in 0..N {
+            counts[draw(&mut ops).0 as usize] += 1;
+        }
+        for (count, pct) in counts.into_iter().zip([50u32, 30, 20]) {
+            // Within 2 points of the mix: over 6 standard deviations at N.
+            assert!(count.abs_diff(N * pct / 100) < N / 50, "{counts:?}");
+        }
+    }
+
+    /// Thread `t` sees the same keys and kinds on every run with one seed,
+    /// and distinct threads see distinct streams, all inside the key range.
+    #[test]
+    fn op_stream_is_reproducible_per_thread() {
+        let spec = WorkloadSpec::new(1_000, OperationMix::updates(50)).seed(13);
+        let stream = |t| {
+            let mut ops = OpStream::new(&spec, t);
+            (0..256).map(|_| draw(&mut ops)).collect::<Vec<_>>()
+        };
+        assert_eq!(stream(0), stream(0));
+        assert_eq!(stream(3), stream(3));
+        assert_ne!(stream(0), stream(1));
+        assert!(stream(2).iter().all(|&(_, key)| key < 1_000));
+        let reseeded = WorkloadSpec::new(1_000, OperationMix::updates(50)).seed(14);
+        let mut ops = OpStream::new(&reseeded, 0);
+        assert_ne!(stream(0), (0..256).map(|_| draw(&mut ops)).collect::<Vec<_>>());
+    }
+
     #[test]
     fn thread_stats_total() {
         let t = ThreadStats { contains: 1, inserts: 2, removes: 3, ..Default::default() };

@@ -247,6 +247,13 @@ mod tests {
         let _ = OperationMix::new(50, 40, 20);
     }
 
+    /// 100 + 100 + 56 wraps to 0 in `u8`; the sum is checked wider.
+    #[test]
+    #[should_panic(expected = "sum to 100")]
+    fn mix_sum_does_not_wrap_in_u8() {
+        let _ = OperationMix::new(100, 100, 56);
+    }
+
     #[test]
     fn map_spec_payloads_are_sized_and_stamped() {
         let spec = MapSpec::new(WorkloadSpec::new(100, OperationMix::updates(50)), 16);
