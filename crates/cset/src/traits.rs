@@ -394,9 +394,11 @@ pub trait OrderedMap<K, V>: ConcurrentMap<K, V> {
 /// holds only owned entries.
 ///
 /// Composing layers use this when a long-lived native cursor would hold a
-/// resource hostage to the consumer's pacing: e.g. a sharding layer merging
-/// many per-shard streams, where a structure's own streaming cursor may pin
-/// an epoch-reclamation guard until that stream is reached.
+/// resource hostage to the consumer's pacing.  Its users are
+/// `shard::ElasticMap`'s migration copies (split, merge and whole-strip
+/// teardown): each drains an entire strip while it writes replacement trees
+/// between pulls, and paging keeps such a long copy from holding an
+/// epoch-reclamation pin across those writes.
 pub fn chunked_scan_entries<'a, K, V, M>(
     map: &'a M,
     lo: Bound<&K>,

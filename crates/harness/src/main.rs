@@ -60,7 +60,7 @@ use locked_bst::{CoarseLockBst, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{RangeRouter, Sharded};
+use shard::{BoundaryRouter, Sharded};
 use workload::{
     format_csv, format_markdown_table, prefill, run_adversarial_workload, run_closed_loop,
     run_map_workload, run_workload, Adversary, KeyDistribution, MapSpec, Measurement, OpKind,
@@ -819,7 +819,7 @@ fn e16(opts: &Options) {
             // Range-routed shards: a chunk spanning one strip stays on the
             // calling thread; wider chunks fan out one scoped thread per
             // covered shard (the cross-shard parallel teardown path).
-            let set = Sharded::new(RangeRouter::covering(shards, span), |_| LfBst::new());
+            let set = Sharded::new(BoundaryRouter::covering(shards, span), |_| LfBst::new());
             let m = run_teardown_cycle(&set, keys, bulk, cycles, stride, mode, seed);
             let name = format!("shard/{}", mode.label());
             opts.record("e16", &name, 1, span, &mix_label, m.teardown_mkeys());
@@ -1136,14 +1136,19 @@ fn e18(opts: &Options) {
             cells.push(("rebalances".to_string(), actions as f64));
             cells.push(("late-rebal".to_string(), late_actions as f64));
             cells.push(("warmup-rounds".to_string(), warmup_rounds as f64));
-            // Residual imbalance: the hottest strip's share of the run's
-            // tail window, as a multiple of the mean (1.0 = perfectly flat).
-            let loads = map.load_per_shard();
+            // Residual imbalance: the hottest strip's share of one load
+            // window, as a multiple of the mean (1.0 = perfectly flat).  A
+            // live rebalancer drains the tallies every interval, so what it
+            // leaves after the measured rounds can be an empty window; the
+            // window is instead one unmeasured round of the same spec, run
+            // after the rebalancer has stopped.
+            map.take_loads();
+            let _ = run_map_workload(Arc::clone(&map), &spec, threads, opts.duration);
+            let loads = map.take_loads();
             let total: u64 = loads.iter().sum();
+            assert!(total > 0, "E18 {row}: the load window after the measured rounds is empty");
             let peak = loads.iter().copied().max().unwrap_or(0);
-            let imbalance =
-                if total == 0 { 0.0 } else { peak as f64 * loads.len() as f64 / total as f64 };
-            cells.push(("peak/mean".to_string(), imbalance));
+            cells.push(("peak/mean".to_string(), peak as f64 * loads.len() as f64 / total as f64));
             for (i, &l) in loads.iter().enumerate() {
                 strip_rows
                     .push((format!("shard.load.{row}.{i}"), vec![("ops".to_string(), l as f64)]));
@@ -1161,7 +1166,11 @@ fn e18(opts: &Options) {
         "dist/rebalance",
         &rows,
     );
-    opts.emit("E18 — final per-strip load tallies (last rebalancer window)", "gauge", &strip_rows);
+    opts.emit(
+        "E18 — per-strip load tallies (one unmeasured round after the rebalancer stopped)",
+        "gauge",
+        &strip_rows,
+    );
 }
 
 /// Prints the process-wide reclamation health gauges (the `ebr` counters).

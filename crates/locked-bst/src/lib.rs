@@ -2,7 +2,8 @@
 //!
 //! Lock-based implementations of the concurrent Set and Map ADTs used as
 //! comparator baselines and correctness oracles in the evaluation
-//! (experiments E1–E5, E13):
+//! (harness experiments E1–E5, and the `coarse` rung of the repository
+//! benchmark's ladder):
 //!
 //! * [`CoarseLockBst`] — a sequential internal BST behind a single
 //!   `std::sync::Mutex`.  This is the classic coarse-grained baseline whose
@@ -14,8 +15,9 @@
 //!   degrades as the update ratio grows.
 //! * [`CoarseLockMap`] — a `std::collections::BTreeMap` behind a single
 //!   mutex: the trivially correct ordered **map** used as the oracle for the
-//!   map-conformance suites and as the lock-based comparator in the map
-//!   throughput experiment (E13).
+//!   map-conformance suites and as a lock-based inner map in the sharding
+//!   tests.  The lock-free map face itself is priced by the repository
+//!   benchmark's `value.*` metrics.
 //!
 //! All implement the matching `cset` traits, so the workload driver and the
 //! benchmarks treat them interchangeably with the lock-free structures.
@@ -276,8 +278,9 @@ impl<K: Ord + Clone + Send + Sync> OrderedMap<K, ()> for RwLockBst<K> {
 ///
 /// Every operation takes the lock, so the sequential semantics of
 /// `std::collections::BTreeMap` lift directly to a linearizable concurrent
-/// map — which is exactly what a conformance oracle must be.  It doubles as
-/// the lock-based comparator in the map throughput experiment (E13).
+/// map — which is exactly what a conformance oracle must be.  The lock-free
+/// map face it checks is priced by the repository benchmark's `value.*`
+/// metrics.
 ///
 /// # Examples
 ///

@@ -46,6 +46,7 @@ use std::sync::{Arc, Mutex};
 use crossbeam_epoch::{Atomic, Ebr, Owned, ReclaimGuard, Reclaimer, Shared};
 use cset::{ConcurrentMap, LoadTally, OrderedMap, StatsSnapshot};
 
+use crate::router::{BoundaryRouter, ShardRouter};
 use crate::sharded::config_name;
 
 /// The survival predicate `retain_range` threads into the strip teardown
@@ -82,15 +83,10 @@ impl<S> Clone for Strip<S> {
     }
 }
 
-/// An immutable routing table: the unit the epoch switch publishes.
-///
-/// Strip `i` covers the half-open interval `[bounds[i - 1], bounds[i])`
-/// (reading `bounds[-1]` as `0` and the missing last bound as past `u64::MAX`)
-/// — exactly a [`BoundaryRouter`](crate::BoundaryRouter) with one tree
-/// attached per strip.
+/// An immutable routing table: the unit the epoch switch publishes — a
+/// [`BoundaryRouter`] with one tree attached per strip.
 struct Table<S> {
-    /// `strips.len() - 1` strictly ascending split points.
-    bounds: Vec<u64>,
+    router: BoundaryRouter,
     strips: Vec<Strip<S>>,
     /// Inclusive strip interval currently under cutover: writes routed there
     /// must retry on the successor table.
@@ -99,36 +95,8 @@ struct Table<S> {
 
 impl<S> Table<S> {
     #[inline]
-    fn route(&self, key: u64) -> usize {
-        self.bounds.partition_point(|b| *b <= key)
-    }
-
-    #[inline]
     fn is_blocked(&self, strip: usize) -> bool {
         matches!(self.blocked, Some((lo, hi)) if strip >= lo && strip <= hi)
-    }
-
-    /// The inclusive strip interval `[lo, hi]` touches.
-    fn span(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> (usize, usize) {
-        let route = |b: Bound<&u64>, unbounded: usize| match b {
-            Bound::Unbounded => unbounded,
-            Bound::Included(k) | Bound::Excluded(k) => self.route(*k),
-        };
-        (route(lo, 0), route(hi, self.strips.len() - 1))
-    }
-
-    /// Inclusive lower key of `strip`.
-    fn strip_lower(&self, strip: usize) -> u64 {
-        if strip == 0 {
-            0
-        } else {
-            self.bounds[strip - 1]
-        }
-    }
-
-    /// Exclusive upper key of `strip`, or `None` for the last strip.
-    fn strip_upper(&self, strip: usize) -> Option<u64> {
-        self.bounds.get(strip).copied()
     }
 }
 
@@ -186,15 +154,12 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     where
         S: ConcurrentMap<u64, V>,
     {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.first() != Some(&0),
-            "split points must be strictly ascending and non-zero"
-        );
+        let router = BoundaryRouter::new(bounds);
         let strips: Vec<Strip<S>> =
-            (0..=bounds.len()).map(|_| Strip::new(Arc::new(make()))).collect();
+            (0..router.shard_count()).map(|_| Strip::new(Arc::new(make()))).collect();
         let name = config_name(strips[0].tree.name(), strips.len(), "elastic");
         ElasticMap {
-            table: Atomic::new(Table { bounds, strips, blocked: None }),
+            table: Atomic::new(Table { router, strips, blocked: None }),
             make: Box::new(make),
             name,
             rebalances: AtomicU64::new(0),
@@ -204,8 +169,8 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     }
 
     /// Creates a map with `shards` equal-width strips over `[0, span)`
-    /// (high keys land in the last strip), the elastic twin of
-    /// [`RangeRouter::covering`](crate::RangeRouter::covering).
+    /// (high keys land in the last strip), laid out by
+    /// [`BoundaryRouter::covering`].
     ///
     /// # Panics
     ///
@@ -218,7 +183,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     where
         S: ConcurrentMap<u64, V>,
     {
-        let bounds = crate::BoundaryRouter::covering(shards, span).bounds().to_vec();
+        let bounds = BoundaryRouter::covering(shards, span).bounds().to_vec();
         Self::with_boundaries(bounds, make)
     }
 
@@ -231,7 +196,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     /// The current split points, strictly ascending (`shard_count() - 1`).
     pub fn boundaries(&self) -> Vec<u64> {
         let guard = R::pin();
-        unsafe { self.table.load(Ordering::Acquire, &guard).deref() }.bounds.clone()
+        unsafe { self.table.load(Ordering::Acquire, &guard).deref() }.router.bounds().to_vec()
     }
 
     /// Per-strip op tallies since construction or the last
@@ -265,7 +230,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     fn with_read<T>(&self, key: u64, op: impl FnOnce(&S) -> T) -> T {
         let guard = R::pin();
         let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-        let strip = &t.strips[t.route(key)];
+        let strip = &t.strips[t.router.route(&key)];
         strip.hits.bump();
         op(&strip.tree)
     }
@@ -294,7 +259,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
                 let guard = R::pin();
                 let shared = self.table.load(Ordering::Acquire, &guard);
                 let t = unsafe { shared.deref() };
-                let idx = t.route(key);
+                let idx = t.router.route(&key);
                 if !t.is_blocked(idx) {
                     let strip = &t.strips[idx];
                     strip.writers.fetch_add(1, Ordering::SeqCst);
@@ -354,16 +319,16 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         V: PartialEq,
     {
         let _serialize = self.migrate.lock().expect("rebalance lock poisoned");
-        let (old, bounds0, strips0) = {
+        let (old, router0, strips0) = {
             let guard = R::pin();
             let t0 = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
             if strip_idx >= t0.strips.len()
-                || pivot <= t0.strip_lower(strip_idx)
-                || t0.strip_upper(strip_idx).is_some_and(|u| pivot >= u)
+                || pivot <= t0.router.strip_lower(strip_idx)
+                || t0.router.strip_upper(strip_idx).is_some_and(|u| pivot >= u)
             {
                 return false;
             }
-            (t0.strips[strip_idx].clone(), t0.bounds.clone(), t0.strips.clone())
+            (t0.strips[strip_idx].clone(), t0.router.clone(), t0.strips.clone())
         };
 
         // Phase 1 — bulk copy through the streaming cursor while writers
@@ -383,7 +348,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         // the (now bounded) drift the concurrent phase accumulated.
         let guard = R::pin();
         let blocked = Table {
-            bounds: bounds0.clone(),
+            router: router0.clone(),
             strips: strips0.clone(),
             blocked: Some((strip_idx, strip_idx)),
         };
@@ -403,12 +368,12 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         // Phase 3 — publish the split layout; the old tree leaves the table
         // and is dropped once the retired tables and in-flight scans release
         // their Arcs.
-        let mut bounds = bounds0;
+        let mut bounds = router0.bounds().to_vec();
         bounds.insert(strip_idx, pivot);
         let mut strips = strips0;
         strips[strip_idx] = Strip::new(left);
         strips.insert(strip_idx + 1, Strip::new(right));
-        let t2 = Table { bounds, strips, blocked: None };
+        let t2 = Table { router: BoundaryRouter::new(bounds), strips, blocked: None };
         let prev = self.table.swap(Owned::new(t2), Ordering::SeqCst, &guard);
         unsafe { guard.defer_destroy(prev) };
         self.rebalances.fetch_add(1, Ordering::Relaxed);
@@ -426,7 +391,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         V: PartialEq,
     {
         let _serialize = self.migrate.lock().expect("rebalance lock poisoned");
-        let (a, b, bounds0, strips0) = {
+        let (a, b, router0, strips0) = {
             let guard = R::pin();
             let t0 = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
             if left_idx + 1 >= t0.strips.len() {
@@ -435,7 +400,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
             (
                 t0.strips[left_idx].clone(),
                 t0.strips[left_idx + 1].clone(),
-                t0.bounds.clone(),
+                t0.router.clone(),
                 t0.strips.clone(),
             )
         };
@@ -452,7 +417,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         // Phase 2 — cutover over both strips.
         let guard = R::pin();
         let blocked = Table {
-            bounds: bounds0.clone(),
+            router: router0.clone(),
             strips: strips0.clone(),
             blocked: Some((left_idx, left_idx + 1)),
         };
@@ -471,12 +436,12 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         );
 
         // Phase 3 — publish the merged layout.
-        let mut bounds = bounds0;
+        let mut bounds = router0.bounds().to_vec();
         bounds.remove(left_idx);
         let mut strips = strips0;
         strips[left_idx] = Strip::new(merged);
         strips.remove(left_idx + 1);
-        let t2 = Table { bounds, strips, blocked: None };
+        let t2 = Table { router: BoundaryRouter::new(bounds), strips, blocked: None };
         let prev = self.table.swap(Owned::new(t2), Ordering::SeqCst, &guard);
         unsafe { guard.defer_destroy(prev) };
         self.rebalances.fetch_add(1, Ordering::Relaxed);
@@ -527,8 +492,10 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     fn snapshot_trees(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<Arc<S>> {
         let guard = R::pin();
         let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-        let (first, last) = t.span(lo, hi);
-        t.strips[first..=last].iter().map(|s| Arc::clone(&s.tree)).collect()
+        let Some(span) = t.router.span(lo, hi) else {
+            return Vec::new();
+        };
+        t.strips[span].iter().map(|s| Arc::clone(&s.tree)).collect()
     }
 
     /// The whole-strip teardown behind the map facade's bulk mutations.
@@ -553,28 +520,25 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         S: OrderedMap<u64, V>,
         V: PartialEq,
     {
-        if cset::range_is_empty(&lo, &hi) {
-            return 0;
-        }
         let _serialize = self.migrate.lock().expect("rebalance lock poisoned");
-        let (bounds0, strips0, first, last) = {
+        let (router0, strips0, span) = {
             let guard = R::pin();
             let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-            let (first, last) = t.span(lo, hi);
-            (t.bounds.clone(), t.strips.clone(), first, last)
+            let Some(span) = t.router.span(lo, hi) else {
+                return 0;
+            };
+            (t.router.clone(), t.strips.clone(), span)
         };
-        let strip_lower = |i: usize| if i == 0 { 0 } else { bounds0[i - 1] };
-        let strip_upper = |i: usize| bounds0.get(i).copied();
         // Strip `i` covers `[lower, upper)`; it is fully covered when every
         // key in that interval falls inside `[lo, hi]`.  Split points are
         // non-zero, so `u - 1` cannot underflow.
         let covered = |i: usize| {
             let lo_ok = match lo {
                 Bound::Unbounded => true,
-                Bound::Included(k) => *k <= strip_lower(i),
-                Bound::Excluded(k) => *k < strip_lower(i),
+                Bound::Included(k) => *k <= router0.strip_lower(i),
+                Bound::Excluded(k) => *k < router0.strip_lower(i),
             };
-            let hi_ok = match (hi, strip_upper(i)) {
+            let hi_ok = match (hi, router0.strip_upper(i)) {
                 (Bound::Unbounded, _) => true,
                 (Bound::Included(k), None) => *k == u64::MAX,
                 (Bound::Excluded(_), None) => false,
@@ -583,7 +547,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
             };
             lo_ok && hi_ok
         };
-        let full: Vec<usize> = (first..=last).filter(|&i| covered(i)).collect();
+        let full: Vec<usize> = span.clone().filter(|&i| covered(i)).collect();
         let mut removed = 0usize;
 
         if let (Some(&f0), Some(&f1)) = (full.first(), full.last()) {
@@ -616,7 +580,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
             // then settle each replacement against its now-frozen source.
             let guard = R::pin();
             let blocked =
-                Table { bounds: bounds0.clone(), strips: strips0.clone(), blocked: Some((f0, f1)) };
+                Table { router: router0.clone(), strips: strips0.clone(), blocked: Some((f0, f1)) };
             let prev = self.table.swap(Owned::new(blocked), Ordering::SeqCst, &guard);
             unsafe { guard.defer_destroy(prev) };
             for strip in &strips0[f0..=f1] {
@@ -660,7 +624,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
             for (i, fresh) in (f0..=f1).zip(replacements) {
                 strips[i] = Strip::new(fresh);
             }
-            let t2 = Table { bounds: bounds0.clone(), strips, blocked: None };
+            let t2 = Table { router: router0.clone(), strips, blocked: None };
             let prev = self.table.swap(Owned::new(t2), Ordering::SeqCst, &guard);
             unsafe { guard.defer_destroy(prev) };
         }
@@ -668,7 +632,7 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         // Boundary strips the range only clips: stream-sweep them through
         // the trees themselves (the same trees live writers use, so per-key
         // linearizability is the trees' own).
-        for i in (first..=last).filter(|&i| !covered(i)) {
+        for i in span.filter(|&i| !covered(i)) {
             let tree = &strips0[i].tree;
             removed += match keep {
                 None => tree.remove_range(lo, hi),
@@ -840,7 +804,7 @@ where
     /// A streaming scan over the strips captured at call time: strips are
     /// key-disjoint and ascending, so concatenating the strips' own cursors,
     /// opened one at a time, yields one globally ascending scan with no
-    /// k-way merge and no page buffer.  A half-consumed cursor holds the
+    /// merge and no page buffer.  A half-consumed cursor holds the
     /// open strip cursor's pin between pulls, as `LfBst::scan_entries`
     /// does.  The capture is what lets a scan span a rebalance — see
     /// `ElasticMap::snapshot_trees` for the consistency contract.
@@ -848,9 +812,6 @@ where
     where
         V: 'a,
     {
-        if cset::range_is_empty(&lo, &hi) {
-            return Box::new(std::iter::empty());
-        }
         Box::new(ElasticScan::new(self.snapshot_trees(lo, hi), lo, hi))
     }
 
@@ -1463,6 +1424,13 @@ mod tests {
         for (k, v) in scanned {
             assert_eq!(map.get(&k), Some(v));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn with_boundaries_rejects_unsorted_split_points() {
+        let _: ElasticMap<LfBst<u64, u64>> =
+            ElasticMap::with_boundaries(vec![500, 100], LfBst::new);
     }
 
     #[test]

@@ -14,35 +14,36 @@
 //!
 //! * [`ShardRouter`] — the routing policy abstraction;
 //! * [`HashRouter`] — uniform spread by hashing (order-destroying);
-//! * [`RangeRouter`] — contiguous `u64` key ranges (order-preserving, so
-//!   cross-shard ordered scans remain possible; see [`OrderedRouter`]);
+//! * [`BoundaryRouter`] — contiguous `u64` key strips at sorted split
+//!   points, evenly spaced by [`BoundaryRouter::covering`] (order-preserving,
+//!   so cross-shard ordered scans remain possible);
 //! * [`Sharded`] — the facade that owns the inner maps, implements
 //!   [`cset::ConcurrentMap`] by routing each operation, aggregates
-//!   `len`/statistics across shards, and (with an ordered router) serves
-//!   cross-shard ordered scans as a **bounded-memory k-way merge** over
-//!   per-shard paged cursors ([`cset::OrderedMap::scan_entries`]; see the
-//!   [`merge`] module).  `Sharded<LfBst<K>, _>` is a set through the same
-//!   impls, `Sharded<LfBst<K, V>, _>` a map; [`ShardedMap`] names the same
-//!   type.
+//!   `len`/statistics across shards, and (with a [`BoundaryRouter`]) serves
+//!   cross-shard ordered scans as a lazy concatenation of the shards' own
+//!   cursors ([`cset::OrderedMap::scan_entries`]), one open at a time.
+//!   `Sharded<LfBst<K>, _>` is a set through the same impls,
+//!   `Sharded<LfBst<K, V>, _>` a map; [`ShardedMap`] names the same type.
 //!
 //! Static partitioning loses its wins under a skewed key distribution (one
 //! strip saturates while the rest idle), so the layer is also **elastic**:
 //!
-//! * [`BoundaryRouter`] — the general order-preserving router: explicit
-//!   sorted split points instead of a fixed stride;
-//! * [`ElasticMap`] — a range-sharded map whose strip layout is published
-//!   through an epoch-switched routing-table pointer, so strips can be split
-//!   and merged online (readers never block; writers to a migrating strip
-//!   are briefly gated; superseded tables are retired through the pluggable
-//!   reclamation backend — see the [`elastic`] module docs and DESIGN.md §9);
+//! * [`ElasticMap`] — a range-sharded map whose strip layout (a
+//!   [`BoundaryRouter`] with one tree per strip) is published through an
+//!   epoch-switched routing-table pointer, so strips can be split and merged
+//!   online (readers never block; writers to a migrating strip are briefly
+//!   gated; superseded tables are retired through the pluggable reclamation
+//!   backend — see the [`elastic`] module docs and DESIGN.md §9);
 //! * [`Rebalancer`] / [`RebalancePolicy`] — the load-driven policy that
 //!   watches the always-on per-strip tallies ([`Sharded::load_per_shard`],
 //!   [`ElasticMap::load_per_shard`]) and splits hot strips / merges cold
 //!   neighbours, step-by-step or from a background thread.
 //!
-//! The benchmark harness measures this layer as experiments **E11** (shard
-//! count × thread count × operation mix) and **E18** (skew × rebalancing
-//! on/off); see `EXPERIMENTS.md` at the repository root.
+//! The repository benchmark (`perfbench/`) prices this layer: its
+//! `sharded1` and `elastic1` ladder rungs against a bare tree and its
+//! `shard.*` per-layer metrics on the `map-skew-scan` workload.  Harness
+//! experiment **E18** measures skew × rebalancing on/off; see
+//! `EXPERIMENTS.md` at the repository root.
 //!
 //! ## Quick start
 //!
@@ -74,15 +75,13 @@
 #![warn(missing_debug_implementations)]
 
 pub mod elastic;
-pub mod merge;
 mod rebalance;
 mod router;
 mod sharded;
 
 pub use elastic::ElasticMap;
-pub use merge::MergedEntries;
 pub use rebalance::{RebalanceAction, RebalancePolicy, Rebalancer, RebalancerHandle};
-pub use router::{BoundaryRouter, HashRouter, OrderedRouter, RangeRouter, ShardRouter};
+pub use router::{BoundaryRouter, HashRouter, ShardRouter};
 pub use sharded::{config_name, Sharded, ShardedMap};
 
 pub use cset::{ConcurrentMap, ConcurrentSet, OrderedMap, OrderedSet, StatsSnapshot};
@@ -102,7 +101,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use super::{HashRouter, RangeRouter, ShardRouter, Sharded, ShardedMap};
+    use super::{BoundaryRouter, HashRouter, ShardRouter, Sharded, ShardedMap};
 
     #[test]
     fn routes_every_operation_to_exactly_one_shard() {
@@ -147,8 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn range_router_scan_matches_model() {
-        let set = Sharded::new(RangeRouter::covering(8, 5_000), |_| LfBst::new());
+    fn boundary_router_scan_matches_model() {
+        let set = Sharded::new(BoundaryRouter::covering(8, 5_000), |_| LfBst::new());
         let mut model = BTreeSet::new();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..3_000 {
@@ -173,7 +172,7 @@ mod tests {
     fn inverted_range_is_empty_not_a_panic() {
         // Inverted bounds must behave like every inner implementation (an
         // empty result), not index shards backwards.
-        let set = Sharded::new(RangeRouter::covering(4, 100), |_| LfBst::new());
+        let set = Sharded::new(BoundaryRouter::covering(4, 100), |_| LfBst::new());
         for k in [5u64, 30, 55, 80, 99] {
             set.insert(k);
         }
@@ -185,7 +184,7 @@ mod tests {
 
     #[test]
     fn streaming_scan_matches_collecting_scan() {
-        let set = Sharded::new(RangeRouter::covering(8, 5_000), |_| LfBst::new());
+        let set = Sharded::new(BoundaryRouter::covering(8, 5_000), |_| LfBst::new());
         let mut rng = StdRng::seed_from_u64(21);
         for _ in 0..2_000 {
             set.insert(rng.gen_range(0..5_000u64));
@@ -205,7 +204,7 @@ mod tests {
 
     #[test]
     fn successor_queries_cross_shards() {
-        let set = Sharded::new(RangeRouter::covering(4, 100), |_| LfBst::new());
+        let set = Sharded::new(BoundaryRouter::covering(4, 100), |_| LfBst::new());
         assert_eq!(set.first(), None);
         assert_eq!(set.last(), None);
         assert_eq!(set.next_after(&50), None);
@@ -306,14 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_scan_memory_is_bounded_by_shards_plus_page() {
-        // 4 shards x 1000 keys; an early-exit scan of 10 keys must not pull
-        // the 4000-key result set through the merge.  The per-shard streams
-        // are chunked pages, so the worst case is one SCAN_CHUNK page per
-        // shard plus the emitted page — the documented bound.
+    fn early_exit_scan_opens_only_the_shards_it_reaches() {
+        // 4 shards x 1000 keys; a take(10) scan must pull its keys from shard
+        // 0's cursor (plus at most one look-ahead) and never open shards 1-3.
         const SHARDS: usize = 4;
         const PER_SHARD: u64 = 1_000;
-        let set = Sharded::new(RangeRouter::covering(SHARDS, SHARDS as u64 * PER_SHARD), |_| {
+        let set = Sharded::new(BoundaryRouter::covering(SHARDS, SHARDS as u64 * PER_SHARD), |_| {
             Spy::<()>::default()
         });
         for k in 0..SHARDS as u64 * PER_SHARD {
@@ -321,27 +318,131 @@ mod tests {
         }
         let top: Vec<u64> = set.scan_keys(Unbounded, Unbounded).take(10).collect();
         assert_eq!(top, (0..10).collect::<Vec<_>>());
-        let pulled: usize =
-            (0..SHARDS).map(|i| set.shard(i).handed_out.load(Ordering::Relaxed)).sum();
-        let bound = SHARDS * cset::SCAN_CHUNK + 10;
+        let pulled: Vec<usize> =
+            (0..SHARDS).map(|i| set.shard(i).handed_out.load(Ordering::Relaxed)).collect();
+        assert!(pulled[0] <= 11, "take(10) pulled {} entries from shard 0", pulled[0]);
+        assert_eq!(pulled[1..], [0, 0, 0], "an early-exit scan reached later shards");
+    }
+
+    #[test]
+    fn successor_queries_open_shards_from_the_keys_own_strip() {
+        // `first`/`next_after` are the trait defaults over the concatenated
+        // cursor: a successor query starts at the key's strip and stops at
+        // the first entry it finds.
+        let set = Sharded::new(BoundaryRouter::covering(4, 4_000), |_| Spy::<()>::default());
+        for k in (0..4_000u64).filter(|k| !(1_000..2_100).contains(k)) {
+            set.insert(k);
+        }
+        assert_eq!(set.next_after(&1_500), Some(2_100));
+        let pulled: Vec<usize> =
+            (0..4).map(|i| set.shard(i).handed_out.load(Ordering::Relaxed)).collect();
+        assert_eq!(pulled, [0, 0, 1, 0], "next_after(1500) over an empty shard 1");
+        assert_eq!(set.first(), Some(0));
+        assert_eq!(set.shard(0).handed_out.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn empty_ranges_reach_no_shard() {
+        // An inverted or pinched range has an empty span: neither a scan nor
+        // a sweep reaches any shard, not even the one both bounds route to.
+        let map = Sharded::new(BoundaryRouter::covering(4, 400), |_| Spy::<u64>::default());
+        for k in 0..400u64 {
+            cset::ConcurrentMap::insert(&map, k, k);
+        }
+        for (lo, hi) in [(Included(&300), Excluded(&20)), (Included(&150), Excluded(&150))] {
+            assert_eq!(cset::OrderedMap::scan_entries(&map, lo, hi).count(), 0);
+            assert_eq!(cset::OrderedMap::remove_range(&map, lo, hi), 0);
+            assert_eq!(cset::OrderedMap::retain_range(&map, lo, hi, &|_, _| false), 0);
+        }
+        for i in 0..4 {
+            assert_eq!(map.shard(i).handed_out.load(Ordering::Relaxed), 0);
+            assert!(map.shard(i).calls().is_empty(), "an empty range reached shard {i}");
+        }
+    }
+
+    #[test]
+    fn sharded_and_elastic_scans_agree_over_one_layout() {
+        // Both facades route through `BoundaryRouter` and concatenate strip
+        // cursors; over the same split points and contents they must agree
+        // on every range shape.
+        use crate::ElasticMap;
+        use cset::{ConcurrentMap, OrderedMap};
+        let bounds = vec![100, 250, 700];
+        let sharded =
+            Sharded::new(BoundaryRouter::new(bounds.clone()), |_| LfBst::<u64, u64>::new());
+        let elastic: ElasticMap<LfBst<u64, u64>> = ElasticMap::with_boundaries(bounds, LfBst::new);
+        let mut rng = StdRng::seed_from_u64(0x0E1A);
+        for _ in 0..600 {
+            let k = rng.gen_range(0..1_000u64);
+            sharded.upsert(k, k * 7);
+            elastic.upsert(k, k * 7);
+        }
+        let bound = |rng: &mut StdRng| -> Bound<u64> {
+            let k = rng.gen_range(0..1_000u64);
+            match rng.gen_range(0..3) {
+                0 => Included(k),
+                1 => Excluded(k),
+                _ => Unbounded,
+            }
+        };
+        for _ in 0..300 {
+            let (lo, hi) = (bound(&mut rng), bound(&mut rng));
+            let a: Vec<(u64, u64)> = sharded.scan_entries(lo.as_ref(), hi.as_ref()).collect();
+            let b: Vec<(u64, u64)> = elastic.scan_entries(lo.as_ref(), hi.as_ref()).collect();
+            assert_eq!(a, b, "{lo:?}..{hi:?}");
+        }
+        assert_eq!(sharded.last_entry(), elastic.last_entry());
+        assert_eq!(sharded.first_entry(), elastic.first_entry());
+    }
+
+    /// A half-consumed scan holds its open shard cursor's pin, so nothing
+    /// retired meanwhile can be freed; dropping it releases the pin, and a
+    /// later collection frees what was retired while it was alive.
+    #[test]
+    fn dropping_a_half_consumed_sharded_scan_releases_its_pin() {
+        use crossbeam_epoch::{Ebr, Reclaimer};
+        use cset::{ConcurrentMap, OrderedMap};
+        use std::time::{Duration, Instant};
+        let map =
+            Sharded::new(BoundaryRouter::covering(2, 1_000), |_| LfBst::<u64, Arc<u64>>::new());
+        let mut doomed = Vec::new();
+        for k in 0..1_000u64 {
+            let v = Arc::new(k);
+            if (500..600).contains(&k) {
+                doomed.push(Arc::downgrade(&v));
+            }
+            map.insert(k, v);
+        }
+        let mut cursor = map.scan_entries(Unbounded, Unbounded);
+        assert_eq!(cursor.next().map(|e| e.0), Some(0));
+        for k in 500..600u64 {
+            assert!(map.remove(&k).is_some());
+        }
+        Ebr::collect();
         assert!(
-            pulled <= bound,
-            "early-exit merge pulled {pulled} keys from shards, bound is {bound} \
-             (collect-everything would have pulled {})",
-            SHARDS as u64 * PER_SHARD
+            doomed.iter().all(|w| w.strong_count() == 1),
+            "a value retired under the scan's pin was freed"
         );
+        drop(cursor);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while doomed.iter().any(|w| w.strong_count() != 0) {
+            assert!(Instant::now() < deadline, "values retired under the dropped scan never freed");
+            Ebr::collect();
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn scan_composes_with_locked_inner_sets() {
         // The layer is generic: the same scan works over a lock-based inner map.
-        let set = Sharded::new(RangeRouter::covering(4, 100), |_| CoarseLockMap::<u64, ()>::new());
+        let set =
+            Sharded::new(BoundaryRouter::covering(4, 100), |_| CoarseLockMap::<u64, ()>::new());
         for k in [5u64, 30, 55, 80, 99] {
             set.insert(k);
         }
         assert_eq!(set.keys_between(Included(&10), Included(&90)), vec![30, 55, 80]);
         assert_eq!(set.keys_between(Unbounded, Excluded(&55)), vec![5, 30]);
-        assert_eq!(set.name(), "coarse-mutex-btreemapx4-range");
+        assert_eq!(set.name(), "coarse-mutex-btreemapx4-boundary");
     }
 
     #[test]
@@ -349,7 +450,7 @@ mod tests {
         // The predicate-free sweep must reach each shard's own `remove_range`
         // (for `lfbst`, the sweep that reads no values), never a
         // `retain_range` with an always-false predicate.
-        let map = Sharded::new(RangeRouter::covering(4, 400), |_| Spy::<u64>::default());
+        let map = Sharded::new(BoundaryRouter::covering(4, 400), |_| Spy::<u64>::default());
         for k in 0..400u64 {
             cset::ConcurrentMap::insert(&map, k, k);
         }
@@ -372,12 +473,12 @@ mod tests {
 
     #[test]
     fn set_and_map_faces_of_one_sharded_tree_agree_with_a_model() {
-        // One `Sharded<LfBst<u64>, RangeRouter>`, driven step by step through
+        // One `Sharded<LfBst<u64>, BoundaryRouter>`, driven step by step through
         // its set face (the blanket `ConcurrentSet`/`OrderedSet` impls) and
         // its map face (`OrderedMap::entries_between`, `remove_range`).
         use cset::OrderedMap;
-        let set: Sharded<LfBst<u64>, RangeRouter> =
-            Sharded::new(RangeRouter::covering(4, 512), |_| LfBst::new());
+        let set: Sharded<LfBst<u64>, BoundaryRouter> =
+            Sharded::new(BoundaryRouter::covering(4, 512), |_| LfBst::new());
         let mut model = BTreeSet::new();
         let mut rng = StdRng::seed_from_u64(0x5E7);
         for step in 0..4_000 {
@@ -539,7 +640,7 @@ mod tests {
     fn map_facade_ordered_scan_matches_model() {
         use cset::{ConcurrentMap, OrderedMap};
         use std::collections::BTreeMap;
-        let map = Sharded::new(RangeRouter::covering(8, 5_000), |_| LfBst::<u64, u64>::new());
+        let map = Sharded::new(BoundaryRouter::covering(8, 5_000), |_| LfBst::<u64, u64>::new());
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..3_000 {
@@ -566,13 +667,14 @@ mod tests {
     fn map_facade_composes_with_the_locked_oracle() {
         use cset::{ConcurrentMap, OrderedMap};
         // `ShardedMap` is the same type, kept under its map-face name.
-        let map: ShardedMap<_, _> =
-            ShardedMap::new(RangeRouter::covering(4, 100), |_| CoarseLockMap::<u64, String>::new());
+        let map: ShardedMap<_, _> = ShardedMap::new(BoundaryRouter::covering(4, 100), |_| {
+            CoarseLockMap::<u64, String>::new()
+        });
         for k in [5u64, 30, 55, 80] {
             map.insert(k, format!("v{k}"));
         }
         assert_eq!(map.get(&30).as_deref(), Some("v30"));
-        assert_eq!(map.name(), "coarse-mutex-btreemapx4-range");
+        assert_eq!(map.name(), "coarse-mutex-btreemapx4-boundary");
         let entries = map.entries_between(Included(&10), Excluded(&80));
         assert_eq!(entries, vec![(30, "v30".to_string()), (55, "v55".to_string())]);
     }
@@ -580,9 +682,9 @@ mod tests {
     #[test]
     fn names_encode_configuration() {
         let a = Sharded::new(HashRouter::new(4), |_| LfBst::<u64>::new());
-        let b = Sharded::new(RangeRouter::covering(16, 100), |_| LfBst::<u64>::new());
+        let b = Sharded::new(BoundaryRouter::covering(16, 100), |_| LfBst::<u64>::new());
         assert_eq!(a.name(), "lfbstx4-hash");
-        assert_eq!(b.name(), "lfbstx16-range");
+        assert_eq!(b.name(), "lfbstx16-boundary");
         // Interning: the same configuration yields the same static pointer.
         let c = Sharded::new(HashRouter::new(4), |_| LfBst::<u64>::new());
         assert!(std::ptr::eq(a.name(), c.name()));
@@ -592,8 +694,8 @@ mod tests {
     fn concurrent_mixed_load_accounting() {
         // Per-key accounting across threads, the same invariant the workspace
         // conformance battery checks, applied to the sharded facade.
-        let set: Arc<Sharded<LfBst<u64>, RangeRouter>> =
-            Arc::new(Sharded::new(RangeRouter::covering(8, 256), |_| LfBst::new()));
+        let set: Arc<Sharded<LfBst<u64>, BoundaryRouter>> =
+            Arc::new(Sharded::new(BoundaryRouter::covering(8, 256), |_| LfBst::new()));
         let balance = Arc::new((0..256u64).map(|_| AtomicI64::new(0)).collect::<Vec<_>>());
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
@@ -641,7 +743,7 @@ mod tests {
 
     #[test]
     fn load_counters_account_for_every_point_op() {
-        let set = Sharded::new(RangeRouter::covering(4, 1_024), |_| LfBst::new());
+        let set = Sharded::new(BoundaryRouter::covering(4, 1_024), |_| LfBst::new());
         for k in 0u64..1_024 {
             set.insert(k);
         }
@@ -665,8 +767,9 @@ mod tests {
         // The map face tallies the same way.
         {
             use cset::ConcurrentMap;
-            let map =
-                Sharded::new(RangeRouter::covering(2, 64), |_| CoarseLockMap::<u64, String>::new());
+            let map = Sharded::new(BoundaryRouter::covering(2, 64), |_| {
+                CoarseLockMap::<u64, String>::new()
+            });
             map.insert(1, "a".into());
             map.upsert(40, "b".into());
             map.get(&1);

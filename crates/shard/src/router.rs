@@ -5,12 +5,13 @@
 //!
 //! * [`HashRouter`] — spreads keys uniformly by hashing.  Best load balance
 //!   under skewed key popularity, but destroys key order across shards.
-//! * [`RangeRouter`] — partitions a `u64` key space into `N` contiguous
-//!   ranges.  Shard `i` holds a key interval strictly below shard `i + 1`'s,
-//!   so a cross-shard ordered scan is a concatenation of per-shard scans
-//!   (the router implements [`OrderedRouter`]).
+//! * [`BoundaryRouter`] — partitions the `u64` key space into contiguous
+//!   strips at sorted split points.  Strip `i` holds keys strictly below
+//!   strip `i + 1`'s, so a cross-shard ordered scan is a concatenation of
+//!   per-shard scans over [`BoundaryRouter::span`].
 
 use std::hash::{Hash, Hasher};
+use std::ops::{Bound, RangeInclusive};
 
 /// Maps keys to shard indices.
 ///
@@ -23,18 +24,10 @@ pub trait ShardRouter<K>: Send + Sync {
     /// The shard index for `key`, in `0..shard_count()`.
     fn route(&self, key: &K) -> usize;
 
-    /// A short static label used in benchmark row names (`"hash"`, `"range"`).
+    /// A short static label used in benchmark row names (`"hash"`,
+    /// `"boundary"`).
     fn policy_name(&self) -> &'static str;
 }
-
-/// Marker for routers whose mapping is **monotone** in the key order:
-/// `a <= b` implies `route(a) <= route(b)`.
-///
-/// Monotonicity is what makes cross-shard ordered scans possible: all keys in
-/// `[lo, hi]` live in the contiguous shard interval `[route(lo), route(hi)]`,
-/// and concatenating the per-shard ascending scans in shard order yields one
-/// globally ascending scan.
-pub trait OrderedRouter<K>: ShardRouter<K> {}
 
 /// A fast, fixed-key multiply-xor hasher (FxHash-style).
 ///
@@ -136,97 +129,23 @@ impl<K: Hash> ShardRouter<K> for HashRouter {
     }
 }
 
-/// Routes `u64` keys by contiguous range: order-preserving.
-///
-/// The key space `[0, span)` is divided into `shards` equal-width contiguous
-/// strips; keys at or above `span` (if any) land in the last shard, keeping
-/// the mapping total and monotone.
-///
-/// # Examples
-///
-/// ```
-/// use shard::{OrderedRouter, RangeRouter, ShardRouter};
-///
-/// // Partition the keys 0..1000 over 4 shards of width 250.
-/// let r = RangeRouter::covering(4, 1000);
-/// assert_eq!(r.route(&0u64), 0);
-/// assert_eq!(r.route(&249u64), 0);
-/// assert_eq!(r.route(&250u64), 1);
-/// assert_eq!(r.route(&999u64), 3);
-/// // Monotone: ordered scans can concatenate shard scans.
-/// fn assert_ordered<R: OrderedRouter<u64>>(_r: &R) {}
-/// assert_ordered(&r);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct RangeRouter {
-    shards: usize,
-    /// Width of each shard's key strip.
-    stride: u64,
-}
-
-impl RangeRouter {
-    /// Creates a router partitioning the **full** `u64` key space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(shards: usize) -> Self {
-        Self::covering(shards, u64::MAX)
-    }
-
-    /// Creates a router partitioning `[0, span)` into `shards` equal strips.
-    ///
-    /// Use this when the workload's key range is known (as in the benchmark
-    /// harness): partitioning only the populated span keeps all shards loaded
-    /// instead of leaving high shards empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `span == 0`.
-    pub fn covering(shards: usize, span: u64) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        assert!(span > 0, "key span must be non-empty");
-        let stride = (span / shards as u64).max(1);
-        RangeRouter { shards, stride }
-    }
-
-    /// The width of each shard's key strip.
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-}
-
-impl ShardRouter<u64> for RangeRouter {
-    #[inline]
-    fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    #[inline]
-    fn route(&self, key: &u64) -> usize {
-        ((key / self.stride) as usize).min(self.shards - 1)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        "range"
-    }
-}
-
-impl OrderedRouter<u64> for RangeRouter {}
-
-/// Routes `u64` keys by an **explicit sorted boundary vector**: the general
-/// form of [`RangeRouter`], and the routing table elastic sharding rebalances.
+/// Routes `u64` keys by an **explicit sorted boundary vector**: the one
+/// order-preserving router, used by the static [`Sharded`](crate::Sharded)
+/// facade and as the routing table elastic sharding rebalances.
 ///
 /// `bounds` holds `shards - 1` strictly ascending split points; shard `i`
 /// covers the half-open strip `[bounds[i - 1], bounds[i])` (with `bounds[-1]`
 /// read as `0` and `bounds[shards - 1]` as `u64::MAX + 1`).  Routing is a
 /// binary search (`partition_point`), so arbitrary — including heavily
 /// lopsided — strip widths cost `O(log N)` instead of forcing equal strides.
+/// It is **monotone** (`a <= b` implies `route(a) <= route(b)`): the keys of
+/// any range live in the contiguous strips [`span`](Self::span) names.
 ///
 /// # Examples
 ///
 /// ```
-/// use shard::{BoundaryRouter, OrderedRouter, ShardRouter};
+/// use shard::{BoundaryRouter, ShardRouter};
+/// use std::ops::Bound;
 ///
 /// // Three strips: [0, 10), [10, 1000), [1000, u64::MAX].
 /// let r = BoundaryRouter::new(vec![10, 1000]);
@@ -234,14 +153,13 @@ impl OrderedRouter<u64> for RangeRouter {}
 /// assert_eq!(r.route(&9u64), 0);
 /// assert_eq!(r.route(&10u64), 1);
 /// assert_eq!(r.route(&u64::MAX), 2);
+/// assert_eq!(r.span(Bound::Included(&5), Bound::Excluded(&10)), Some(0..=1));
 ///
-/// // Equal-width construction matches RangeRouter::covering.
+/// // Equal-width strips over the keys 0..1000.
 /// let even = BoundaryRouter::covering(4, 1000);
 /// assert_eq!(even.route(&249u64), 0);
 /// assert_eq!(even.route(&250u64), 1);
-///
-/// fn assert_ordered<R: OrderedRouter<u64>>(_r: &R) {}
-/// assert_ordered(&r);
+/// assert_eq!(even.route(&5000u64), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BoundaryRouter {
@@ -263,9 +181,8 @@ impl BoundaryRouter {
         BoundaryRouter { bounds }
     }
 
-    /// Creates `shards` equal-width strips over `[0, span)`, the boundary
-    /// form of [`RangeRouter::covering`] (keys at or above `span` land in the
-    /// last strip).
+    /// Creates `shards` equal-width strips over `[0, span)`; keys at or above
+    /// `span` land in the last strip.
     ///
     /// # Panics
     ///
@@ -275,8 +192,8 @@ impl BoundaryRouter {
         assert!(span > 0, "key span must be non-empty");
         let stride = (span / shards as u64).max(1);
         // Strides of width `stride` until the span (or u64 range) runs out;
-        // a narrow span degenerates gracefully to fewer-than-asked strips of
-        // width >= 1, mirroring RangeRouter's `.min(shards - 1)` clamp.
+        // a span narrower than `shards` keys degenerates gracefully to
+        // fewer-than-asked strips of width >= 1, never an empty one.
         let bounds: Vec<u64> = (1..shards as u64)
             .map(|i| i.saturating_mul(stride))
             .take_while(|b| *b < span)
@@ -287,6 +204,39 @@ impl BoundaryRouter {
     /// The split points, strictly ascending (`shard_count() - 1` of them).
     pub fn bounds(&self) -> &[u64] {
         &self.bounds
+    }
+
+    /// The contiguous strip interval holding every key of `[lo, hi]` —
+    /// from the strip of `lo` to the strip of `hi`, whether either bound is
+    /// inclusive or exclusive — or `None` when no key satisfies both bounds
+    /// (an inverted or pinched range).
+    pub fn span(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Option<RangeInclusive<usize>> {
+        if cset::range_is_empty(&lo, &hi) {
+            return None;
+        }
+        let first = match lo {
+            Bound::Unbounded => 0,
+            Bound::Included(k) | Bound::Excluded(k) => self.route(k),
+        };
+        let last = match hi {
+            Bound::Unbounded => self.bounds.len(),
+            Bound::Included(k) | Bound::Excluded(k) => self.route(k),
+        };
+        Some(first..=last)
+    }
+
+    /// Inclusive lower key of `strip`.
+    pub(crate) fn strip_lower(&self, strip: usize) -> u64 {
+        if strip == 0 {
+            0
+        } else {
+            self.bounds[strip - 1]
+        }
+    }
+
+    /// Exclusive upper key of `strip`, or `None` for the last strip.
+    pub(crate) fn strip_upper(&self, strip: usize) -> Option<u64> {
+        self.bounds.get(strip).copied()
     }
 }
 
@@ -305,8 +255,6 @@ impl ShardRouter<u64> for BoundaryRouter {
         "boundary"
     }
 }
-
-impl OrderedRouter<u64> for BoundaryRouter {}
 
 #[cfg(test)]
 mod tests {
@@ -350,8 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn range_router_is_monotone() {
-        let r = RangeRouter::covering(8, 1 << 16);
+    fn covering_router_is_monotone() {
+        let r = BoundaryRouter::covering(8, 1 << 16);
         let mut last = 0;
         for k in (0u64..(1 << 16)).step_by(97) {
             let s = r.route(&k);
@@ -364,22 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn range_router_full_space_covers_extremes() {
-        let r = RangeRouter::new(4);
+    fn covering_full_space_covers_extremes() {
+        let r = BoundaryRouter::covering(4, u64::MAX);
+        assert_eq!(r.shard_count(), 4);
         assert_eq!(r.route(&0), 0);
         assert_eq!(r.route(&u64::MAX), 3);
     }
 
     #[test]
-    fn range_router_out_of_span_keys_land_in_last_shard() {
-        let r = RangeRouter::covering(4, 100);
+    fn covering_out_of_span_keys_land_in_last_strip() {
+        let r = BoundaryRouter::covering(4, 100);
         assert_eq!(r.route(&1_000_000), 3);
     }
 
     #[test]
-    fn range_router_balances_uniform_span() {
+    fn covering_balances_uniform_span() {
         let shards = 4;
-        let r = RangeRouter::covering(shards, 4_000);
+        let r = BoundaryRouter::covering(shards, 4_000);
         let mut counts = vec![0u64; shards];
         for k in 0..4_000u64 {
             counts[r.route(&k)] += 1;
@@ -395,14 +344,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "positive")]
-    fn zero_shards_rejected_for_range() {
-        let _ = RangeRouter::covering(0, 10);
+    fn zero_shards_rejected_for_covering() {
+        let _ = BoundaryRouter::covering(0, 10);
     }
 
     #[test]
     fn single_shard_routers_are_trivial() {
         let h = HashRouter::new(1);
-        let r = RangeRouter::covering(1, 1 << 20);
+        let r = BoundaryRouter::covering(1, 1 << 20);
         for k in [0u64, 17, u64::MAX] {
             assert_eq!(ShardRouter::<u64>::route(&h, &k), 0);
             assert_eq!(r.route(&k), 0);
@@ -412,7 +361,6 @@ mod tests {
     #[test]
     fn policy_names_are_stable() {
         assert_eq!(ShardRouter::<u64>::policy_name(&HashRouter::new(2)), "hash");
-        assert_eq!(RangeRouter::new(2).policy_name(), "range");
         assert_eq!(BoundaryRouter::new(vec![7]).policy_name(), "boundary");
     }
 
@@ -443,17 +391,35 @@ mod tests {
     }
 
     #[test]
-    fn boundary_covering_matches_range_router() {
+    fn boundary_covering_is_the_equal_stride_partition() {
         for (shards, span) in [(4, 1000u64), (8, 1 << 16), (3, 7), (1, 100)] {
             let b = BoundaryRouter::covering(shards, span);
-            let r = RangeRouter::covering(shards, span);
+            let stride = span / shards as u64;
             assert_eq!(b.shard_count(), shards);
             for k in
                 (0..span).step_by((span as usize / 97).max(1)).chain([0, span - 1, span, span + 5])
             {
-                assert_eq!(b.route(&k), r.route(&k), "key {k} (shards {shards}, span {span})");
+                let expected = ((k / stride) as usize).min(shards - 1);
+                assert_eq!(b.route(&k), expected, "key {k} (shards {shards}, span {span})");
             }
         }
+    }
+
+    #[test]
+    fn span_names_exactly_the_strips_a_range_touches() {
+        use Bound::{Excluded, Included, Unbounded};
+        let r = BoundaryRouter::new(vec![10, 20, 30]);
+        assert_eq!(r.span(Unbounded, Unbounded), Some(0..=3));
+        assert_eq!(r.span(Included(&10), Included(&19)), Some(1..=1));
+        // A bound's own strip is in the span even when the bound excludes it.
+        assert_eq!(r.span(Included(&10), Excluded(&20)), Some(1..=2));
+        assert_eq!(r.span(Included(&9), Included(&20)), Some(0..=2));
+        assert_eq!(r.span(Excluded(&25), Unbounded), Some(2..=3));
+        assert_eq!(r.span(Unbounded, Excluded(&5)), Some(0..=0));
+        // Inverted and pinched ranges touch nothing, even within one strip.
+        assert_eq!(r.span(Included(&25), Included(&5)), None);
+        assert_eq!(r.span(Included(&15), Excluded(&15)), None);
+        assert_eq!(r.span(Excluded(&15), Excluded(&15)), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use cset::{ConcurrentMap, LoadTally, OrderedMap, StatsSnapshot};
 
-use crate::router::{OrderedRouter, ShardRouter};
+use crate::router::{BoundaryRouter, ShardRouter};
 
 /// Interns a shard configuration label so [`ConcurrentMap::name`] can return
 /// `&'static str`.  One short string leaks per **distinct** configuration
@@ -53,12 +53,10 @@ pub fn config_name(inner: &'static str, shards: usize, policy: &'static str) -> 
 ///
 /// Cross-shard aggregate queries (`len`, `stats`) sum shard-local values; see
 /// [`StatsSnapshot::merge`] for the exact/monotone contract of such sums.
-/// With an order-preserving router ([`OrderedRouter`], e.g.
-/// [`RangeRouter`](crate::RangeRouter)), ordered range scans remain
-/// available, served as a bounded-memory k-way merge over per-shard paged
-/// cursors — see [`OrderedMap::scan_entries`] (and, on the set face,
-/// [`OrderedSet::scan_keys`](cset::OrderedSet::scan_keys)) and the
-/// [`crate::merge`] module.
+/// With the order-preserving [`BoundaryRouter`], ordered range scans remain
+/// available: shards are key-disjoint and ascending, so a scan is the lazy
+/// concatenation of the shards' own cursors — see [`OrderedMap::scan_entries`]
+/// (and, on the set face, [`OrderedSet::scan_keys`](cset::OrderedSet::scan_keys)).
 ///
 /// A `V = ()` composition implements both the map and the set traits, so a
 /// method call with both traits in scope is ambiguous: import one of them,
@@ -69,11 +67,11 @@ pub fn config_name(inner: &'static str, shards: usize, policy: &'static str) -> 
 /// ```
 /// use cset::{ConcurrentSet, OrderedSet};
 /// use lfbst::LfBst;
-/// use shard::{RangeRouter, Sharded};
+/// use shard::{BoundaryRouter, Sharded};
 /// use std::ops::Bound;
 ///
 /// // The set face: inner trees with `()` values.
-/// let set = Sharded::new(RangeRouter::covering(4, 100), |_| LfBst::<u64>::new());
+/// let set = Sharded::new(BoundaryRouter::covering(4, 100), |_| LfBst::<u64>::new());
 /// for k in [5u64, 30, 55, 80] {
 ///     assert!(set.insert(k));
 /// }
@@ -181,52 +179,6 @@ impl<S, R> Sharded<S, R> {
         self.loads[shard].bump();
         &self.shards[shard]
     }
-
-    /// The contiguous shard interval a monotone router confines `[lo, hi]`
-    /// to, or `None` for inverted bounds (the scan is empty).
-    fn shard_span<K>(&self, lo: Bound<&K>, hi: Bound<&K>) -> Option<&[S]>
-    where
-        R: OrderedRouter<K>,
-    {
-        let first = match lo {
-            Bound::Unbounded => 0,
-            Bound::Included(k) | Bound::Excluded(k) => self.router.route(k),
-        };
-        let last = match hi {
-            Bound::Unbounded => self.shards.len() - 1,
-            Bound::Included(k) | Bound::Excluded(k) => self.router.route(k),
-        };
-        (first <= last).then(|| &self.shards[first..=last])
-    }
-
-    /// Runs `sweep` on every shard of the span `[lo, hi]` and sums the
-    /// counts.  Shards hold disjoint key sets under a monotone router, so each
-    /// can be handed the full bounds and the sum is exact.  A multi-shard span
-    /// fans out on scoped threads; a span of one shard stays on the calling
-    /// thread.
-    fn sweep_span<K>(
-        &self,
-        lo: Bound<&K>,
-        hi: Bound<&K>,
-        sweep: impl Fn(&S) -> usize + Sync,
-    ) -> usize
-    where
-        S: Sync,
-        R: OrderedRouter<K>,
-    {
-        let Some(span) = self.shard_span(lo, hi) else {
-            return 0;
-        };
-        if let [shard] = span {
-            return sweep(shard);
-        }
-        let sweep = &sweep;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                span.iter().map(|shard| scope.spawn(move || sweep(shard))).collect();
-            handles.into_iter().map(|h| h.join().expect("shard sweep panicked")).sum()
-        })
-    }
 }
 
 impl<K, V, S, R> ConcurrentMap<K, V> for Sharded<S, R>
@@ -281,92 +233,80 @@ where
     }
 }
 
-impl<K, V, S, R> OrderedMap<K, V> for Sharded<S, R>
-where
-    S: OrderedMap<K, V>,
-    R: OrderedRouter<K>,
-{
-    /// A bounded-memory cross-shard scan: one stream per shard in the
-    /// router-confined interval `[route(lo), route(hi)]`, k-way merged through
-    /// a [`BinaryHeap`](std::collections::BinaryHeap) holding one pending
-    /// entry per shard (see [`crate::merge`]).  Nothing is collected up front,
-    /// so `scan.take(k)` touches O(shards + k) items however large the range
-    /// is.
-    ///
-    /// The per-shard streams are served in bounded pages
-    /// ([`cset::chunked_scan_entries`] over each shard's
-    /// `entries_between_limited`), **not** through the shards' own long-lived
-    /// cursors: a native cursor may hold a resource (e.g. an epoch
-    /// reclamation pin) for its whole lifetime, and a merged scan keeps the
-    /// later shards' cursors idle until the earlier shards drain — paging
-    /// guarantees that between pulls the merge holds only owned entries, so a
-    /// long or slowly consumed scan never stalls reclamation.
-    fn scan_entries<'a>(&'a self, lo: Bound<&K>, hi: Bound<&K>) -> cset::EntryCursor<'a, K, V>
+impl<S> Sharded<S, BoundaryRouter> {
+    /// The shards holding the keys of `[lo, hi]`, in key order (empty for an
+    /// inverted or pinched range).
+    fn span(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> &[S] {
+        self.router.span(lo, hi).map_or(&[], |span| &self.shards[span])
+    }
+
+    /// Runs `sweep` on every shard of the span `[lo, hi]` and sums the
+    /// counts.  Shards hold disjoint key sets, so each can be handed the full
+    /// bounds and the sum is exact.  A multi-shard span fans out on scoped
+    /// threads; a span of one shard stays on the calling thread.
+    fn sweep_span(
+        &self,
+        lo: Bound<&u64>,
+        hi: Bound<&u64>,
+        sweep: impl Fn(&S) -> usize + Sync,
+    ) -> usize
     where
-        K: Clone + Ord + 'a,
+        S: Sync,
+    {
+        match self.span(lo, hi) {
+            [] => 0,
+            [shard] => sweep(shard),
+            span => {
+                let sweep = &sweep;
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> =
+                        span.iter().map(|shard| scope.spawn(move || sweep(shard))).collect();
+                    handles.into_iter().map(|h| h.join().expect("shard sweep panicked")).sum()
+                })
+            }
+        }
+    }
+}
+
+impl<V, S> OrderedMap<u64, V> for Sharded<S, BoundaryRouter>
+where
+    S: OrderedMap<u64, V>,
+{
+    /// A streaming scan: the shards of [`BoundaryRouter::span`] are
+    /// key-disjoint and ascending, so concatenating their own cursors, opened
+    /// one at a time, yields one globally ascending scan.  A shard's cursor
+    /// opens only once the previous one has drained and been dropped, so an
+    /// early-exit scan never touches later shards, and a half-consumed scan
+    /// holds what one open shard cursor holds between pulls (for `LfBst`,
+    /// one repinning `RangeIter` pin) — the contract `ElasticMap`'s scans
+    /// keep.
+    fn scan_entries<'a>(&'a self, lo: Bound<&u64>, hi: Bound<&u64>) -> cset::EntryCursor<'a, u64, V>
+    where
         V: 'a,
     {
-        let Some(span) = self.shard_span(lo, hi) else {
-            // Inverted bounds: empty, matching every inner implementation.
-            return Box::new(std::iter::empty());
-        };
-        let cursors = span.iter().map(|s| cset::chunked_scan_entries(s, lo, hi)).collect();
-        Box::new(crate::merge::MergedEntries::new(cursors))
+        let span = self.span(lo, hi);
+        let (lo, hi) = (lo.cloned(), hi.cloned());
+        Box::new(span.iter().flat_map(move |s| s.scan_entries(lo.as_ref(), hi.as_ref())))
     }
 
-    /// A full collect materialises its result anyway, so it concatenates
-    /// per-shard bulk scans (key-disjoint and ascending in shard order under
-    /// a monotone router) instead of draining the merge cursor — which for
-    /// inner maps *without* a native cursor would page the whole range
-    /// through their chunked fallbacks quadratically.
-    fn entries_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)>
-    where
-        K: Clone + Ord,
-    {
-        let span = self.shard_span(lo, hi).unwrap_or_default();
-        span.iter().flat_map(|s| s.entries_between(lo, hi)).collect()
-    }
-
-    fn entries_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<(K, V)>
-    where
-        K: Clone + Ord,
-    {
+    fn entries_between_limited(
+        &self,
+        lo: Bound<&u64>,
+        hi: Bound<&u64>,
+        limit: usize,
+    ) -> Vec<(u64, V)> {
         self.scan_entries(lo, hi).take(limit).collect()
     }
 
-    /// Served shard-by-shard in router order: with a monotone router the
-    /// first non-empty shard holds the global minimum.
-    fn first_entry(&self) -> Option<(K, V)>
-    where
-        K: Clone + Ord,
-    {
-        self.shards.iter().find_map(|s| s.first_entry())
-    }
-
-    fn last_entry(&self) -> Option<(K, V)>
-    where
-        K: Clone + Ord,
-    {
+    /// Served shard by shard from the top: the last non-empty shard holds
+    /// the global maximum.
+    fn last_entry(&self) -> Option<(u64, V)> {
         self.shards.iter().rev().find_map(|s| s.last_entry())
-    }
-
-    /// Starts at `route(key)` (no earlier shard can hold a larger key under a
-    /// monotone router) and walks forward to the first shard with a
-    /// successor.
-    fn next_entry_after(&self, key: &K) -> Option<(K, V)>
-    where
-        K: Clone + Ord,
-    {
-        let start = self.router.route(key);
-        self.shards[start..].iter().find_map(|s| s.next_entry_after(key))
     }
 
     /// Parallel cross-shard teardown: every shard in the span runs its own
     /// `remove_range` (for `lfbst`, the predicate-free streaming sweep).
-    fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
-    where
-        K: Clone + Ord + Send + Sync,
-    {
+    fn remove_range(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize {
         self.sweep_span(lo, hi, |s| s.remove_range(lo, hi))
     }
 
@@ -374,13 +314,10 @@ where
     /// with the same (`Sync`) predicate.
     fn retain_range(
         &self,
-        lo: Bound<&K>,
-        hi: Bound<&K>,
-        keep: &(dyn Fn(&K, &V) -> bool + Sync),
-    ) -> usize
-    where
-        K: Clone + Ord + Send + Sync,
-    {
+        lo: Bound<&u64>,
+        hi: Bound<&u64>,
+        keep: &(dyn Fn(&u64, &V) -> bool + Sync),
+    ) -> usize {
         self.sweep_span(lo, hi, |s| s.retain_range(lo, hi, keep))
     }
 }

@@ -7,9 +7,9 @@
 //! * a single `LfBst<u64>`, and
 //! * the same tree behind `shard::Sharded` with 16 hash-routed shards,
 //!
-//! prints both throughputs, and then demonstrates what the *range* router
-//! preserves that the hash router gives up: a globally ordered cross-shard
-//! scan.
+//! prints both throughputs, and then demonstrates what the boundary
+//! (range-partitioning) router preserves that the hash router gives up: a
+//! globally ordered cross-shard scan.
 //!
 //! Run with: `cargo run --release -p examples --bin sharded_index`
 
@@ -24,7 +24,7 @@ use examples::format_rate;
 use lfbst::LfBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{HashRouter, RangeRouter, Sharded};
+use shard::{BoundaryRouter, HashRouter, Sharded};
 
 const RUN_FOR: Duration = Duration::from_millis(600);
 const ID_SPACE: u64 = 1 << 20;
@@ -106,14 +106,18 @@ fn main() {
     let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
     println!("shard sizes: min {min}, max {max}, total {}", sharded.len());
 
-    // What the range router preserves: one globally ordered scan across all
-    // shards, served as a streaming k-way merge over per-shard cursors —
-    // keys arrive one at a time, nothing is collected up front.
-    let ordered = Sharded::new(RangeRouter::covering(SHARDS, 1_000), |_| LfBst::new());
+    // What the boundary router preserves: one globally ordered scan across
+    // all shards.  Shards hold contiguous ascending key strips, so the scan
+    // streams each shard's own cursor in turn — keys arrive one at a time,
+    // nothing is collected up front.
+    let ordered = Sharded::new(BoundaryRouter::covering(SHARDS, 1_000), |_| LfBst::new());
     for k in [907u64, 23, 501, 250, 999, 3, 777, 125] {
         ordered.insert(k);
     }
-    println!("\nrange-routed streaming scan of 100..=950 over {} shards:", ordered.shard_count());
+    println!(
+        "\nboundary-routed streaming scan of 100..=950 over {} shards:",
+        ordered.shard_count()
+    );
     let streamed: Vec<u64> =
         ordered.scan_keys(Bound::Included(&100), Bound::Included(&950)).collect();
     println!("  {streamed:?}");
@@ -128,10 +132,10 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // Early exit through the same merge cursor: the top-3 keys cost three
-    // heap pops, not a cross-shard collect of the whole range.
+    // Early exit through the same cursor: the top-3 keys come from the first
+    // non-empty shards only, and later shards' cursors are never opened.
     let top3: Vec<u64> = ordered.scan_keys(Bound::Unbounded, Bound::Unbounded).take(3).collect();
-    println!("  top-3 via early-exit merge cursor: {top3:?}");
+    println!("  top-3 via early-exit cursor: {top3:?}");
     println!(
         "  cross-shard successor queries: first={:?} next_after(500)={:?} last={:?}",
         ordered.first(),

@@ -9,7 +9,7 @@ use lfbst::{Config, HelpPolicy, LfBst, RestartPolicy};
 use lflist::LockFreeList;
 use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
-use shard::{HashRouter, RangeRouter, Sharded};
+use shard::{BoundaryRouter, HashRouter, Sharded};
 
 fn battery() -> SetConformance {
     SetConformance { threads: 4, ops_per_thread: 15_000, key_range: 256, seed: 0xFEED }
@@ -64,7 +64,9 @@ fn sharded_hash_lfbst_conformance() {
 fn sharded_range_lfbst_conformance() {
     let c = battery();
     let key_range = c.key_range;
-    c.check_all(move || Sharded::new(RangeRouter::covering(8, key_range), |_| LfBst::<u64>::new()));
+    c.check_all(move || {
+        Sharded::new(BoundaryRouter::covering(8, key_range), |_| LfBst::<u64>::new())
+    });
 }
 
 #[test]

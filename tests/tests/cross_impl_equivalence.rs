@@ -21,7 +21,7 @@ use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{HashRouter, RangeRouter, Sharded};
+use shard::{BoundaryRouter, HashRouter, Sharded};
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -63,7 +63,7 @@ fn all_implementations_agree_on_sequential_histories() {
         let coarse = CoarseLockBst::new();
         let rwlock = RwLockBst::new();
         let sharded_hash = Sharded::new(HashRouter::new(8), |_| LfBst::new());
-        let sharded_range = Sharded::new(RangeRouter::covering(8, 300), |_| LfBst::new());
+        let sharded_range = Sharded::new(BoundaryRouter::covering(8, 300), |_| LfBst::new());
         let sets: Vec<&dyn ConcurrentSet<u64>> = vec![
             &lfbst,
             &ellen,
@@ -105,7 +105,7 @@ fn snapshots_agree_after_identical_updates() {
     let ellen = EllenBst::new();
     let natarajan = NatarajanBst::new();
     let list = LockFreeList::new();
-    let sharded_range = Sharded::new(RangeRouter::covering(8, 200), |_| LfBst::new());
+    let sharded_range = Sharded::new(BoundaryRouter::covering(8, 200), |_| LfBst::new());
     for &op in &ops {
         if let Op::Contains(_) = op {
             continue;
@@ -129,7 +129,7 @@ fn snapshots_agree_after_identical_updates() {
 fn streaming_cursors_agree_across_all_ordered_implementations() {
     // Every OrderedSet in the workspace — the native lfbst cursor, the
     // chunked fallback cursors of the external trees and the lock-based
-    // baselines, and the sharded k-way merge — must stream the same keys in
+    // baselines, and the sharded concatenated cursor — must stream the same keys in
     // the same order as the BTreeSet oracle, for collecting, limited and
     // cursor access alike.
     let ops = random_ops(15_000, 300, 4321);
@@ -138,7 +138,7 @@ fn streaming_cursors_agree_across_all_ordered_implementations() {
     let natarajan = NatarajanBst::new();
     let coarse = CoarseLockBst::new();
     let rwlock = RwLockBst::new();
-    let sharded_range = Sharded::new(RangeRouter::covering(8, 300), |_| LfBst::new());
+    let sharded_range = Sharded::new(BoundaryRouter::covering(8, 300), |_| LfBst::new());
     let mut model = std::collections::BTreeSet::new();
     for &op in &ops {
         match op {
@@ -203,7 +203,7 @@ fn remove_range_agrees_across_all_ordered_implementations() {
     let natarajan = NatarajanBst::new();
     let coarse = CoarseLockBst::new();
     let rwlock = RwLockBst::new();
-    let sharded_range = Sharded::new(RangeRouter::covering(8, 400), |_| LfBst::new());
+    let sharded_range = Sharded::new(BoundaryRouter::covering(8, 400), |_| LfBst::new());
     let sets: [&dyn OrderedSet<u64>; 6] =
         [&lfbst, &ellen, &natarajan, &coarse, &rwlock, &sharded_range];
     let mut model = std::collections::BTreeSet::new();
@@ -336,7 +336,7 @@ fn map_implementations_agree_with_btreemap_oracle_on_sequential_histories() {
         let lfbst: LfBst<u64, u64> = LfBst::new();
         let sharded_hash = Sharded::new(HashRouter::new(8), |_| LfBst::<u64, u64>::new());
         let sharded_range =
-            Sharded::new(RangeRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
+            Sharded::new(BoundaryRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
         let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
         let maps: Vec<&dyn ConcurrentMap<u64, u64>> =
             vec![&lfbst, &sharded_hash, &sharded_range, &locked];
@@ -370,7 +370,8 @@ fn map_ordered_scans_agree_with_the_oracle() {
     let ops = random_map_ops(20_000, 200, 4321);
     let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
     let lfbst: LfBst<u64, u64> = LfBst::new();
-    let sharded_range = Sharded::new(RangeRouter::covering(8, 200), |_| LfBst::<u64, u64>::new());
+    let sharded_range =
+        Sharded::new(BoundaryRouter::covering(8, 200), |_| LfBst::<u64, u64>::new());
     let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
     for &op in &ops {
         if matches!(op, MapOp::Get(_) | MapOp::ContainsKey(_)) {
@@ -410,7 +411,8 @@ fn map_retain_and_remove_range_agree_with_the_oracle() {
     // single-lock override alike.
     let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
     let lfbst: LfBst<u64, u64> = LfBst::new();
-    let sharded_range = Sharded::new(RangeRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
+    let sharded_range =
+        Sharded::new(BoundaryRouter::covering(8, 300), |_| LfBst::<u64, u64>::new());
     let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
     let maps: [&dyn OrderedMap<u64, u64>; 3] = [&lfbst, &sharded_range, &locked];
     let mut rng = StdRng::seed_from_u64(0xBEEF);

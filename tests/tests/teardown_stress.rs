@@ -16,7 +16,7 @@ use cset::{ConcurrentMap, ConcurrentSet};
 use lfbst::LfBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use shard::{ElasticMap, RangeRouter, Sharded};
+use shard::{BoundaryRouter, ElasticMap, Sharded};
 
 /// Keys inserted *while a full-range sweep runs* are the only residue the
 /// weak-consistency contract allows, and nothing is lost or double-counted:
@@ -131,7 +131,7 @@ fn teardown_under_churn_stress() {
 
     for round in 0..rounds {
         // Sharded: a sweep fanning out across strips races per-key removers.
-        let set = Arc::new(Sharded::new(RangeRouter::covering(SHARDS, KEYS), |_| LfBst::new()));
+        let set = Arc::new(Sharded::new(BoundaryRouter::covering(SHARDS, KEYS), |_| LfBst::new()));
         for k in 0..KEYS {
             assert!(ConcurrentSet::insert(&*set, k));
         }
