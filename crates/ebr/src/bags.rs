@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use crate::block;
 
 /// A type-erased deferred destruction of a reclaimable block.
-pub(crate) struct Deferred {
+pub struct Deferred {
     ptr: *mut u8,
     drop_fn: unsafe fn(*mut u8),
 }
@@ -84,14 +84,23 @@ mod audit {
     }
 }
 
-/// What a backend keeps in one thread's bag.
-pub(crate) trait Bag: Default + Send + 'static {
-    /// One retired node with the backend's reclamation stamps.
+/// What a scheme keeps in one thread's bag, and when it may free it.
+pub trait Bag: Default + Send + 'static {
+    /// One retired node with the scheme's reclamation stamps.
     type Item;
 
+    /// What the collect predicate compares stamps against (see
+    /// `Scheme::advance`).
+    type Now: Copy;
+
+    /// Queues one retirement.
     fn push(&mut self, item: Self::Item);
 
+    /// Queued retirements.
     fn len(&self) -> usize;
+
+    /// Frees every item no reader can still reach and returns how many.
+    fn collect(&mut self, now: Self::Now) -> u64;
 }
 
 /// Every live and orphaned bag of one backend.

@@ -1,23 +1,31 @@
 //! # ebr — pluggable lock-free memory reclamation
 //!
-//! A self-contained reclamation crate exposing the subset of the
-//! `crossbeam-epoch` API that this workspace uses (the build environment is
-//! offline, so the workspace maps the dependency name `crossbeam-epoch` onto
-//! this crate; see the root `Cargo.toml`), grown into a *pluggable* scheme:
+//! A self-contained reclamation crate.  It keeps the `crossbeam-epoch` names
+//! the workspace was written against (the build environment is offline, so
+//! the workspace maps the dependency name `crossbeam-epoch` onto this crate;
+//! see the root `Cargo.toml`) and grows them into *pluggable* schemes:
 //!
 //! * the [`Reclaimer`] / [`ReclaimGuard`] trait pair abstracts
 //!   pin/retire/flush/collect/stats, so data structures are generic over the
 //!   backend;
-//! * [`Ebr`] (module [`epoch`](crate::pin)) is the historical epoch-based
-//!   backend and the default — the free functions [`pin`], [`unprotected`],
-//!   [`reclamation_stats`], and [`global_epoch`] keep their original
-//!   EBR-backed meaning, so existing code compiles unchanged;
+//! * [`Ebr`] is the epoch-based backend and the default — the free functions
+//!   [`pin`], [`unprotected`] and [`global_epoch`] and the [`Guard`] type
+//!   default to it, so crossbeam-style code compiles unchanged;
 //! * [`Ibr`] is an interval-based backend: per-node birth/retire era stamps
 //!   and per-thread reservations mean a stalled reader only pins garbage
 //!   retired *inside* its reservation, instead of freezing reclamation
 //!   globally;
 //! * [`GarbageBound`] is a process-global garbage ceiling with a writer-side
 //!   escalation ladder, shared by both backends.
+//!
+//! Both backends run on one skeleton (module `domain`): the health counters,
+//! the participant registry and per-thread pin state, the guard with its
+//! retire path, batch window and garbage-bound settle, and the [`Reclaimer`]
+//! impl are written once.  Each scheme (modules `epoch` and `ibr`) supplies
+//! only its protection rule: what a pin publishes, how a retirement is
+//! stamped, when a stamped node may be freed, and its cadence constants.
+//! Each scheme keeps its own counters, so [`Reclaimer::stats`] never mixes
+//! the two.
 //!
 //! Every reclaimable allocation shares one heap layout: a birth-era header
 //! in front of the value.  Pointers from [`Owned::new`], [`Atomic::new`],
@@ -34,23 +42,25 @@
 mod bags;
 mod block;
 mod bound;
+mod domain;
 mod epoch;
 mod ibr;
 mod ptr;
 
 pub use block::{alloc_raw, dealloc_raw};
 pub use bound::{garbage_bound, set_garbage_bound, GarbageBound};
-pub use epoch::{global_epoch, pin, reclamation_stats, unprotected, Ebr, Guard};
-pub use ibr::{ibr_reclamation_stats, pin_ibr, unprotected_ibr, Ibr, IbrGuard};
+pub use domain::Guard;
+pub use epoch::{global_epoch, pin, unprotected, Ebr};
+pub use ibr::{Ibr, IbrGuard};
 pub use ptr::{Atomic, CompareExchangeError, Owned, Pointer, Shared};
 
 /// A pinned guard of some reclamation backend.
 ///
 /// The methods mirror what the workspace's structures need from a guard;
-/// [`Guard`] (epoch) and [`IbrGuard`] (interval) implement them.  The two
-/// `protect_*` hooks exist for the interval backend and compile to plain
-/// loads / nothing under the epoch backend — see the pointer layer for where
-/// they are called.
+/// [`Guard`] implements them for every backend ([`IbrGuard`] is the interval
+/// backend's).  The two `protect_*` hooks exist for the interval backend and
+/// compile to plain loads / nothing under the epoch backend — see the pointer
+/// layer for where they are called.
 pub trait ReclaimGuard: Sized + 'static {
     /// Retires the node behind `ptr`: its destructor runs once no reader can
     /// still hold a reference.
@@ -108,7 +118,8 @@ pub trait ReclaimGuard: Sized + 'static {
 /// lock-free structures (e.g. `LfBst<K, V, R: Reclaimer>`).
 ///
 /// Implementations are zero-sized markers ([`Ebr`], [`Ibr`]); all state is
-/// process-global and per-thread inside the backend.
+/// process-global and per-thread inside the backend, and no two backends
+/// share any of it.
 pub trait Reclaimer: Copy + Default + Send + Sync + 'static {
     /// The backend's guard type.
     type Guard: ReclaimGuard;
@@ -217,12 +228,89 @@ pub(crate) fn serial_test() -> std::sync::MutexGuard<'static, ()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
-    /// The pointer-layer battery, run against both backends through the
-    /// trait boundary only — what a generic structure sees.
+    /// Counts its own drops, so a test measures exactly its own nodes rather
+    /// than the process-global counters other tests' garbage also moves.
+    pub(crate) struct NoteDrop(pub(crate) Arc<AtomicUsize>);
+
+    impl Drop for NoteDrop {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Retires one `NoteDrop` counting into `dropped`.
+    fn retire_note<G: ReclaimGuard>(guard: &G, dropped: &Arc<AtomicUsize>) {
+        let p = Owned::new(NoteDrop(Arc::clone(dropped))).into_shared(guard);
+        unsafe { guard.defer_destroy(p) };
+    }
+
+    /// Unpinned global collects until `done` holds.  Re-pinning between
+    /// collects lets the epoch advance until every bag drains; the loop is
+    /// capped so a stuck backend fails instead of hanging.
+    fn collect_until<R: Reclaimer>(done: impl Fn() -> bool) {
+        for _ in 0..256 {
+            if done() {
+                return;
+            }
+            drop(R::pin());
+            R::collect();
+        }
+    }
+
+    /// Each generic test below runs once per backend, serialized on the
+    /// crate's shared reclamation state.
+    macro_rules! under_both_backends {
+        ($($(#[$attr:meta])* $test:ident => $ebr:ident, $ibr:ident;)*) => {$(
+            $(#[$attr])*
+            #[test]
+            fn $ebr() {
+                let _serial = crate::serial_test();
+                $test::<Ebr>();
+            }
+
+            $(#[$attr])*
+            #[test]
+            fn $ibr() {
+                let _serial = crate::serial_test();
+                $test::<Ibr>();
+            }
+        )*};
+    }
+
+    under_both_backends! {
+        pointer_ops_roundtrip => pointer_ops_roundtrip_under_ebr, pointer_ops_roundtrip_under_ibr;
+        non_node_allocations_run_real_destructors =>
+            non_node_allocations_run_real_destructors_under_ebr,
+            non_node_allocations_run_real_destructors_under_ibr;
+        retire_batch_frees_and_survives_panic =>
+            retire_batch_frees_and_survives_panic_under_ebr,
+            retire_batch_frees_and_survives_panic_under_ibr;
+        exited_thread_garbage_is_freed_by_a_global_collect =>
+            exited_thread_garbage_is_freed_by_a_global_collect_under_ebr,
+            exited_thread_garbage_is_freed_by_a_global_collect_under_ibr;
+        unprotected_defer_runs_immediately =>
+            unprotected_defer_runs_immediately_under_ebr,
+            unprotected_defer_runs_immediately_under_ibr;
+        deferred_destruction_eventually_runs =>
+            deferred_destruction_eventually_runs_under_ebr,
+            deferred_destruction_eventually_runs_under_ibr;
+        stats_track_retire_free_cycle =>
+            stats_track_retire_free_cycle_under_ebr,
+            stats_track_retire_free_cycle_under_ibr;
+        #[cfg(any(feature = "retire-audit", debug_assertions))]
+        double_retire_panics_under_audit =>
+            double_retire_panics_under_audit_under_ebr,
+            double_retire_panics_under_audit_under_ibr;
+        concurrent_churn_is_safe => concurrent_churn_is_safe_under_ebr, concurrent_churn_is_safe_under_ibr;
+    }
+
+    /// The pointer-layer battery, run through the trait boundary only — what
+    /// a generic structure sees.
     fn pointer_ops_roundtrip<R: Reclaimer>() {
         let guard = R::pin();
         let p = Owned::new(7u64).into_shared(&guard);
@@ -258,26 +346,8 @@ mod tests {
             drop(two.into_owned());
             drop(swapped.with_tag(0).into_owned());
         }
-
-        // Retire through the trait; the unprotected guard must run the
-        // destructor immediately.
-        let u = unsafe { R::unprotected() };
-        let p = Owned::new(5u64).into_shared(u);
-        unsafe { u.defer_destroy(p) };
         R::collect();
         let _ = R::stats();
-    }
-
-    #[test]
-    fn pointer_ops_roundtrip_under_ebr() {
-        let _serial = crate::serial_test();
-        pointer_ops_roundtrip::<Ebr>();
-    }
-
-    #[test]
-    fn pointer_ops_roundtrip_under_ibr() {
-        let _serial = crate::serial_test();
-        pointer_ops_roundtrip::<Ibr>();
     }
 
     /// The sharding layer retires whole routing tables — `Vec`-holding
@@ -285,9 +355,6 @@ mod tests {
     /// The bag must run their genuine destructors (dropping the `Vec` and
     /// every `Arc` inside), not just free the outer allocation.
     fn non_node_allocations_run_real_destructors<R: Reclaimer>() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-
         struct FakeTable {
             _strips: Vec<Arc<u64>>,
             alive: Arc<AtomicUsize>,
@@ -308,15 +375,7 @@ mod tests {
             let p = Owned::new(table).into_shared(&guard);
             unsafe { guard.defer_destroy(p) };
         }
-        // Re-pinning and collecting advances the epoch until every bag
-        // drains; cap the loop so a stuck backend fails instead of hanging.
-        for _ in 0..256 {
-            if alive.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            drop(R::pin());
-            R::collect();
-        }
+        collect_until::<R>(|| alive.load(Ordering::SeqCst) == 0);
         assert_eq!(alive.load(Ordering::SeqCst), 0, "{}: a retired table never dropped", R::NAME);
         assert_eq!(
             Arc::strong_count(&payload),
@@ -326,32 +385,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn non_node_allocations_run_real_destructors_under_ebr() {
-        let _serial = crate::serial_test();
-        non_node_allocations_run_real_destructors::<Ebr>();
-    }
-
-    #[test]
-    fn non_node_allocations_run_real_destructors_under_ibr() {
-        let _serial = crate::serial_test();
-        non_node_allocations_run_real_destructors::<Ibr>();
-    }
-
     /// Batch retirement must still free everything (the window defers
     /// *enforcement*, never the retirement itself), survive nesting, and a
     /// panic inside the window must not leave the thread stuck in deferral.
     fn retire_batch_frees_and_survives_panic<R: Reclaimer>() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-
-        struct NoteDrop(Arc<AtomicUsize>);
-        impl Drop for NoteDrop {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
         let dropped = Arc::new(AtomicUsize::new(0));
         {
             let guard = R::pin();
@@ -359,23 +396,15 @@ mod tests {
                 // Nested window: the inner close must not settle for the outer.
                 guard.retire_batch(|| {
                     for _ in 0..8 {
-                        let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
-                        unsafe { guard.defer_destroy(p) };
+                        retire_note(&guard, &dropped);
                     }
                 });
                 for _ in 0..8 {
-                    let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
-                    unsafe { guard.defer_destroy(p) };
+                    retire_note(&guard, &dropped);
                 }
             });
         }
-        for _ in 0..256 {
-            if dropped.load(Ordering::SeqCst) == 16 {
-                break;
-            }
-            drop(R::pin());
-            R::collect();
-        }
+        collect_until::<R>(|| dropped.load(Ordering::SeqCst) == 16);
         assert_eq!(dropped.load(Ordering::SeqCst), 16, "{}: batch retirements lost", R::NAME);
 
         // A panicking batch must restore per-retirement enforcement: the
@@ -387,38 +416,15 @@ mod tests {
         }));
         assert!(caught.is_err());
         let guard = R::pin();
-        let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
-        unsafe { guard.defer_destroy(p) };
+        retire_note(&guard, &dropped);
         guard.retire_batch(|| {});
         drop(guard);
         R::collect();
     }
 
-    #[test]
-    fn retire_batch_frees_and_survives_panic_under_ebr() {
-        let _serial = crate::serial_test();
-        retire_batch_frees_and_survives_panic::<Ebr>();
-    }
-
-    #[test]
-    fn retire_batch_frees_and_survives_panic_under_ibr() {
-        let _serial = crate::serial_test();
-        retire_batch_frees_and_survives_panic::<Ibr>();
-    }
-
     /// A thread that retires and exits leaves its garbage in an orphaned bag;
     /// only a global collect from another thread can free it.
     fn exited_thread_garbage_is_freed_by_a_global_collect<R: Reclaimer>() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-
-        struct NoteDrop(Arc<AtomicUsize>);
-        impl Drop for NoteDrop {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
         // Fewer retirements than either backend's pin cadence or bag
         // high-water mark, so the thread never collects its own bag.
         const N: usize = 100;
@@ -427,9 +433,7 @@ mod tests {
             let dropped = Arc::clone(&dropped);
             std::thread::spawn(move || {
                 for _ in 0..N {
-                    let guard = R::pin();
-                    let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
-                    unsafe { guard.defer_destroy(p) };
+                    retire_note(&R::pin(), &dropped);
                 }
             })
             .join()
@@ -441,26 +445,156 @@ mod tests {
             "{}: freed before the thread exited",
             R::NAME
         );
-        for _ in 0..256 {
-            if dropped.load(Ordering::SeqCst) == N {
-                break;
-            }
-            drop(R::pin());
-            R::collect();
-        }
+        collect_until::<R>(|| dropped.load(Ordering::SeqCst) == N);
         assert_eq!(dropped.load(Ordering::SeqCst), N, "{}: orphaned garbage never freed", R::NAME);
     }
 
-    #[test]
-    fn exited_thread_garbage_is_freed_by_a_global_collect_under_ebr() {
-        let _serial = crate::serial_test();
-        exited_thread_garbage_is_freed_by_a_global_collect::<Ebr>();
+    fn unprotected_defer_runs_immediately<R: Reclaimer>() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        retire_note(unsafe { R::unprotected() }, &dropped);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1, "{}", R::NAME);
     }
 
+    fn deferred_destruction_eventually_runs<R: Reclaimer>() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        {
+            let guard = R::pin();
+            retire_note(&guard, &dropped);
+            // Still pinned: the retiring thread's own pin covers the node,
+            // so even a global collect must not free it yet.
+            guard.flush();
+            assert_eq!(dropped.load(Ordering::SeqCst), 0, "{}: freed under a pin", R::NAME);
+        }
+        collect_until::<R>(|| dropped.load(Ordering::SeqCst) == 1);
+        assert_eq!(dropped.load(Ordering::SeqCst), 1, "{}: never freed", R::NAME);
+    }
+
+    fn stats_track_retire_free_cycle<R: Reclaimer>() {
+        // Counters are process-global and the orphan sweeps free other tests'
+        // leftovers, so assert on deltas and lower bounds only.  More than
+        // 64 retirements (the interval scheme's era cadence) in a row make
+        // the interval scheme's era advance at least once.
+        const N: usize = 100;
+        let before = R::stats();
+        let dropped = Arc::new(AtomicUsize::new(0));
+        {
+            let guard = R::pin();
+            for _ in 0..N {
+                retire_note(&guard, &dropped);
+            }
+        }
+        collect_until::<R>(|| dropped.load(Ordering::SeqCst) == N);
+        let mut guard = R::pin();
+        guard.repin();
+        drop(guard);
+        let delta = R::stats().since(&before);
+        assert!(delta.nodes_retired >= N as u64, "retired: {delta:?}");
+        assert!(delta.nodes_freed >= N as u64, "freed: {delta:?}");
+        assert!(delta.epoch_advances >= 1, "advances: {delta:?}");
+        assert!(delta.repins >= 1, "repins: {delta:?}");
+        // All N were pending at once under the pin.
+        assert!(delta.bag_depth_hwm >= N as u64, "hwm: {delta:?}");
+        // Globally, frees never outrun retirements.
+        let now = R::stats();
+        assert!(now.nodes_freed <= now.nodes_retired);
+        assert_eq!(now.bag_depth(), now.nodes_retired - now.nodes_freed);
+    }
+
+    /// The audit must catch the second retirement of one pointer (and must
+    /// not have queued it, so nothing double-frees after the panic is caught).
+    #[cfg(any(feature = "retire-audit", debug_assertions))]
+    fn double_retire_panics_under_audit<R: Reclaimer>() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let guard = R::pin();
+        let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
+        unsafe { guard.defer_destroy(p) };
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+            guard.defer_destroy(p)
+        }));
+        let msg = *second.expect_err("double retire must panic").downcast::<String>().unwrap();
+        assert!(msg.starts_with(R::NAME), "the panic names the backend: {msg}");
+        assert!(msg.contains("double retire"), "unexpected panic message: {msg}");
+        // The first retirement stays queued and frees exactly once.
+        drop(guard);
+        collect_until::<R>(|| dropped.load(Ordering::SeqCst) > 0);
+        R::collect();
+        assert_eq!(dropped.load(Ordering::SeqCst), 1, "{}", R::NAME);
+    }
+
+    /// Hammers one atomic from several threads with swap + retire, so
+    /// advancement and reclamation run under contention.
+    fn concurrent_churn_is_safe<R: Reclaimer>() {
+        let a = Arc::new(Atomic::new(0u64));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let a = Arc::clone(&a);
+                std::thread::spawn(move || {
+                    for i in 0..20_000u64 {
+                        let guard = R::pin();
+                        let new = Owned::new(t * 1_000_000 + i).into_shared(&guard);
+                        loop {
+                            let old = a.load(Ordering::SeqCst, &guard);
+                            if a.compare_exchange(
+                                old,
+                                new,
+                                Ordering::SeqCst,
+                                Ordering::SeqCst,
+                                &guard,
+                            )
+                            .is_ok()
+                            {
+                                unsafe { guard.defer_destroy(old) };
+                                break;
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        // Drain what the exited workers orphaned.
+        R::collect();
+        let guard = R::pin();
+        unsafe { drop(a.load(Ordering::SeqCst, &guard).into_owned()) };
+    }
+
+    /// Retires `N` nodes under `R` and drains them; returns `N`.
+    fn retire_and_drain<R: Reclaimer>() -> u64 {
+        const N: usize = 50;
+        let dropped = Arc::new(AtomicUsize::new(0));
+        {
+            let mut guard = R::pin();
+            for _ in 0..N {
+                retire_note(&guard, &dropped);
+            }
+            guard.repin();
+        }
+        collect_until::<R>(|| dropped.load(Ordering::SeqCst) == N);
+        assert_eq!(dropped.load(Ordering::SeqCst), N, "{}: never drained", R::NAME);
+        N as u64
+    }
+
+    /// Each backend counts into its own domain: retiring and collecting
+    /// under one must not move the other's counters (experiment E17 reads
+    /// them apart).
     #[test]
-    fn exited_thread_garbage_is_freed_by_a_global_collect_under_ibr() {
+    fn backends_keep_separate_counters() {
         let _serial = crate::serial_test();
-        exited_thread_garbage_is_freed_by_a_global_collect::<Ibr>();
+        let (ebr, ibr) = (Ebr::stats(), Ibr::stats());
+        let n = retire_and_drain::<Ebr>();
+        assert_eq!(Ibr::stats(), ibr, "EBR activity moved the IBR counters");
+        let moved = Ebr::stats().since(&ebr);
+        assert!(moved.nodes_retired >= n && moved.nodes_freed >= n, "{moved:?}");
+        assert!(moved.repins >= 1, "{moved:?}");
+
+        let ebr = Ebr::stats();
+        let n = retire_and_drain::<Ibr>();
+        assert_eq!(Ebr::stats(), ebr, "IBR activity moved the EBR counters");
+        let moved = Ibr::stats().since(&ibr);
+        assert!(moved.nodes_retired >= n && moved.nodes_freed >= n, "{moved:?}");
+        assert!(moved.repins >= 1, "{moved:?}");
     }
 
     #[test]

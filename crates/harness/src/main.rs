@@ -53,6 +53,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crossbeam_epoch::{Ebr, Ibr, Reclaimer};
 use cset::{ConcurrentMap, ConcurrentSet};
 use ellen_bst::EllenBst;
 use lfbst::{Config, HelpPolicy, LfBst, RestartPolicy};
@@ -155,7 +156,7 @@ impl LatencyFields {
 
 /// Epoch-reclamation activity a run produced (schema v3 appendix).
 ///
-/// The counters are process-wide (`ebr::reclamation_stats`), so each record
+/// The counters are process-wide (`Ebr::stats`), so each record
 /// holds the delta across its own run; experiments execute sequentially, so a
 /// delta attributes to its run plus whatever stragglers the previous run left
 /// in the garbage bags.
@@ -191,9 +192,9 @@ impl ReclamationFields {
 fn with_reclamation(
     f: impl FnOnce() -> Measurement,
 ) -> (Measurement, crossbeam_epoch::ReclamationStats) {
-    let before = crossbeam_epoch::reclamation_stats();
+    let before = Ebr::stats();
     let m = f();
-    let delta = crossbeam_epoch::reclamation_stats().since(&before);
+    let delta = Ebr::stats().since(&before);
     (m, delta)
 }
 
@@ -934,7 +935,7 @@ const E17_GARBAGE_BOUND: usize = 20_000;
 /// One E17 row: the adversarial workload over `LfBst<u64, (), R>`, reporting
 /// peak unreclaimed nodes (the backend's bag-depth high-water mark across the
 /// run), throughput, sampled p999 and the injected-fault counts.
-fn e17_backend<R: crossbeam_epoch::Reclaimer>(
+fn e17_backend<R: Reclaimer>(
     opts: &Options,
     spec: &WorkloadSpec,
     threads: usize,
@@ -980,7 +981,7 @@ fn e17(opts: &Options) {
     // up), IBR's stays bounded near the GarbageBound ceiling (a frozen
     // reservation only pins garbage whose lifetime overlaps it; the
     // escalation ladder can still free everything younger).
-    use crossbeam_epoch::{Ebr, GarbageBound, Ibr};
+    use crossbeam_epoch::GarbageBound;
     let key_range = 1u64 << 16;
     let mix = OperationMix::updates(50);
     let threads = opts.max_threads.clamp(2, 8);
@@ -1016,7 +1017,6 @@ fn e18(opts: &Options) {
     // spreads the heat and buys back both Mops and tail latency.  The final
     // per-strip load tallies are reported as gauges so the skew (and what
     // the rebalancer did to it) is visible, not just its throughput effect.
-    use crossbeam_epoch::{Ebr, Reclaimer};
     use shard::{ElasticMap, RebalancePolicy, Rebalancer, RebalancerHandle};
     let key_range = if opts.quick { 1u64 << 18 } else { 1u64 << 24 };
     let value_bytes = 8usize;
@@ -1096,9 +1096,9 @@ fn e18(opts: &Options) {
             // measuring: left pending, those deferred frees amortize into
             // the measured round as latency the *layout* did not cause.
             loop {
-                let pending = crossbeam_epoch::reclamation_stats().bag_depth();
+                let pending = Ebr::stats().bag_depth();
                 Ebr::collect();
-                if crossbeam_epoch::reclamation_stats().bag_depth() >= pending {
+                if Ebr::stats().bag_depth() >= pending {
                     break;
                 }
             }
@@ -1175,7 +1175,7 @@ fn e18(opts: &Options) {
 
 /// Prints the process-wide reclamation health gauges (the `ebr` counters).
 fn reclamation_report(opts: &Options) {
-    let stats = crossbeam_epoch::reclamation_stats();
+    let stats = Ebr::stats();
     if stats.nodes_retired == 0 && stats.epoch_advances == 0 {
         return; // nothing epoch-managed ran (e.g. an e9/e10-only invocation)
     }
@@ -1193,7 +1193,7 @@ fn reclamation_report(opts: &Options) {
     ];
     // The IBR rows only appear when something ran on that backend (E17 or an
     // explicitly `Ibr`-parameterised structure).
-    let ibr = crossbeam_epoch::ibr_reclamation_stats();
+    let ibr = Ibr::stats();
     if ibr.nodes_retired > 0 || ibr.epoch_advances > 0 {
         gauges.extend([
             ("ibr.era_advances", ibr.epoch_advances),

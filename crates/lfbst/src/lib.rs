@@ -121,10 +121,12 @@
 //! ## Memory reclamation
 //!
 //! The paper assumes an external safe memory reclamation scheme (hazard pointers).
-//! This crate uses epoch-based reclamation via `crossbeam-epoch`: every operation
-//! pins the current epoch and physically-removed nodes are retired with
-//! `defer_destroy`.  This preserves lock freedom of the set operations and memory
-//! safety for concurrent readers.
+//! [`LfBst<K, V, R>`](LfBst) takes the scheme as its `R: Reclaimer` parameter from
+//! the in-tree `ebr` crate (the workspace's `crossbeam-epoch` dependency): `Ebr`,
+//! epoch-based and the default, or `Ibr`, interval-based, through
+//! [`LfBst::new_in`].  Every operation pins an `R` guard and physically-removed
+//! nodes are retired with `defer_destroy`.  This preserves lock freedom of the set
+//! operations and memory safety for concurrent readers.
 //!
 //! ## Configuration knobs
 //!
