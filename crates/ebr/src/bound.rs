@@ -158,6 +158,8 @@ mod tests {
 
     #[test]
     fn default_is_unbounded() {
+        // Sibling tests install a ceiling for their duration.
+        let _serial = crate::serial_test();
         assert_eq!(GarbageBound::default(), GarbageBound::UNBOUNDED);
         assert!(!over(usize::MAX - 1));
     }

@@ -273,6 +273,30 @@ mod tests {
         unsafe { drop(a.load(Ordering::SeqCst, &guard).into_owned()) };
     }
 
+    /// No explicit collect: a live thread's own garbage drains on its pin
+    /// cadence alone, through the cadence collect of its own bag (the
+    /// every-fourth sweep here covers only orphans).
+    #[test]
+    fn own_garbage_drains_on_the_pin_cadence() {
+        let _serial = crate::serial_test();
+        let dropped = Arc::new(StdAtomicUsize::new(0));
+        {
+            let guard = pin();
+            // Fewer than the bag's high-water mark, so no eager collect.
+            for _ in 0..100 {
+                let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
+                unsafe { guard.defer_destroy(p) };
+            }
+        }
+        assert_eq!(dropped.load(Ordering::SeqCst), 0, "freed before two epoch advances");
+        // Two cadence collects advance the epoch twice; the rest is margin
+        // for a contended registry skipping an advance.
+        for _ in 0..6 * PINS_PER_COLLECT {
+            drop(pin());
+        }
+        assert_eq!(dropped.load(Ordering::SeqCst), 100, "own garbage never drained");
+    }
+
     /// No explicit collect: the surviving thread's pin cadence alone must
     /// drain the bag an exited thread left behind.  The test counts its own
     /// nodes: the orphan sweep also frees whatever earlier tests' exited

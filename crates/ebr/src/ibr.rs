@@ -48,7 +48,7 @@ use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::bags::{Bag, Deferred};
-use crate::domain::{Domain, Local, Scheme, Unprotected};
+use crate::domain::{Domain, Local, OwnLine, Scheme, Unprotected};
 use crate::{block, Guard};
 
 /// Reservation value meaning "this participant is not currently pinned".
@@ -63,15 +63,17 @@ const RETIRES_PER_ERA: u64 = 64;
 /// The interval scheme's clock.
 pub struct Clock {
     /// The global era.  Starts at 1 so a zero birth stamp is visibly
-    /// impossible.
-    era: AtomicU64,
+    /// impossible.  Every pin and every protected load reads it, so it sits
+    /// on its own pair of cache lines: a retirement's tick and counter bumps
+    /// must not invalidate it.
+    era: OwnLine<AtomicU64>,
     /// Retirement ticks driving the era cadence.
     retire_tick: AtomicU64,
 }
 
 /// The interval domain.
 static IBR: Domain<Ibr> =
-    Domain::new(Clock { era: AtomicU64::new(1), retire_tick: AtomicU64::new(0) });
+    Domain::new(Clock { era: OwnLine(AtomicU64::new(1)), retire_tick: AtomicU64::new(0) });
 
 thread_local! {
     static LOCAL: Local<Ibr> = Local::register();
@@ -277,6 +279,13 @@ mod tests {
     use crate::{Atomic, Owned, Reclaimer};
     use std::sync::atomic::AtomicUsize as StdAtomicUsize;
     use std::sync::Arc;
+
+    #[test]
+    fn era_owns_its_cache_lines() {
+        let addr = &IBR.clock.era as *const OwnLine<AtomicU64> as usize;
+        assert_eq!(addr % 128, 0, "the era starts a 128-byte block");
+        assert_eq!(std::mem::size_of::<OwnLine<AtomicU64>>(), 128, "and fills it");
+    }
 
     /// One era-advancing churn round: retire filler under a short pin (a
     /// thread's own reservation covers its own retirements, so the pin must

@@ -484,13 +484,17 @@ pub(crate) mod tests {
             }
         }
         collect_until::<R>(|| dropped.load(Ordering::SeqCst) == N);
+        assert_eq!(dropped.load(Ordering::SeqCst), N, "{}: never drained", R::NAME);
         let mut guard = R::pin();
         guard.repin();
         drop(guard);
         let delta = R::stats().since(&before);
         assert!(delta.nodes_retired >= N as u64, "retired: {delta:?}");
         assert!(delta.nodes_freed >= N as u64, "freed: {delta:?}");
-        assert!(delta.epoch_advances >= 1, "advances: {delta:?}");
+        // The epoch scheme frees a node only two advances after its
+        // retirement.
+        let min_advances = if R::NAME == Ebr::NAME { 2 } else { 1 };
+        assert!(delta.epoch_advances >= min_advances, "advances: {delta:?}");
         assert!(delta.repins >= 1, "repins: {delta:?}");
         // All N were pending at once under the pin.
         assert!(delta.bag_depth_hwm >= N as u64, "hwm: {delta:?}");
