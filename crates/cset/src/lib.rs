@@ -7,7 +7,7 @@ pub mod stats;
 pub mod traits;
 
 pub use key::KeyBound;
-pub use stats::{LoadTally, OpKind, OpStats, StatsSnapshot};
+pub use stats::{LoadTally, OpStats, StatsSnapshot};
 pub use traits::{
     chunked_scan_entries, range_is_empty, ConcurrentMap, ConcurrentSet, EntryCursor, KeyCursor,
     OrderedMap, OrderedSet, SCAN_CHUNK, SCAN_CHUNK_MAX,

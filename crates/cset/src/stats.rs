@@ -9,31 +9,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Kinds of set operations, used to index per-operation statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// An `insert` / `Add` operation.
-    Insert,
-    /// A `remove` / `Remove` operation.
-    Remove,
-    /// A `contains` / `Contains` operation.
-    Contains,
-}
-
-impl OpKind {
-    /// All operation kinds, in a stable order.
-    pub const ALL: [OpKind; 3] = [OpKind::Insert, OpKind::Remove, OpKind::Contains];
-
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Insert => "insert",
-            OpKind::Remove => "remove",
-            OpKind::Contains => "contains",
-        }
-    }
-}
-
 /// Event counters describing how much "extra" work contention induced.
 ///
 /// All methods use relaxed atomics; the struct is cheap enough to embed in a
@@ -56,14 +31,6 @@ pub struct OpStats {
     pub restarts: AtomicU64,
     /// Links followed while traversing (a proxy for step count / path length).
     pub links_traversed: AtomicU64,
-    /// Nodes physically unlinked and retired to the reclamation scheme.
-    pub nodes_retired: AtomicU64,
-    /// Completed `insert` operations (either outcome).
-    pub ops_insert: AtomicU64,
-    /// Completed `remove` operations (either outcome).
-    pub ops_remove: AtomicU64,
-    /// Completed `contains` operations (either outcome).
-    pub ops_contains: AtomicU64,
 }
 
 impl OpStats {
@@ -106,27 +73,6 @@ impl OpStats {
         }
     }
 
-    /// Records one node handed to the memory reclamation scheme.
-    #[inline]
-    pub fn record_retire(&self) {
-        self.nodes_retired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed operation of `kind`.
-    ///
-    /// Summed per shard, these are the live load signals the sharding layer
-    /// needs for hot-shard detection (a shard whose op counters grow much
-    /// faster than its peers is hot regardless of its size).
-    #[inline]
-    pub fn record_op(&self, kind: OpKind) {
-        let counter = match kind {
-            OpKind::Insert => &self.ops_insert,
-            OpKind::Remove => &self.ops_remove,
-            OpKind::Contains => &self.ops_contains,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Takes a consistent-enough snapshot of the counters (relaxed loads).
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -135,10 +81,6 @@ impl OpStats {
             helps: self.helps.load(Ordering::Relaxed),
             restarts: self.restarts.load(Ordering::Relaxed),
             links_traversed: self.links_traversed.load(Ordering::Relaxed),
-            nodes_retired: self.nodes_retired.load(Ordering::Relaxed),
-            ops_insert: self.ops_insert.load(Ordering::Relaxed),
-            ops_remove: self.ops_remove.load(Ordering::Relaxed),
-            ops_contains: self.ops_contains.load(Ordering::Relaxed),
         }
     }
 
@@ -149,10 +91,6 @@ impl OpStats {
         self.helps.store(0, Ordering::Relaxed);
         self.restarts.store(0, Ordering::Relaxed);
         self.links_traversed.store(0, Ordering::Relaxed);
-        self.nodes_retired.store(0, Ordering::Relaxed);
-        self.ops_insert.store(0, Ordering::Relaxed);
-        self.ops_remove.store(0, Ordering::Relaxed);
-        self.ops_contains.store(0, Ordering::Relaxed);
     }
 }
 
@@ -211,14 +149,6 @@ pub struct StatsSnapshot {
     pub restarts: u64,
     /// Links traversed.
     pub links_traversed: u64,
-    /// Nodes retired to the reclamation scheme.
-    pub nodes_retired: u64,
-    /// Completed `insert` operations.
-    pub ops_insert: u64,
-    /// Completed `remove` operations.
-    pub ops_remove: u64,
-    /// Completed `contains` operations.
-    pub ops_contains: u64,
 }
 
 impl StatsSnapshot {
@@ -232,21 +162,12 @@ impl StatsSnapshot {
             helps: self.helps.saturating_sub(earlier.helps),
             restarts: self.restarts.saturating_sub(earlier.restarts),
             links_traversed: self.links_traversed.saturating_sub(earlier.links_traversed),
-            nodes_retired: self.nodes_retired.saturating_sub(earlier.nodes_retired),
-            ops_insert: self.ops_insert.saturating_sub(earlier.ops_insert),
-            ops_remove: self.ops_remove.saturating_sub(earlier.ops_remove),
-            ops_contains: self.ops_contains.saturating_sub(earlier.ops_contains),
         }
     }
 
     /// Total CAS instructions attempted in this window.
     pub fn cas_total(&self) -> u64 {
         self.cas_failures + self.cas_successes
-    }
-
-    /// Total completed operations in this window (all kinds).
-    pub fn ops_total(&self) -> u64 {
-        self.ops_insert + self.ops_remove + self.ops_contains
     }
 
     /// Component-wise sum `self + other`, saturating at `u64::MAX`.
@@ -278,10 +199,6 @@ impl StatsSnapshot {
             helps: self.helps.saturating_add(other.helps),
             restarts: self.restarts.saturating_add(other.restarts),
             links_traversed: self.links_traversed.saturating_add(other.links_traversed),
-            nodes_retired: self.nodes_retired.saturating_add(other.nodes_retired),
-            ops_insert: self.ops_insert.saturating_add(other.ops_insert),
-            ops_remove: self.ops_remove.saturating_add(other.ops_remove),
-            ops_contains: self.ops_contains.saturating_add(other.ops_contains),
         }
     }
 }
@@ -352,7 +269,6 @@ mod tests {
         s.record_restart();
         s.record_links(10);
         s.record_links(0);
-        s.record_retire();
         let snap = s.snapshot();
         assert_eq!(snap.cas_successes, 1);
         assert_eq!(snap.cas_failures, 2);
@@ -360,24 +276,6 @@ mod tests {
         assert_eq!(snap.helps, 1);
         assert_eq!(snap.restarts, 1);
         assert_eq!(snap.links_traversed, 10);
-        assert_eq!(snap.nodes_retired, 1);
-    }
-
-    #[test]
-    fn record_op_indexes_by_kind() {
-        let s = OpStats::new();
-        s.record_op(OpKind::Insert);
-        s.record_op(OpKind::Insert);
-        s.record_op(OpKind::Remove);
-        s.record_op(OpKind::Contains);
-        let snap = s.snapshot();
-        assert_eq!(snap.ops_insert, 2);
-        assert_eq!(snap.ops_remove, 1);
-        assert_eq!(snap.ops_contains, 1);
-        assert_eq!(snap.ops_total(), 4);
-        let before = snap;
-        s.record_op(OpKind::Contains);
-        assert_eq!(s.snapshot().since(&before).ops_contains, 1);
     }
 
     #[test]
@@ -411,14 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn opkind_labels_are_stable() {
-        assert_eq!(OpKind::Insert.label(), "insert");
-        assert_eq!(OpKind::Remove.label(), "remove");
-        assert_eq!(OpKind::Contains.label(), "contains");
-        assert_eq!(OpKind::ALL.len(), 3);
-    }
-
-    #[test]
     fn merge_sums_component_wise() {
         let a = StatsSnapshot {
             cas_failures: 1,
@@ -426,10 +316,6 @@ mod tests {
             helps: 2,
             restarts: 3,
             links_traversed: 100,
-            nodes_retired: 4,
-            ops_insert: 11,
-            ops_remove: 12,
-            ops_contains: 13,
         };
         let b = StatsSnapshot {
             cas_failures: 5,
@@ -437,10 +323,6 @@ mod tests {
             helps: 0,
             restarts: 7,
             links_traversed: 50,
-            nodes_retired: 1,
-            ops_insert: 1,
-            ops_remove: 2,
-            ops_contains: 3,
         };
         let m = a.merge(&b);
         assert_eq!(m.cas_failures, 6);
@@ -448,11 +330,6 @@ mod tests {
         assert_eq!(m.helps, 2);
         assert_eq!(m.restarts, 10);
         assert_eq!(m.links_traversed, 150);
-        assert_eq!(m.nodes_retired, 5);
-        assert_eq!(m.ops_insert, 12);
-        assert_eq!(m.ops_remove, 14);
-        assert_eq!(m.ops_contains, 16);
-        assert_eq!(m.ops_total(), a.ops_total() + b.ops_total());
         // No cross-counter relation is invented by the merge.
         assert_eq!(m.cas_total(), a.cas_total() + b.cas_total());
         assert_eq!(a + b, m);

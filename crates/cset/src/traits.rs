@@ -328,8 +328,9 @@ pub trait OrderedMap<K, V>: ConcurrentMap<K, V> {
     /// page-then-remove loop; implementations with a native bulk delete (a
     /// streaming sweep, a whole-shard teardown) should override it.
     ///
-    /// The `Send + Sync` key bound exists so sharded implementations can fan
-    /// the sweep out across shards on scoped threads.
+    /// The `Send + Sync` key bound lets a sharded implementation sweep its
+    /// shards on other threads; the workspace's own sharded maps sweep them
+    /// one after another on the calling thread.
     fn remove_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
     where
         K: Clone + Ord + Send + Sync,
@@ -344,8 +345,8 @@ pub trait OrderedMap<K, V>: ConcurrentMap<K, V> {
     /// the predicate — the usual weak-consistency contract).
     ///
     /// The predicate is a `dyn` reference (not a generic parameter) so the
-    /// trait stays dyn-compatible, and `Sync` so sharded implementations can
-    /// share it across scoped threads.
+    /// trait stays dyn-compatible, and `Sync` so that a sharded
+    /// implementation may share it across threads.
     fn retain_range(
         &self,
         lo: Bound<&K>,

@@ -817,9 +817,8 @@ fn e16(opts: &Options) {
         // The headline ratio BENCH_10_teardown.json is judged on.
         cells.push(("lfbst speedup".to_string(), lfbst_mkeys[1] / lfbst_mkeys[0]));
         for mode in modes {
-            // Range-routed shards: a chunk spanning one strip stays on the
-            // calling thread; wider chunks fan out one scoped thread per
-            // covered shard (the cross-shard parallel teardown path).
+            // Range-routed shards: each chunk is swept by the shards it
+            // spans, one after another on the calling thread.
             let set = Sharded::new(BoundaryRouter::covering(shards, span), |_| LfBst::new());
             let m = run_teardown_cycle(&set, keys, bulk, cycles, stride, mode, seed);
             let name = format!("shard/{}", mode.label());

@@ -36,9 +36,9 @@ use crate::value::{MapValue, ValueCell};
 
 /// Items a [`RangeIter`] yields between guard repins.
 ///
-/// Matches the batch entry points' `REPIN_EVERY`: long scans release the
-/// epoch at the same cadence as long batches, bounding how much retired
-/// memory one scan can pin.  Each repin costs one re-seek (`O(log n)`), which
+/// The crate's `REPIN_EVERY`: long scans release the epoch at the same
+/// cadence as bulk sweeps, bounding how much retired memory one scan can
+/// pin.  Each repin costs one re-seek (`O(log n)`), which
 /// amortises to nothing over the window.
 pub const REPIN_SCAN_EVERY: u64 = REPIN_EVERY;
 
@@ -53,7 +53,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         match lo {
             Bound::Unbounded => self.in_order_successor(self.root0(), guard),
             Bound::Included(k) | Bound::Excluded(k) => {
-                let loc = self.locate_from(self.root1(), self.root0(), k, false, guard);
+                let loc = self.locate_from::<false>(self.root1(), self.root0(), k, false, guard);
                 if loc.dir == 2 {
                     if matches!(lo, Bound::Included(_)) {
                         loc.curr

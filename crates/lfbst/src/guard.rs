@@ -1,5 +1,4 @@
-//! Amortized epoch pinning: the [`Pinned`] operation guard and the batch entry
-//! points of [`LfBst`].
+//! Amortized epoch pinning: the [`Pinned`] operation guard of [`LfBst`].
 //!
 //! Every `insert`/`remove`/`contains` call pins the current epoch and unpins
 //! on return.  A pin is cheap but not free (a store plus a full fence, and a
@@ -10,16 +9,15 @@
 //! Holding a guard delays memory reclamation — nodes retired while any thread
 //! is pinned at the current epoch cannot be freed until that thread unpins or
 //! observes a newer epoch.  Long-lived handles should call
-//! [`Pinned::refresh`] between batches (the batch entry points do this
-//! automatically every `REPIN_EVERY` operations).
+//! [`Pinned::refresh`] between batches.
 
 use crossbeam_epoch::{Ebr, ReclaimGuard, Reclaimer};
 
 use crate::tree::LfBst;
 use crate::value::MapValue;
 
-/// Operations performed on one guard before the batch entry points refresh it,
-/// bounding how long a batch can delay epoch advancement.
+/// Items a long walk (a streaming scan, a bulk sweep) handles on one guard
+/// before refreshing it, bounding how long it can delay epoch advancement.
 pub(crate) const REPIN_EVERY: u64 = 1024;
 
 /// A handle that runs set (and map) operations under one long-lived epoch pin.
@@ -76,108 +74,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// the reclamation caveat on long-lived handles.
     pub fn pin(&self) -> Pinned<'_, K, V, R> {
         Pinned { tree: self, guard: R::pin() }
-    }
-
-    /// Removes every key yielded by `keys` under a single (periodically
-    /// refreshed) epoch pin; returns how many were present and removed.
-    pub fn remove_all<'a>(&self, keys: impl IntoIterator<Item = &'a K>) -> usize
-    where
-        K: 'a,
-    {
-        let mut guard = R::pin();
-        let mut removed = 0usize;
-        let mut ops = 0u64;
-        for key in keys {
-            if self.remove_with(key, &guard) {
-                removed += 1;
-            }
-            ops += 1;
-            if ops % REPIN_EVERY == 0 {
-                guard.repin();
-            }
-        }
-        removed
-    }
-
-    /// Counts how many of the keys yielded by `keys` are present, under a
-    /// single (periodically refreshed) epoch pin.
-    pub fn count_present<'a>(&self, keys: impl IntoIterator<Item = &'a K>) -> usize
-    where
-        K: 'a,
-    {
-        let mut guard = R::pin();
-        let mut present = 0usize;
-        let mut ops = 0u64;
-        for key in keys {
-            if self.contains_with(key, &guard) {
-                present += 1;
-            }
-            ops += 1;
-            if ops % REPIN_EVERY == 0 {
-                guard.repin();
-            }
-        }
-        present
-    }
-
-    /// Upserts every `(key, value)` entry under a single (periodically
-    /// refreshed) epoch pin; returns how many were fresh insertions.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    /// let map: LfBst<u64, u64> = LfBst::new();
-    /// assert_eq!(map.upsert_all((0..10u64).map(|k| (k, k))), 10);
-    /// assert_eq!(map.upsert_all((5..15u64).map(|k| (k, k + 1))), 5);
-    /// assert_eq!(map.get(&7), Some(8));
-    /// ```
-    pub fn upsert_all(&self, entries: impl IntoIterator<Item = (K, V)>) -> usize
-    where
-        V: Clone,
-    {
-        let mut guard = R::pin();
-        let mut fresh = 0usize;
-        let mut ops = 0u64;
-        for (key, value) in entries {
-            if self.upsert_with(key, value, &guard).is_none() {
-                fresh += 1;
-            }
-            ops += 1;
-            if ops % REPIN_EVERY == 0 {
-                guard.repin();
-            }
-        }
-        fresh
-    }
-}
-
-impl<K: Ord, R: Reclaimer> LfBst<K, (), R> {
-    /// Inserts every key from `keys` under a single (periodically refreshed)
-    /// epoch pin; returns how many were newly inserted.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    /// let set = LfBst::new();
-    /// assert_eq!(set.insert_all(0..10u64), 10);
-    /// assert_eq!(set.insert_all(5..15u64), 5);
-    /// ```
-    pub fn insert_all(&self, keys: impl IntoIterator<Item = K>) -> usize {
-        let mut guard = R::pin();
-        let mut inserted = 0usize;
-        let mut ops = 0u64;
-        for key in keys {
-            if self.insert_with(key, &guard) {
-                inserted += 1;
-            }
-            ops += 1;
-            if ops % REPIN_EVERY == 0 {
-                guard.repin();
-            }
-        }
-        inserted
     }
 }
 
@@ -267,21 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_entry_points_count_correctly() {
-        let set = LfBst::new();
-        assert_eq!(set.insert_all(0..1000u64), 1000);
-        assert_eq!(set.insert_all(500..1500u64), 500);
-        let evens: Vec<u64> = (0..1500).step_by(2).collect();
-        assert_eq!(set.count_present(evens.iter()), 750);
-        assert_eq!(set.remove_all(evens.iter()), 750);
-        assert_eq!(set.len(), 750);
-        // Batches longer than REPIN_EVERY exercise the refresh path.
-        let many: Vec<u64> = (10_000..10_000 + 2 * REPIN_EVERY + 5).collect();
-        assert_eq!(set.insert_all(many.iter().copied()), many.len());
-        assert_eq!(set.count_present(many.iter()), many.len());
-    }
-
-    #[test]
     fn refresh_keeps_handle_usable() {
         let set = LfBst::new();
         let mut pinned = set.pin();
@@ -295,5 +176,30 @@ mod tests {
         let other = LfBst::new();
         assert!(other.insert_with(7u64, pinned.guard()));
         assert!(other.contains_with(&7, pinned.guard()));
+    }
+
+    #[test]
+    fn pinned_map_face_survives_refreshes_past_the_repin_period() {
+        // A long-held handle refreshed every `REPIN_EVERY` operations, as
+        // the module docs advise, keeps every map-face result exact.
+        let map: LfBst<u64, u64> = LfBst::new();
+        let mut pinned = map.pin();
+        let n = 2 * REPIN_EVERY + 5;
+        for k in 0..n {
+            assert!(pinned.insert_entry(k, k));
+            if (k + 1) % REPIN_EVERY == 0 {
+                pinned.refresh();
+            }
+        }
+        assert!(!pinned.insert_entry(0, 99), "a present key is not inserted again");
+        let fresh = (n / 2..n + n / 2).filter(|&k| pinned.upsert(k, k + 1).is_none()).count();
+        assert_eq!(fresh as u64, n / 2);
+        pinned.refresh();
+        assert_eq!(pinned.get(&0), Some(0));
+        assert_eq!(pinned.get(&n), Some(n + 1));
+        let evens = (0..n).step_by(2).filter(|k| pinned.remove_entry(k).is_some()).count();
+        assert_eq!(evens as u64, n.div_ceil(2));
+        drop(pinned);
+        assert_eq!(map.len() as u64, n + n / 2 - n.div_ceil(2));
     }
 }

@@ -36,12 +36,20 @@ pub(crate) struct Location<'g, K, V: MapValue = ()> {
 }
 
 impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
-    /// The paper's `Locate`: searches for `key` starting from `(prev, curr)`.
+    /// The paper's `Locate` (`ORDER = false`) and the predecessor query used
+    /// by `Remove` (`ORDER = true`): one loop, searching for `key` from
+    /// `(prev, curr)`.  The two differ only in how they break a tie, and each
+    /// instantiation folds its tie-break at compile time.
     ///
-    /// Returns `dir == 2` when a node holding `key` is found; otherwise the
-    /// interval containing `key` is associated with the threaded link
-    /// `curr.child[dir]` of the returned location.
-    pub(crate) fn locate_from<'g>(
+    /// * `Locate` returns `dir == 2` when a node holding `key` is found;
+    ///   otherwise the interval containing `key` is associated with the
+    ///   threaded link `curr.child[dir]` of the returned location.
+    /// * The predecessor query behaves like a search for "`key − ε`": it
+    ///   treats equality as *go left*, and therefore terminates at the node
+    ///   whose threaded link (the *order-link*) points at the node holding
+    ///   `key`, if any.  Its `dir` is never `2`; the candidate victim is the
+    ///   target of the returned `link`.
+    pub(crate) fn locate_from<'g, const ORDER: bool>(
         &self,
         mut prev: Shared<'g, Node<K, V>>,
         mut curr: Shared<'g, Node<K, V>>,
@@ -54,21 +62,22 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         // below folds away.
         let record = self.record_stats();
         let mut links: u64 = 0;
-        let mut spin = SpinBound::new("locate_from");
+        let mut spin = SpinBound::new(if ORDER { "locate_from::<ORDER>" } else { "locate_from" });
         loop {
             spin.tick();
             let curr_ref = unsafe { curr.deref() };
             // Sentinel-free comparison: root dummies by pointer, real keys via
-            // `K::cmp` (see `LfBst::cmp_node_key`).
+            // `K::cmp` (see `LfBst::cmp_node_key`).  The order query goes
+            // left on equal: it searches for key - epsilon.
             let dir = match self.cmp_node_key(curr, key) {
-                CmpOrdering::Equal => {
+                CmpOrdering::Equal if !ORDER => {
                     if record {
                         self.stats.record_links(links);
                     }
                     return Location { prev, curr, dir: 2, link: Shared::null() };
                 }
-                CmpOrdering::Greater => 0,
                 CmpOrdering::Less => 1,
+                _ => 0,
             };
             let link = curr_ref.child[dir].load(LOAD, guard);
 
@@ -86,96 +95,27 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             }
 
             if is_thread(link) {
-                if dir == 0 {
-                    if record {
-                        self.stats.record_links(links);
-                    }
-                    return Location { prev, curr, dir, link };
-                }
+                // A threaded left link always stops the traversal.
                 // Condition 1: on a threaded right link, stop only if the
-                // searched key precedes the successor's key; otherwise the
-                // interval shifted right and the traversal follows the thread.
+                // searched key precedes the successor's key (`Locate`), or
+                // does not follow it (the order query: key - epsilon precedes
+                // it); otherwise the interval shifted right and the traversal
+                // follows the thread.
                 let next = link.with_tag(0);
-                match self.cmp_node_key(next, key) {
-                    CmpOrdering::Greater => {
-                        if record {
-                            self.stats.record_links(links);
-                        }
-                        return Location { prev, curr, dir, link };
-                    }
-                    _ => {
-                        prev = curr;
-                        curr = next;
-                    }
-                }
-            } else {
-                prev = curr;
-                curr = link.with_tag(0);
-            }
-            links += 1;
-        }
-    }
-
-    /// The predecessor query used by `Remove`: behaves like a search for
-    /// "`key − ε`" by treating equality as *go left*, and therefore terminates
-    /// at the node whose threaded link (the *order-link*) points at the node
-    /// holding `key`, if any.
-    ///
-    /// The returned `dir` is never `2`; the candidate victim is the target of
-    /// the returned `link`.
-    pub(crate) fn locate_order_from<'g>(
-        &self,
-        mut prev: Shared<'g, Node<K, V>>,
-        mut curr: Shared<'g, Node<K, V>>,
-        key: &K,
-        eager: bool,
-        guard: &'g R::Guard,
-    ) -> Location<'g, K, V> {
-        let record = self.record_stats();
-        let mut links: u64 = 0;
-        let mut spin = SpinBound::new("locate_order_from");
-        loop {
-            spin.tick();
-            let curr_ref = unsafe { curr.deref() };
-            // "go left on equal": searching for key - epsilon.
-            let dir = match self.cmp_node_key(curr, key) {
-                CmpOrdering::Less => 1,
-                _ => 0,
-            };
-            let link = curr_ref.child[dir].load(LOAD, guard);
-
-            if eager && dir == 1 && is_mark(link) {
-                let new_prev = unsafe { prev.deref() }.backlink.load(LOAD, guard).with_tag(0);
-                self.note_help();
-                dst_point!();
-                self.clean_mark_right(curr, guard);
-                prev = new_prev;
-                curr = new_prev;
-                links += 1;
-                continue;
-            }
-
-            if is_thread(link) {
-                if dir == 0 {
+                let follow = dir == 1
+                    && match self.cmp_node_key(next, key) {
+                        CmpOrdering::Less => true,
+                        CmpOrdering::Equal => !ORDER,
+                        CmpOrdering::Greater => false,
+                    };
+                if !follow {
                     if record {
                         self.stats.record_links(links);
                     }
                     return Location { prev, curr, dir, link };
                 }
-                let next = link.with_tag(0);
-                // Stop if key <= successor key (i.e. key - epsilon < successor key).
-                match self.cmp_node_key(next, key) {
-                    CmpOrdering::Less => {
-                        prev = curr;
-                        curr = next;
-                    }
-                    _ => {
-                        if record {
-                            self.stats.record_links(links);
-                        }
-                        return Location { prev, curr, dir, link };
-                    }
-                }
+                prev = curr;
+                curr = next;
             } else {
                 prev = curr;
                 curr = link.with_tag(0);
@@ -196,7 +136,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         victim: Shared<'g, Node<K, V>>,
         guard: &'g R::Guard,
     ) -> bool {
-        let loc = self.locate_from(self.root1(), self.root0(), key, false, guard);
+        let loc = self.locate_from::<false>(self.root1(), self.root0(), key, false, guard);
         loc.dir == 2 && same_node(loc.curr, victim)
     }
 }
@@ -210,7 +150,7 @@ mod tests {
     fn locate_on_empty_tree_stops_at_minus_inf_right_thread() {
         let t: LfBst<u64> = LfBst::new();
         let guard = &epoch::pin();
-        let loc = t.locate_from(t.root1(), t.root0(), &5, false, guard);
+        let loc = t.locate_from::<false>(t.root1(), t.root0(), &5, false, guard);
         assert_eq!(loc.dir, 1);
         assert!(same_node(loc.curr, t.root0()));
         assert!(is_thread(loc.link));
@@ -224,7 +164,7 @@ mod tests {
             t.insert(k);
         }
         let guard = &epoch::pin();
-        let loc = t.locate_from(t.root1(), t.root0(), &7, false, guard);
+        let loc = t.locate_from::<false>(t.root1(), t.root0(), &7, false, guard);
         assert_eq!(loc.dir, 2);
         assert_eq!(unsafe { loc.curr.deref() }.key, cset::KeyBound::Key(7));
     }
@@ -237,7 +177,7 @@ mod tests {
         }
         let guard = &epoch::pin();
         // 7 lies in the interval (5, 10); 5's right thread points at 10.
-        let loc = t.locate_from(t.root1(), t.root0(), &7, false, guard);
+        let loc = t.locate_from::<false>(t.root1(), t.root0(), &7, false, guard);
         assert_ne!(loc.dir, 2);
         let curr_key = &unsafe { loc.curr.deref() }.key;
         assert_eq!(*curr_key, cset::KeyBound::Key(5));
@@ -253,16 +193,16 @@ mod tests {
         }
         let guard = &epoch::pin();
         // The order node of 10 is 7 (rightmost node of its left subtree).
-        let loc = t.locate_order_from(t.root1(), t.root0(), &10, false, guard);
+        let loc = t.locate_from::<true>(t.root1(), t.root0(), &10, false, guard);
         assert_eq!(unsafe { loc.curr.deref() }.key, cset::KeyBound::Key(7));
         assert_eq!(loc.dir, 1);
         assert_eq!(unsafe { loc.link.with_tag(0).deref() }.key, cset::KeyBound::Key(10));
         // The order node of 5 (no left child) is 5 itself via its left thread.
-        let loc = t.locate_order_from(t.root1(), t.root0(), &5, false, guard);
+        let loc = t.locate_from::<true>(t.root1(), t.root0(), &5, false, guard);
         assert_eq!(unsafe { loc.curr.deref() }.key, cset::KeyBound::Key(5));
         assert_eq!(loc.dir, 0);
         // The order node of a missing key yields a non-matching target.
-        let loc = t.locate_order_from(t.root1(), t.root0(), &8, false, guard);
+        let loc = t.locate_from::<true>(t.root1(), t.root0(), &8, false, guard);
         let target_key = &unsafe { loc.link.with_tag(0).deref() }.key;
         assert_ne!(*target_key, cset::KeyBound::Key(8));
     }
@@ -278,19 +218,50 @@ mod tests {
         }
         let guard = &epoch::pin();
         for k in [5u64, 10, 15] {
-            assert_eq!(t.locate_from(t.root1(), t.root0(), &k, false, guard).dir, 2, "key {k}");
+            assert_eq!(
+                t.locate_from::<false>(t.root1(), t.root0(), &k, false, guard).dir,
+                2,
+                "key {k}"
+            );
         }
         // Order-locate treats equality as "go left": the order node of the
         // minimum is the minimum itself via its left self-thread.
-        let loc = t.locate_order_from(t.root1(), t.root0(), &5, false, guard);
+        let loc = t.locate_from::<true>(t.root1(), t.root0(), &5, false, guard);
         assert_eq!(loc.dir, 0);
         assert!(same_node(loc.link.with_tag(0), loc.curr));
         // Searches past either end stop in the sentinel-bounded intervals.
-        let lo = t.locate_from(t.root1(), t.root0(), &0, false, guard);
+        let lo = t.locate_from::<false>(t.root1(), t.root0(), &0, false, guard);
         assert_ne!(lo.dir, 2);
-        let hi = t.locate_from(t.root1(), t.root0(), &100, false, guard);
+        let hi = t.locate_from::<false>(t.root1(), t.root0(), &100, false, guard);
         assert_ne!(hi.dir, 2);
         assert!(same_node(hi.link, t.root1()));
+    }
+
+    #[test]
+    fn locate_and_order_query_differ_only_on_ties() {
+        // The two instantiations share one loop and differ only in their
+        // tie-break: off a tie (a missing key) they stop at the same
+        // location; on a tie `Locate` stops at the key's node while the order
+        // query stops at the threaded link that points to it.
+        let t = LfBst::new();
+        for k in [40u64, 20, 60, 10, 30, 50, 70] {
+            t.insert(k);
+        }
+        let guard = &epoch::pin();
+        for key in 0..=80u64 {
+            let plain = t.locate_from::<false>(t.root1(), t.root0(), &key, false, guard);
+            let order = t.locate_from::<true>(t.root1(), t.root0(), &key, false, guard);
+            assert_ne!(order.dir, 2, "key {key}");
+            if key % 10 == 0 && (10..=70).contains(&key) {
+                assert_eq!(plain.dir, 2, "key {key}");
+                assert!(is_thread(order.link), "key {key}");
+                assert!(same_node(order.link.with_tag(0), plain.curr), "key {key}");
+            } else {
+                assert!(same_node(plain.curr, order.curr), "key {key}");
+                assert_eq!(plain.dir, order.dir, "key {key}");
+                assert_eq!(plain.link, order.link, "key {key}");
+            }
+        }
     }
 
     #[test]
@@ -299,7 +270,7 @@ mod tests {
         t.insert(1u64);
         t.insert(2);
         let guard = &epoch::pin();
-        let loc = t.locate_from(t.root1(), t.root0(), &1, false, guard);
+        let loc = t.locate_from::<false>(t.root1(), t.root0(), &1, false, guard);
         assert!(t.find_exact(&1, loc.curr, guard));
         assert!(!t.find_exact(&2, loc.curr, guard));
     }

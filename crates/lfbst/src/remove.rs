@@ -28,8 +28,6 @@
 
 use crossbeam_epoch::{ReclaimGuard, Reclaimer, Shared};
 
-use cset::OpKind;
-
 use crate::link::{is_clean, is_flag, is_mark, is_thread, same_node, CLAIMED, FLAG, MARK, THREAD};
 use crate::node::Node;
 use crate::trace_hooks::{dst_point, trace_ev, SpinBound};
@@ -93,7 +91,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// not exceed `key`, and `anchor` must be dereferenceable under `guard` —
     /// retired-but-pinned nodes qualify, because a retired node's frozen right
     /// link still leads rightward to its live successor and
-    /// [`locate_order_from`](Self::locate_order_from) strips tags while
+    /// [`locate_from::<true>`](Self::locate_from) strips tags while
     /// traversing.  The bulk sweep driver exploits this by anchoring each
     /// removal at the doomed node *itself* (pinned by the sweep's cursor):
     /// the order-locate goes left on an equal key, so it stops at the
@@ -106,14 +104,13 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         guard: &'g R::Guard,
     ) -> Option<Shared<'g, Node<K, V>>> {
         let record = self.record_stats();
-        self.note_op(OpKind::Remove);
         let mut prev = anchor;
         let mut curr = anchor_curr;
         let mut spin = SpinBound::new("remove_node_with");
         loop {
             spin.tick();
             dst_point!();
-            let loc = self.locate_order_from(prev, curr, key, self.eager_help(), guard);
+            let loc = self.locate_from::<true>(prev, curr, key, self.eager_help(), guard);
             let link = loc.link;
             let victim = link.with_tag(0);
             if self.cmp_node_key(victim, key) != std::cmp::Ordering::Equal {
@@ -1381,9 +1378,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// Called exactly once per removed node: only the thread whose CAS unlinked
     /// the last incoming parent link reaches this call.
     fn retire<'g>(&self, victim: Shared<'g, Node<K, V>>, guard: &'g R::Guard) {
-        if self.record_stats() {
-            self.stats.record_retire();
-        }
         trace_ev!(Retire, victim, victim);
         unsafe {
             guard.defer_destroy(victim);

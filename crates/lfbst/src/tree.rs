@@ -9,7 +9,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Ebr, Owned, Reclaimer, Shared};
-use cset::{ConcurrentMap, KeyBound, OpKind, OpStats, OrderedMap, StatsSnapshot};
+use cset::{ConcurrentMap, KeyBound, OpStats, OrderedMap, StatsSnapshot};
 
 use crate::config::{Config, HelpPolicy, RestartPolicy};
 use crate::link::{is_clean, is_flag, is_mark, is_thread, same_node, THREAD};
@@ -358,8 +358,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// [`contains`](Self::contains) under a caller-held guard (see
     /// [`pin`](Self::pin)): skips the per-operation epoch pin.
     pub fn contains_with(&self, key: &K, guard: &R::Guard) -> bool {
-        let loc = self.locate_from(self.root1(), self.root0(), key, self.eager_help(), guard);
-        self.note_op(OpKind::Contains);
+        let loc =
+            self.locate_from::<false>(self.root1(), self.root0(), key, self.eager_help(), guard);
         loc.dir == 2
     }
 
@@ -401,7 +401,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         loop {
             spin.tick();
             dst_point!();
-            let loc = self.locate_from(prev, curr, key_ref, self.eager_help(), guard);
+            let loc = self.locate_from::<false>(prev, curr, key_ref, self.eager_help(), guard);
             if loc.dir == 2 {
                 // Key already present: dismantle the unpublished node and hand
                 // its contents back to the caller.
@@ -504,9 +504,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// [`insert_entry`](Self::insert_entry) under a caller-held guard (see
     /// [`pin`](Self::pin)): skips the per-operation epoch pin.
     pub fn insert_entry_with(&self, key: K, value: V, guard: &R::Guard) -> bool {
-        let inserted = matches!(self.insert_core(key, value, guard), InsertOutcome::Inserted);
-        self.note_op(OpKind::Insert);
-        inserted
+        matches!(self.insert_core(key, value, guard), InsertOutcome::Inserted)
     }
 
     /// Returns the value currently associated with `key`, if any.
@@ -528,8 +526,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     where
         V: Clone,
     {
-        let loc = self.locate_from(self.root1(), self.root0(), key, self.eager_help(), guard);
-        self.note_op(OpKind::Contains);
+        let loc =
+            self.locate_from::<false>(self.root1(), self.root0(), key, self.eager_help(), guard);
         if loc.dir != 2 {
             return None;
         }
@@ -559,13 +557,18 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     where
         V: Clone,
     {
-        self.note_op(OpKind::Insert);
         let mut key = key;
         let mut value = value;
         let mut spin = SpinBound::new("upsert");
         loop {
             spin.tick();
-            let loc = self.locate_from(self.root1(), self.root0(), &key, self.eager_help(), guard);
+            let loc = self.locate_from::<false>(
+                self.root1(),
+                self.root0(),
+                &key,
+                self.eager_help(),
+                guard,
+            );
             if loc.dir == 2 {
                 let node_ref = unsafe { loc.curr.deref() };
                 let right = node_ref.child[1].load(LOAD, guard);
@@ -876,14 +879,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             self.stats.record_help();
         }
     }
-
-    /// Counts one completed operation of `kind` (used by the public entry
-    /// points; per-shard sums of these are the hot-shard load signal).
-    pub(crate) fn note_op(&self, kind: OpKind) {
-        if self.record_stats() {
-            self.stats.record_op(kind);
-        }
-    }
 }
 
 /// The set-flavoured entry points, available on the `LfBst<K>` alias
@@ -902,9 +897,7 @@ impl<K: Ord, R: Reclaimer> LfBst<K, (), R> {
     /// [`insert`](Self::insert) under a caller-held guard (see
     /// [`pin`](Self::pin)): skips the per-operation epoch pin.
     pub fn insert_with(&self, key: K, guard: &R::Guard) -> bool {
-        let inserted = matches!(self.insert_core(key, (), guard), InsertOutcome::Inserted);
-        self.note_op(OpKind::Insert);
-        inserted
+        matches!(self.insert_core(key, (), guard), InsertOutcome::Inserted)
     }
 }
 
@@ -1123,7 +1116,7 @@ mod tests {
         assert_eq!(t.cmp_node_key(t.root1(), &0), CmpOrdering::Greater);
         assert_eq!(t.cmp_node_key(t.root1(), &u64::MAX), CmpOrdering::Greater);
         // Interior nodes compare through `K::cmp` directly.
-        let loc = t.locate_from(t.root1(), t.root0(), &10, false, guard);
+        let loc = t.locate_from::<false>(t.root1(), t.root0(), &10, false, guard);
         assert_eq!(loc.dir, 2);
         assert_eq!(t.cmp_node_key(loc.curr, &9), CmpOrdering::Greater);
         assert_eq!(t.cmp_node_key(loc.curr, &10), CmpOrdering::Equal);

@@ -14,16 +14,21 @@
 //!   table, routes, and reads the strip's tree.  If a rebalance retires that
 //!   table mid-read, the guard keeps the table (and, through `Arc`s, the
 //!   tree) alive; the read linearizes at its table load.
-//! * **Writers are briefly gated.**  A migration must hand the *final* state
-//!   of the old tree to the replacement trees, so the cutover freezes writes
-//!   to the affected strip(s) only: a writer registers itself in the strip's
-//!   in-flight counter and re-validates the table pointer (both seqcst, see
-//!   `ElasticMap::with_write`); the migrator publishes a `blocked` table,
-//!   waits for registered writers to drain, reconciles the replacement trees
-//!   against the now-frozen old tree, and publishes the final table.  Writers
-//!   that meet a blocked strip spin briefly and land on the new trees.
-//!   Writes to *other* strips are completely unaffected — their `Strip`
-//!   objects are shared (`Arc`) between the old and new tables.
+//! * **Writers are briefly gated.**  Split, merge and whole-strip teardown
+//!   are one migration (`ElasticMap::replace_run`): it replaces a contiguous
+//!   run of strips with fresh trees laid out by new split points, holding
+//!   the run's entries a keep rule admits (all of them for split and merge,
+//!   none or a predicate's survivors for teardown).  It must hand the
+//!   *final* state of the old trees to the fresh ones, so the cutover
+//!   freezes writes to the run only: a writer registers itself in the
+//!   strip's in-flight counter and re-validates the table pointer (both
+//!   seqcst, see `ElasticMap::with_write`); the migrator publishes a
+//!   `blocked` table, waits for registered writers to drain, reconciles the
+//!   fresh trees against the now-frozen old ones, and publishes the final
+//!   table.  Writers that meet a blocked strip spin briefly and land on the
+//!   fresh trees.  Writes to *other* strips are completely unaffected —
+//!   their `Strip` objects are shared (`Arc`) between the old and new
+//!   tables.
 //! * **Scans stream strip by strip.**  A scan captures the strip trees
 //!   covering its range (by `Arc`) and concatenates their own cursors, one
 //!   strip at a time: strips are key-disjoint and ascending, so no merge is
@@ -39,9 +44,9 @@
 
 use std::fmt;
 use std::marker::PhantomData;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crossbeam_epoch::{Atomic, Ebr, Owned, ReclaimGuard, Reclaimer, Shared};
 use cset::{ConcurrentMap, LoadTally, OrderedMap, StatsSnapshot};
@@ -49,8 +54,9 @@ use cset::{ConcurrentMap, LoadTally, OrderedMap, StatsSnapshot};
 use crate::router::{BoundaryRouter, ShardRouter};
 use crate::sharded::config_name;
 
-/// The survival predicate `retain_range` threads into the strip teardown
-/// (`None` = clear everything, i.e. `remove_range`).
+/// The keep rule of a strip migration: the entries of the replaced strips
+/// it admits survive into the fresh trees (`None` admits none, as
+/// `remove_range`'s whole-strip teardown does).
 type StripKeepFn<'a, V> = &'a (dyn Fn(&u64, &V) -> bool + Sync);
 
 /// One key strip: a tree plus its load tally and in-flight writer count.
@@ -311,141 +317,151 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     /// the pivot does not fall strictly inside the strip — the validation
     /// that makes racing policy decisions harmless.
     ///
-    /// The three phases (bulk copy concurrent with writers; gated cutover +
-    /// reconcile; publish) are described in the module docs.
+    /// The migration (bulk copy concurrent with writers, gated cutover and
+    /// reconcile, publish) is described in the module docs.
     pub fn split<V>(&self, strip_idx: usize, pivot: u64) -> bool
     where
         S: OrderedMap<u64, V>,
         V: PartialEq,
     {
-        let _serialize = self.migrate.lock().expect("rebalance lock poisoned");
-        let (old, router0, strips0) = {
-            let guard = R::pin();
-            let t0 = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-            if strip_idx >= t0.strips.len()
-                || pivot <= t0.router.strip_lower(strip_idx)
-                || t0.router.strip_upper(strip_idx).is_some_and(|u| pivot >= u)
-            {
-                return false;
-            }
-            (t0.strips[strip_idx].clone(), t0.router.clone(), t0.strips.clone())
-        };
-
-        // Phase 1 — bulk copy through the streaming cursor while writers
-        // continue on the old tree.  The replacements are private until
-        // publication, so plain inserts cannot conflict; the median-first
-        // load keeps them height-balanced despite the sorted source.
-        let left = Arc::new((self.make)());
-        let right = Arc::new((self.make)());
-        let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        for (k, v) in cset::chunked_scan_entries(&*old.tree, Bound::Unbounded, Bound::Unbounded) {
-            if k < pivot { &mut lo } else { &mut hi }.push((k, v));
-        }
-        balanced_load(&*left, lo);
-        balanced_load(&*right, hi);
-
-        // Phase 2 — cutover: block the strip, drain its writers, reconcile
-        // the (now bounded) drift the concurrent phase accumulated.
-        let guard = R::pin();
-        let blocked = Table {
-            router: router0.clone(),
-            strips: strips0.clone(),
-            blocked: Some((strip_idx, strip_idx)),
-        };
-        let prev = self.table.swap(Owned::new(blocked), Ordering::SeqCst, &guard);
-        unsafe { guard.defer_destroy(prev) };
-        Self::await_writers(&old);
-        reconcile(
-            cset::chunked_scan_entries(&*old.tree, Bound::Unbounded, Bound::Unbounded),
-            ElasticScan::new(
-                vec![Arc::clone(&left), Arc::clone(&right)],
-                Bound::Unbounded,
-                Bound::Unbounded,
-            ),
-            &[(Some(pivot), &*left), (None, &*right)],
-        );
-
-        // Phase 3 — publish the split layout; the old tree leaves the table
-        // and is dropped once the retired tables and in-flight scans release
-        // their Arcs.
-        let mut bounds = router0.bounds().to_vec();
-        bounds.insert(strip_idx, pivot);
-        let mut strips = strips0;
-        strips[strip_idx] = Strip::new(left);
-        strips.insert(strip_idx + 1, Strip::new(right));
-        let t2 = Table { router: BoundaryRouter::new(bounds), strips, blocked: None };
-        let prev = self.table.swap(Owned::new(t2), Ordering::SeqCst, &guard);
-        unsafe { guard.defer_destroy(prev) };
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-        true
+        self.rebalance(strip_idx..=strip_idx, vec![pivot])
     }
 
     /// Merges strips `left_idx` and `left_idx + 1` into one, publishing a
     /// table with one fewer strip.  Returns `false` if the index is stale.
     ///
-    /// Same protocol as [`split`](Self::split) with two source strips: both
+    /// Same migration as [`split`](Self::split) with two source strips: both
     /// are blocked and drained before the reconcile.
     pub fn merge<V>(&self, left_idx: usize) -> bool
     where
         S: OrderedMap<u64, V>,
         V: PartialEq,
     {
-        let _serialize = self.migrate.lock().expect("rebalance lock poisoned");
-        let (a, b, router0, strips0) = {
-            let guard = R::pin();
-            let t0 = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-            if left_idx + 1 >= t0.strips.len() {
-                return false;
-            }
-            (
-                t0.strips[left_idx].clone(),
-                t0.strips[left_idx + 1].clone(),
-                t0.router.clone(),
-                t0.strips.clone(),
-            )
-        };
+        self.rebalance(left_idx..=left_idx + 1, Vec::new())
+    }
 
-        // Phase 1 — bulk copy both strips (adjacent, so chaining the two
-        // ascending cursors yields one sorted run for the balanced load).
-        let merged = Arc::new((self.make)());
-        let mut run = Vec::new();
-        for src in [&a, &b] {
-            run.extend(cset::chunked_scan_entries(&*src.tree, Bound::Unbounded, Bound::Unbounded));
+    /// A split or merge: migrates `run` to fresh trees split at `mid`,
+    /// keeping every entry, and counts the completed switch.
+    fn rebalance<V>(&self, run: RangeInclusive<usize>, mid: Vec<u64>) -> bool
+    where
+        S: OrderedMap<u64, V>,
+        V: PartialEq,
+    {
+        let serialized = self.migrate.lock().expect("rebalance lock poisoned");
+        let done = self.replace_run(&serialized, run, mid, Some(&|_: &u64, _: &V| true)).is_some();
+        if done {
+            self.rebalances.fetch_add(1, Ordering::Relaxed);
         }
-        balanced_load(&*merged, run);
+        done
+    }
 
-        // Phase 2 — cutover over both strips.
+    /// The one strip migration behind split, merge and whole-strip teardown:
+    /// replaces the contiguous strips `run` with fresh trees split at `mid`
+    /// (one tree more than split points), holding exactly the entries of the
+    /// run's frozen trees that `keep` admits (`None` admits none).
+    ///
+    /// Returns how many entries the replacement evicted (the sources' `len()`
+    /// minus the fresh trees'), or `None`, doing nothing, if `run` or `mid`
+    /// does not fit the current table.  `_serialized` is the held migrate
+    /// lock, so the table validated here is the table replaced.
+    ///
+    /// 1. Copy the admitted entries into the fresh trees, median-first, while
+    ///    writers continue on the run's trees.  The fresh trees are private
+    ///    until publication, so plain inserts cannot conflict.
+    /// 2. Publish a table with the run blocked and wait out its writers, then
+    ///    reconcile the fresh trees against the now-frozen sources.
+    /// 3. Publish the final table.  The sources leave it and are dropped once
+    ///    the retired tables and in-flight scans release their `Arc`s.
+    ///
+    /// Keep-nothing skips the copy and the reconcile: the fresh trees stay
+    /// empty and the swap is one bulk drop.
+    fn replace_run<V>(
+        &self,
+        _serialized: &MutexGuard<'_, ()>,
+        run: RangeInclusive<usize>,
+        mid: Vec<u64>,
+        keep: Option<StripKeepFn<'_, V>>,
+    ) -> Option<usize>
+    where
+        S: OrderedMap<u64, V>,
+        V: PartialEq,
+    {
+        let (router0, strips0) = self.current();
+        let (first, last) = (*run.start(), *run.end());
+        let inside = |k: &u64| {
+            *k > router0.strip_lower(first) && router0.strip_upper(last).map_or(true, |u| *k < u)
+        };
+        if first > last
+            || last >= strips0.len()
+            || !mid.iter().all(inside)
+            || !mid.windows(2).all(|w| w[0] < w[1])
+        {
+            return None;
+        }
+        let sources: Vec<Arc<S>> =
+            strips0[run.clone()].iter().map(|s| Arc::clone(&s.tree)).collect();
+        let fresh: Vec<Arc<S>> = (0..=mid.len()).map(|_| Arc::new((self.make)())).collect();
+        // `mid` lies strictly inside the run, so it never holds 0 and routes
+        // a run key to its fresh tree.
+        let layout = BoundaryRouter::new(mid);
+
+        // Phase 1 — bulk copy.
+        if let Some(keep) = keep {
+            let mut parts: Vec<Vec<(u64, V)>> = fresh.iter().map(|_| Vec::new()).collect();
+            for (k, v) in entries(&sources).filter(|(k, v)| keep(k, v)) {
+                parts[layout.route(&k)].push((k, v));
+            }
+            for (tree, part) in fresh.iter().zip(parts) {
+                balanced_load(&**tree, part);
+            }
+        }
+
+        // Phase 2 — cutover: block the run, drain its writers, reconcile the
+        // (now bounded) drift the concurrent copy accumulated.
         let guard = R::pin();
         let blocked = Table {
             router: router0.clone(),
             strips: strips0.clone(),
-            blocked: Some((left_idx, left_idx + 1)),
+            blocked: Some((first, last)),
         };
         let prev = self.table.swap(Owned::new(blocked), Ordering::SeqCst, &guard);
+        // SAFETY: the swap unlinked `prev`, so no later load reaches it, and
+        // only this migration (holding the migrate lock) retires it; readers
+        // pinned before the swap keep it alive until they unpin.
         unsafe { guard.defer_destroy(prev) };
-        Self::await_writers(&a);
-        Self::await_writers(&b);
-        reconcile(
-            ElasticScan::new(
-                vec![Arc::clone(&a.tree), Arc::clone(&b.tree)],
-                Bound::Unbounded,
-                Bound::Unbounded,
-            ),
-            cset::chunked_scan_entries(&*merged, Bound::Unbounded, Bound::Unbounded),
-            &[(None, &*merged)],
-        );
+        for strip in &strips0[run.clone()] {
+            Self::await_writers(strip);
+        }
+        if let Some(keep) = keep {
+            reconcile(
+                entries(&sources).filter(|(k, v)| keep(k, v)),
+                entries(&fresh),
+                &layout,
+                &fresh,
+            );
+        }
+        let len = |trees: &[Arc<S>]| trees.iter().map(|t| t.len()).sum::<usize>();
+        let removed = len(&sources).saturating_sub(len(&fresh));
 
-        // Phase 3 — publish the merged layout.
+        // Phase 3 — publish the new layout.
         let mut bounds = router0.bounds().to_vec();
-        bounds.remove(left_idx);
+        bounds.splice(first..last, layout.bounds().iter().copied());
         let mut strips = strips0;
-        strips[left_idx] = Strip::new(merged);
-        strips.remove(left_idx + 1);
+        strips.splice(run, fresh.into_iter().map(Strip::new));
         let t2 = Table { router: BoundaryRouter::new(bounds), strips, blocked: None };
         let prev = self.table.swap(Owned::new(t2), Ordering::SeqCst, &guard);
+        // SAFETY: as for the blocked table above.
         unsafe { guard.defer_destroy(prev) };
-        self.rebalances.fetch_add(1, Ordering::Relaxed);
-        true
+        Some(removed)
+    }
+
+    /// The published table's router and strips, cloned under a short pin.
+    fn current(&self) -> (BoundaryRouter, Vec<Strip<S>>) {
+        let guard = R::pin();
+        // SAFETY: the pointer is null only after `Drop` began, and the pin
+        // keeps the loaded table from being freed while it is cloned.
+        let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
+        (t.router.clone(), t.strips.clone())
     }
 
     /// A split point for `strip_idx`: the midpoint of the strip's *populated*
@@ -501,15 +517,13 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
     /// The whole-strip teardown behind the map facade's bulk mutations.
     ///
     /// Strips **fully covered** by `[lo, hi]` are not drained key by key:
-    /// they are replaced wholesale through the same blocked-table cutover a
-    /// rebalance uses — publish a table with the covered run blocked, drain
-    /// its writers, then publish a final table whose covered strips hold
-    /// fresh (empty, or pre-filtered and reconciled) trees.  The strip
-    /// layout (`bounds`) never changes, only the trees; the old trees leave
-    /// the table and are dropped when the retired tables and in-flight scans
-    /// release their `Arc`s — one bulk drop instead of a removal-protocol
-    /// run per key.  Boundary strips the range only clips fall back to their
-    /// trees' own streaming sweeps (linearizable per key, no epoch switch).
+    /// they form one contiguous run, which [`replace_run`](Self::replace_run)
+    /// replaces under the same split points with empty trees (`keep = None`)
+    /// or with pre-filtered, reconciled ones.  The old trees are dropped in
+    /// bulk instead of a removal-protocol run per key.  Boundary strips the
+    /// range only clips are swept by their trees' own streaming sweeps
+    /// (linearizable per key, no epoch switch), still under the migrate lock
+    /// so that no split or merge can replace a tree mid-sweep.
     fn teardown_range<V>(
         &self,
         lo: Bound<&u64>,
@@ -520,118 +534,29 @@ impl<S, R: Reclaimer> ElasticMap<S, R> {
         S: OrderedMap<u64, V>,
         V: PartialEq,
     {
-        let _serialize = self.migrate.lock().expect("rebalance lock poisoned");
-        let (router0, strips0, span) = {
-            let guard = R::pin();
-            let t = unsafe { self.table.load(Ordering::Acquire, &guard).deref() };
-            let Some(span) = t.router.span(lo, hi) else {
-                return 0;
-            };
-            (t.router.clone(), t.strips.clone(), span)
+        let serialized = self.migrate.lock().expect("rebalance lock poisoned");
+        let (router0, strips0) = self.current();
+        let Some(span) = router0.span(lo, hi) else {
+            return 0;
         };
-        // Strip `i` covers `[lower, upper)`; it is fully covered when every
-        // key in that interval falls inside `[lo, hi]`.  Split points are
-        // non-zero, so `u - 1` cannot underflow.
+        // Strip `i` holds the keys `[lower, upper)`; both are intervals, so
+        // the range covers the strip when it holds the strip's end keys.
+        // Split points are non-zero, so `u - 1` cannot underflow.
         let covered = |i: usize| {
-            let lo_ok = match lo {
-                Bound::Unbounded => true,
-                Bound::Included(k) => *k <= router0.strip_lower(i),
-                Bound::Excluded(k) => *k < router0.strip_lower(i),
-            };
-            let hi_ok = match (hi, router0.strip_upper(i)) {
-                (Bound::Unbounded, _) => true,
-                (Bound::Included(k), None) => *k == u64::MAX,
-                (Bound::Excluded(_), None) => false,
-                (Bound::Included(k), Some(u)) => *k >= u - 1,
-                (Bound::Excluded(k), Some(u)) => *k >= u,
-            };
-            lo_ok && hi_ok
+            let last_key = router0.strip_upper(i).map_or(u64::MAX, |u| u - 1);
+            (lo, hi).contains(&router0.strip_lower(i)) && (lo, hi).contains(&last_key)
         };
         let full: Vec<usize> = span.clone().filter(|&i| covered(i)).collect();
         let mut removed = 0usize;
-
         if let (Some(&f0), Some(&f1)) = (full.first(), full.last()) {
-            // One contiguous range over contiguous strips: the covered strips
-            // form one middle run, with at most one clipped strip per edge.
             debug_assert_eq!(full.len(), f1 - f0 + 1, "covered strips form one contiguous run");
-
-            // Phase 1 (filtered swap only) — pre-copy each covered strip's
-            // survivors into a fresh balanced tree while writers continue on
-            // the old trees; a plain range delete swaps in empty trees and
-            // skips this entirely.
-            let replacements: Vec<Arc<S>> = (f0..=f1)
-                .map(|i| {
-                    let fresh = Arc::new((self.make)());
-                    if let Some(keep) = keep {
-                        let survivors: Vec<(u64, V)> = cset::chunked_scan_entries(
-                            &*strips0[i].tree,
-                            Bound::Unbounded,
-                            Bound::Unbounded,
-                        )
-                        .filter(|(k, v)| keep(k, v))
-                        .collect();
-                        balanced_load(&*fresh, survivors);
-                    }
-                    fresh
-                })
-                .collect();
-
-            // Phase 2 — cutover: block the covered run, drain its writers,
-            // then settle each replacement against its now-frozen source.
-            let guard = R::pin();
-            let blocked =
-                Table { router: router0.clone(), strips: strips0.clone(), blocked: Some((f0, f1)) };
-            let prev = self.table.swap(Owned::new(blocked), Ordering::SeqCst, &guard);
-            unsafe { guard.defer_destroy(prev) };
-            for strip in &strips0[f0..=f1] {
-                Self::await_writers(strip);
-            }
-            for (i, fresh) in (f0..=f1).zip(&replacements) {
-                let old = &strips0[i].tree;
-                match keep {
-                    // The strip is frozen, so its quiescent count is exactly
-                    // what the swap evicts.
-                    None => removed += old.len(),
-                    Some(keep) => {
-                        let dropped = std::cell::Cell::new(0usize);
-                        let oracle =
-                            cset::chunked_scan_entries(&**old, Bound::Unbounded, Bound::Unbounded)
-                                .filter(|(k, v)| {
-                                    let kept = keep(k, v);
-                                    if !kept {
-                                        dropped.set(dropped.get() + 1);
-                                    }
-                                    kept
-                                });
-                        reconcile(
-                            oracle,
-                            cset::chunked_scan_entries(
-                                &**fresh,
-                                Bound::Unbounded,
-                                Bound::Unbounded,
-                            ),
-                            &[(None, &**fresh)],
-                        );
-                        removed += dropped.get();
-                    }
-                }
-            }
-
-            // Phase 3 — publish the swapped strips; the split points are
-            // untouched, so routing is unchanged and only the covered trees
-            // move.
-            let mut strips = strips0.clone();
-            for (i, fresh) in (f0..=f1).zip(replacements) {
-                strips[i] = Strip::new(fresh);
-            }
-            let t2 = Table { router: router0.clone(), strips, blocked: None };
-            let prev = self.table.swap(Owned::new(t2), Ordering::SeqCst, &guard);
-            unsafe { guard.defer_destroy(prev) };
+            let mid = router0.bounds()[f0..f1].to_vec();
+            removed += self
+                .replace_run(&serialized, f0..=f1, mid, keep)
+                .expect("a covered run fits the table it was read from");
         }
-
-        // Boundary strips the range only clips: stream-sweep them through
-        // the trees themselves (the same trees live writers use, so per-key
-        // linearizability is the trees' own).
+        // Clipped strips are outside the run, so `strips0` still holds their
+        // live trees.
         for i in span.filter(|&i| !covered(i)) {
             let tree = &strips0[i].tree;
             removed += match keep {
@@ -691,27 +616,33 @@ where
     }
 }
 
-/// Makes the target trees' contents exactly equal `oracle` (the frozen old
-/// strip state) given `current` (their present contents): both streams are
-/// ascending, so one sorted merge-walk inserts the missing keys, removes the
-/// extra ones, and re-upserts values that drifted during the concurrent copy
-/// phase.  `targets` is a boundary-routed list: a key goes to the first entry
-/// whose exclusive upper bound (if any) exceeds it.
+/// The ascending entry stream of key-disjoint, ascending `trees`, paged
+/// through `cset::chunked_scan_entries` so that a migration writing between
+/// pulls holds no reclamation pin across its writes.
+fn entries<'t, S, V>(trees: &'t [Arc<S>]) -> impl Iterator<Item = (u64, V)> + 't
+where
+    S: OrderedMap<u64, V>,
+    V: 't,
+{
+    trees.iter().flat_map(|t| cset::chunked_scan_entries(&**t, Bound::Unbounded, Bound::Unbounded))
+}
+
+/// Makes the target trees' contents exactly equal `oracle` (the frozen
+/// sources' admitted entries) given `current` (the targets' present
+/// contents): both streams are ascending, so one sorted merge-walk inserts
+/// the missing keys, removes the extra ones, and re-upserts values that
+/// drifted during the concurrent copy phase.  `layout` routes each key to
+/// its target.
 fn reconcile<S, V>(
     oracle: impl Iterator<Item = (u64, V)>,
     current: impl Iterator<Item = (u64, V)>,
-    targets: &[(Option<u64>, &S)],
+    layout: &BoundaryRouter,
+    targets: &[Arc<S>],
 ) where
     S: ConcurrentMap<u64, V>,
     V: PartialEq,
 {
-    let pick = |k: u64| {
-        targets
-            .iter()
-            .find(|(upper, _)| upper.map_or(true, |u| k < u))
-            .expect("reconcile targets must cover the key space")
-            .1
-    };
+    let pick = |k: u64| &targets[layout.route(&k)];
     let mut oracle = oracle.peekable();
     let mut current = current.peekable();
     loop {
@@ -850,9 +781,8 @@ where
     }
 }
 
-/// The owning cursor behind [`ElasticMap`]'s `scan_entries` (and the
-/// multi-tree side of a migration's reconcile): a lazy concatenation of the
-/// captured strips' own cursors.
+/// The owning cursor behind [`ElasticMap`]'s `scan_entries`: a lazy
+/// concatenation of the captured strips' own cursors.
 ///
 /// Only one strip cursor is open at a time.  The next strip's cursor opens
 /// when the previous one drains, starting strictly above the last key
@@ -1381,6 +1311,28 @@ mod tests {
         assert_eq!(map.len(), 750);
     }
 
+    /// The keep rule judges values, not only keys, and a filtered swap
+    /// carries the kept values over: a retain sweep by value over two covered
+    /// strips and two clipped ones leaves exactly the admitted entries, each
+    /// with the value it had.
+    #[test]
+    fn strip_teardown_retain_judges_and_keeps_values() {
+        let map = new_map(4, 1_000); // strips [0,250) [250,500) [500,750) [750,..)
+        for k in 0..1_000u64 {
+            map.insert(k, k * 7 % 10);
+        }
+        let removed =
+            map.retain_range(Bound::Included(&100), Bound::Excluded(&900), &|_, v| *v < 5);
+        assert_eq!(removed, (100..900u64).filter(|k| k * 7 % 10 >= 5).count());
+        assert_eq!(map.boundaries(), vec![250, 500, 750], "teardown never moves split points");
+        let expected: Vec<(u64, u64)> = (0..1_000u64)
+            .map(|k| (k, k * 7 % 10))
+            .filter(|&(k, v)| !(100..900).contains(&k) || v < 5)
+            .collect();
+        assert_eq!(map.entries_between(Bound::Unbounded, Bound::Unbounded), expected);
+        assert_eq!(map.len(), expected.len());
+    }
+
     /// Teardown under write pressure: concurrent single-key writers on the
     /// covered strips either land before the cutover (and die with the strip)
     /// or retry onto the replacement trees — the per-key insert/remove
@@ -1424,6 +1376,61 @@ mod tests {
         for (k, v) in scanned {
             assert_eq!(map.get(&k), Some(v));
         }
+    }
+
+    /// `reconcile` repairs each kind of drift a concurrent copy leaves — a
+    /// key the copy missed, a key it over-copied, a value that drifted — on
+    /// the target its key routes to, so each target ends equal to its slice
+    /// of the oracle.
+    #[test]
+    fn reconcile_makes_each_target_its_slice_of_the_oracle() {
+        let oracle: BTreeMap<u64, u64> = [(10, 1), (20, 2), (60, 6), (70, 7)].into();
+        let targets: Vec<Arc<LfBst<u64, u64>>> =
+            vec![Arc::new(LfBst::new()), Arc::new(LfBst::new())];
+        // Split at 50: target 0 holds [0, 50), target 1 the rest.
+        let layout = BoundaryRouter::new(vec![50]);
+        targets[0].insert(10, 1);
+        targets[0].insert(30, 3); // extra: copied, then removed from the source
+        targets[1].insert(60, 99); // drifted: upserted after the copy passed it
+        targets[1].insert(70, 7);
+        // 20 is missing: inserted into the source after the copy passed it.
+        // The current stream is live, as in a migration.
+        reconcile(oracle.iter().map(|(&k, &v)| (k, v)), entries(&targets), &layout, &targets);
+        let slice = |r: std::ops::Range<u64>| -> Vec<(u64, u64)> {
+            oracle.range(r).map(|(&k, &v)| (k, v)).collect()
+        };
+        let all = |t: &LfBst<u64, u64>| t.entries_between(Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(all(&targets[0]), slice(0..50));
+        assert_eq!(all(&targets[1]), slice(50..u64::MAX));
+    }
+
+    /// The migration validates its whole plan before it publishes anything:
+    /// a run past the table, an inverted run, a split point outside the run
+    /// or split points out of order leave the table exactly as it was.
+    #[test]
+    fn replace_run_rejects_a_plan_that_does_not_fit() {
+        let map = new_map(4, 1_000); // strips [0,250) [250,500) [500,750) [750,..)
+        for k in 0..1_000u64 {
+            map.insert(k, k);
+        }
+        let keep_all = |_: &u64, _: &u64| true;
+        let serialized = map.migrate.lock().unwrap();
+        for (run, mid) in [
+            (3..=4, vec![]),
+            (RangeInclusive::new(2, 1), vec![]),
+            (1..=2, vec![250]),
+            (1..=2, vec![750]),
+            (1..=2, vec![600, 300]),
+        ] {
+            let plan = format!("{run:?} at {mid:?}");
+            assert_eq!(map.replace_run(&serialized, run, mid, Some(&keep_all)), None, "{plan}");
+            assert_eq!(map.boundaries(), vec![250, 500, 750], "{plan}");
+        }
+        assert_eq!(map.replace_run(&serialized, 1..=2, vec![300, 600], Some(&keep_all)), Some(0));
+        drop(serialized);
+        assert_eq!(map.boundaries(), vec![250, 300, 600, 750]);
+        assert_eq!(map.len(), 1_000);
+        assert_eq!(map.rebalances(), 0, "only split and merge count as rebalances");
     }
 
     #[test]

@@ -472,6 +472,31 @@ mod tests {
     }
 
     #[test]
+    fn range_teardown_sweeps_shards_in_key_order_on_the_calling_thread() {
+        // A multi-shard eviction sweep runs shard after shard on the caller:
+        // its predicate sees every key of the span once, from one thread, in
+        // ascending order across the shard boundaries.
+        let map = Sharded::new(BoundaryRouter::covering(4, 400), |_| LfBst::<u64, u64>::new());
+        for k in 0..400u64 {
+            cset::ConcurrentMap::insert(&map, k, k);
+        }
+        let seen = Mutex::new(Vec::new());
+        let judge = |k: &u64, _: &u64| {
+            seen.lock().unwrap().push((std::thread::current().id(), *k));
+            k % 3 != 0
+        };
+        let evicted = cset::OrderedMap::retain_range(&map, Included(&50), Excluded(&350), &judge);
+        assert_eq!(evicted, (50..350u64).filter(|k| k % 3 == 0).count());
+        let seen = seen.into_inner().unwrap();
+        let caller = std::thread::current().id();
+        assert!(seen.iter().all(|&(id, _)| id == caller), "a sweep left the calling thread");
+        let keys: Vec<u64> = seen.into_iter().map(|(_, k)| k).collect();
+        assert_eq!(keys, (50..350).collect::<Vec<_>>());
+        assert_eq!(cset::OrderedMap::remove_range(&map, Unbounded, Unbounded), 400 - evicted);
+        assert_eq!(cset::ConcurrentMap::len(&map), 0);
+    }
+
+    #[test]
     fn set_and_map_faces_of_one_sharded_tree_agree_with_a_model() {
         // One `Sharded<LfBst<u64>, BoundaryRouter>`, driven step by step through
         // its set face (the blanket `ConcurrentSet`/`OrderedSet` impls) and

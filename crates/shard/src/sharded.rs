@@ -240,31 +240,11 @@ impl<S> Sharded<S, BoundaryRouter> {
         self.router.span(lo, hi).map_or(&[], |span| &self.shards[span])
     }
 
-    /// Runs `sweep` on every shard of the span `[lo, hi]` and sums the
-    /// counts.  Shards hold disjoint key sets, so each can be handed the full
-    /// bounds and the sum is exact.  A multi-shard span fans out on scoped
-    /// threads; a span of one shard stays on the calling thread.
-    fn sweep_span(
-        &self,
-        lo: Bound<&u64>,
-        hi: Bound<&u64>,
-        sweep: impl Fn(&S) -> usize + Sync,
-    ) -> usize
-    where
-        S: Sync,
-    {
-        match self.span(lo, hi) {
-            [] => 0,
-            [shard] => sweep(shard),
-            span => {
-                let sweep = &sweep;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> =
-                        span.iter().map(|shard| scope.spawn(move || sweep(shard))).collect();
-                    handles.into_iter().map(|h| h.join().expect("shard sweep panicked")).sum()
-                })
-            }
-        }
+    /// Runs `sweep` on every shard of the span `[lo, hi]`, one after another
+    /// on the calling thread, and sums the counts.  Shards hold disjoint key
+    /// sets, so each can be handed the full bounds and the sum is exact.
+    fn sweep_span(&self, lo: Bound<&u64>, hi: Bound<&u64>, sweep: impl Fn(&S) -> usize) -> usize {
+        self.span(lo, hi).iter().map(sweep).sum()
     }
 }
 
@@ -304,14 +284,15 @@ where
         self.shards.iter().rev().find_map(|s| s.last_entry())
     }
 
-    /// Parallel cross-shard teardown: every shard in the span runs its own
-    /// `remove_range` (for `lfbst`, the predicate-free streaming sweep).
+    /// Cross-shard teardown: every shard in the span runs its own
+    /// `remove_range` (for `lfbst`, the predicate-free streaming sweep), in
+    /// key order on the calling thread.
     fn remove_range(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize {
         self.sweep_span(lo, hi, |s| s.remove_range(lo, hi))
     }
 
-    /// Parallel cross-shard eviction sweep: every shard in the span judges
-    /// with the same (`Sync`) predicate.
+    /// Cross-shard eviction sweep: every shard in the span judges with the
+    /// same predicate, in key order on the calling thread.
     fn retain_range(
         &self,
         lo: Bound<&u64>,

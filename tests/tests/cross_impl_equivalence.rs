@@ -195,7 +195,7 @@ fn streaming_cursors_agree_across_all_ordered_implementations() {
 #[test]
 fn remove_range_agrees_across_all_ordered_implementations() {
     // Every OrderedSet (native streaming sweep, chunked defaults, lock-based
-    // single-hold overrides, sharded strip fan-out) must remove exactly the
+    // single-hold overrides, sharded per-strip sweeps) must remove exactly the
     // keys the BTreeSet oracle says lie in the range, for every bound shape —
     // including empty, reversed and fully-missing ranges.
     let lfbst = LfBst::new();
@@ -407,7 +407,7 @@ fn map_ordered_scans_agree_with_the_oracle() {
 fn map_retain_and_remove_range_agree_with_the_oracle() {
     // The map-face bulk mutations: retain_range must evict exactly the
     // entries the oracle's predicate-over-range evicts, on the native
-    // streaming sweep (lfbst), the strip fan-out (sharded range) and the
+    // streaming sweep (lfbst), the per-strip sweeps (sharded range) and the
     // single-lock override alike.
     let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
     let lfbst: LfBst<u64, u64> = LfBst::new();
