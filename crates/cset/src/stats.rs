@@ -14,6 +14,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// All methods use relaxed atomics; the struct is cheap enough to embed in a
 /// data structure unconditionally and to share across threads.
 ///
+/// Which CASes count: in `lfbst`, every CAS on a tree node's child link —
+/// insert's injection and each flag, mark, unflag and swing of the remove
+/// protocol — records its outcome once.  Backlink and `prelink` hint CASes
+/// and value-cell swaps are not protocol steps and are not counted.
+///
 /// These counters are **write-only diagnostics**: no implementation in this
 /// workspace reads them back to make a protocol decision, so their relaxed
 /// ordering (and their complete elision in stats-off builds of `lfbst`) can

@@ -22,6 +22,18 @@
 //!    `v.child[0]` (**VI**), mark `o.child[0]` (**VII**), then swing the six
 //!    affected links so that `o` replaces `v`.
 //!
+//! Each protocol decision is written once:
+//!
+//! * `unlink` ends every category: it swings the victim's flagged parent link
+//!   to the replacement read off the victim's frozen state, and retires the
+//!   victim if that CAS wins.  It is the only place a tree node is retired.
+//! * `flagged_parent` is the one parent lookup: step V, for the removal's
+//!   own path and for `finish_unlink` alike.
+//! * `is_order_flag` and `is_parent_flag` are the instance witnesses of
+//!   `DESIGN.md` §7.
+//! * `cas_link` is every flag, mark and swing CAS on a child link, and counts
+//!   its outcome in `OpStats`.
+//!
 //! The differences from the paper's listing (re-derived order node, traversal
 //! based parent discovery on slow paths, the extra category-2 mark, flag
 //! rollback on the step-IV ABA window) are documented in `DESIGN.md`.
@@ -47,13 +59,55 @@ pub(crate) enum FinishOutcome {
     Invalidated,
 }
 
-/// Result of the category-3 path.
+/// Result of one category completion (`remove_cat12`, `remove_cat3`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Cat3Outcome {
+enum Completion {
+    /// The removal is complete, by this thread or by others.
     Done,
-    /// The victim's category changed (its order node became its left child);
-    /// the caller must re-dispatch.
+    /// The victim's category changed (its order node became its left child)
+    /// or was read stale; the caller must re-dispatch.
     Reexamine,
+}
+
+/// Instance witness: `link` is the standing order link of `victim`'s
+/// removal, `THREAD|FLAG→victim`.
+///
+/// On a category-2/3 order node it holds from step I until the order-link
+/// swing and never recurs, because the victim gains no threaded link after
+/// step III (the pre-s3 witness, `DESIGN.md` §7).  A category-1 order link is
+/// the victim's own left self-thread, which can recur bit-identically after a
+/// shift (bug 7); owners arbitrate that case with the claim bit.
+fn is_order_flag<T>(link: Shared<'_, T>, victim: Shared<'_, T>) -> bool {
+    same_node(link, victim) && is_flag(link) && is_thread(link)
+}
+
+/// Instance witness: `link` is a flagged parent link at `node`, unthreaded
+/// `FLAG→node`.
+///
+/// On the victim's parent link this is the pending latch: it holds from step
+/// V until the unlink and never recurs, because the victim is never linked
+/// again.  On the order node's parent link it is the step-IV flag, which is
+/// *not* instance-unique (the live order node can be flagged again by a later
+/// removal), so every use of it also checks the latch.
+fn is_parent_flag<T>(link: Shared<'_, T>, node: Shared<'_, T>) -> bool {
+    same_node(link, node) && is_flag(link) && !is_thread(link)
+}
+
+/// Moves `node`'s backlink hint from `from` to `to`; a lost race leaves it as
+/// it is.  Backlinks are hints, not protocol state, so this CAS is uncounted.
+fn move_backlink<K, V: MapValue, G: ReclaimGuard>(
+    node: Shared<'_, Node<K, V>>,
+    from: Shared<'_, Node<K, V>>,
+    to: Shared<'_, Node<K, V>>,
+    guard: &G,
+) {
+    let _ = unsafe { node.deref() }.backlink.compare_exchange(
+        from.with_tag(0),
+        to.with_tag(0),
+        CAS,
+        CAS_ERR,
+        guard,
+    );
 }
 
 impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
@@ -123,55 +177,40 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             if is_clean(link) {
                 // Step I: try to flag the order-link.
                 dst_point!();
-                match order_ref.child[loc.dir].compare_exchange(
-                    victim.with_tag(THREAD),
-                    victim.with_tag(THREAD | FLAG),
-                    CAS,
-                    CAS_ERR,
-                    guard,
-                ) {
-                    Ok(_) => {
-                        if record {
-                            self.stats.record_cas(true);
+                let (thread, flagged) = (victim.with_tag(THREAD), victim.with_tag(THREAD | FLAG));
+                if self.cas_link(&order_ref.child[loc.dir], thread, flagged, guard) {
+                    trace_ev!(FlagOrder, order, victim);
+                    match self.clean_flag_threaded(order, loc.dir, victim, true, guard) {
+                        FinishOutcome::Done => {
+                            self.note_removal();
+                            return Some(victim);
                         }
-                        trace_ev!(FlagOrder, order, victim);
-                        match self.clean_flag_threaded(order, loc.dir, victim, true, guard) {
-                            FinishOutcome::Done => {
-                                self.note_removal();
-                                return Some(victim);
+                        FinishOutcome::Invalidated => {
+                            // Our flag was consumed by a shift of the victim;
+                            // retry from the vicinity (or the root in the
+                            // ablation mode).
+                            if record {
+                                self.stats.record_restart();
                             }
-                            FinishOutcome::Invalidated => {
-                                // Our flag was consumed by a shift of the victim;
-                                // retry from the vicinity (or the root in the
-                                // ablation mode).
-                                if record {
-                                    self.stats.record_restart();
-                                }
-                                if self.restart_from_root() {
-                                    prev = self.root1();
-                                    curr = self.root0();
-                                } else {
-                                    prev = loc.prev;
-                                    curr = loc.prev;
-                                }
-                                continue;
+                            if self.restart_from_root() {
+                                prev = self.root1();
+                                curr = self.root0();
+                            } else {
+                                prev = loc.prev;
+                                curr = loc.prev;
                             }
+                            continue;
                         }
-                    }
-                    Err(_) => {
-                        if record {
-                            self.stats.record_cas(false);
-                        }
-                        trace_ev!(FlagOrderLost, order, victim);
-                        // Fall through to the failure analysis below.
                     }
                 }
+                trace_ev!(FlagOrderLost, order, victim);
+                // Fall through to the failure analysis below.
             }
 
             // Either the observed link was already tagged, or our flag CAS lost
             // a race.  Re-read and decide.
             let observed = order_ref.child[loc.dir].load(LOAD, guard);
-            if same_node(observed, victim) && is_flag(observed) && is_thread(observed) {
+            if is_order_flag(observed, victim) {
                 // Another `Remove` owns this victim: help it finish, then report
                 // the key as already absent (our linearization point follows the
                 // owner's).
@@ -257,31 +296,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             dst_point!();
             let r = victim_ref.child[1].load(LOAD, guard);
             if is_mark(r) {
-                if dir == 1 {
-                    if claimant && !self.try_claim_removal(victim_ref, guard) {
-                        self.clean_mark_right(victim, guard);
-                        trace_ev!(ClaimLost, order, victim);
-                        return FinishOutcome::Invalidated;
-                    }
-                    break;
-                }
-                let ol = order_ref.child[dir].load(LOAD, guard);
-                if same_node(ol, victim) && is_flag(ol) && is_thread(ol) {
-                    // Marked under a standing flag that is bit-identical to
-                    // ours.  For an owner that is *almost always* proof the
-                    // logical point is ours — but a category-1 flag is
-                    // self-referential (`THREAD|FLAG → victim` on the victim's
-                    // own left link), so after a shift consumes our flag and
-                    // the inherited left subtree drains, a second removal of
-                    // the same key re-flags with the very same word and this
-                    // check cannot tell the two epochs apart.  The once-ever
-                    // claim bit can: whichever owner sets it first owns the
-                    // (single) success.
-                    if claimant && !self.try_claim_removal(victim_ref, guard) {
-                        self.clean_mark_right(victim, guard);
-                        trace_ev!(ClaimLost, order, victim);
-                        return FinishOutcome::Invalidated;
-                    }
+                if dir == 1 || is_order_flag(order_ref.child[dir].load(LOAD, guard), victim) {
                     break;
                 }
                 // Our flag was consumed by a shift and the mark belongs to a
@@ -307,22 +322,13 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             // going irreversible (DESIGN.md deviation 4).  If the victim was
             // shifted upward by its successor's removal, a category-1 order
             // link is overwritten by the shift and this removal must restart.
-            let ol = order_ref.child[dir].load(LOAD, guard);
-            if !(same_node(ol, victim) && is_flag(ol) && is_thread(ol)) {
-                if dir == 1 {
-                    // A category-2/3 order link is consumed only by its own
-                    // removal's swing, which follows the mark: the victim is
-                    // logically removed by *us* and the unlinking is driven by
-                    // whoever performed the swing.
-                    let r2 = victim_ref.child[1].load(LOAD, guard);
-                    if is_mark(r2) {
-                        if claimant && !self.try_claim_removal(victim_ref, guard) {
-                            self.clean_mark_right(victim, guard);
-                            trace_ev!(ClaimLost, order, victim);
-                            return FinishOutcome::Invalidated;
-                        }
-                        break;
-                    }
+            if !is_order_flag(order_ref.child[dir].load(LOAD, guard), victim) {
+                // A category-2/3 order link is consumed only by its own
+                // removal's swing, which follows the mark: the victim is
+                // logically removed by *us* and the unlinking is driven by
+                // whoever performed the swing.
+                if dir == 1 && is_mark(victim_ref.child[1].load(LOAD, guard)) {
+                    break;
                 }
                 // `dir == 0`: the flag was consumed by a shift of the (still
                 // live) victim; whatever state the victim is in now belongs
@@ -336,8 +342,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             // validation, get descheduled for a whole removal epoch, and wake
             // to find its flag consumed and the victim shifted into a new
             // category — a blind store would then clobber the live removal's
-            // hint with a stale order node (PR 7, found by `chain-shift`: the
-            // poisoned hint made `finish_unlink` install the victim as its own
+            // hint with a stale order node (bug 6, found by `chain-shift`: the
+            // poisoned hint made the unlink install the victim as its own
             // replacement, which both rolled the step-V flag back off the
             // parent link and retired the still-linked victim).  With a CAS,
             // any late write either expects a value that predates the live
@@ -359,35 +365,23 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             }
             // Step III: mark the right link (the logical removal point).
             dst_point!();
-            match victim_ref.child[1].compare_exchange(
-                r,
-                r.with_tag(r.tag() | MARK),
-                CAS,
-                CAS_ERR,
-                guard,
-            ) {
-                Ok(_) => {
-                    if self.record_stats() {
-                        self.stats.record_cas(true);
-                    }
-                    trace_ev!(MarkRight, victim, order);
-                    // Winning the mark CAS does not by itself win the success:
-                    // a stale owner of an earlier, bit-identical category-1
-                    // flag epoch may concurrently observe this mark under
-                    // "its" flag and race us for the claim.
-                    if claimant && !self.try_claim_removal(victim_ref, guard) {
-                        self.clean_mark_right(victim, guard);
-                        trace_ev!(ClaimLost, order, victim);
-                        return FinishOutcome::Invalidated;
-                    }
-                    break;
-                }
-                Err(_) => {
-                    if self.record_stats() {
-                        self.stats.record_cas(false);
-                    }
-                }
+            if self.cas_link(&victim_ref.child[1], r, r.with_tag(r.tag() | MARK), guard) {
+                trace_ev!(MarkRight, victim, order);
+                break;
             }
+        }
+        // The victim is marked under our flag.  For an owner that is *almost
+        // always* proof the logical point is ours — winning the mark CAS
+        // included — but a category-1 flag is self-referential (`THREAD|FLAG
+        // → victim` on the victim's own left link), so after a shift consumes
+        // our flag and the inherited left subtree drains, a second removal of
+        // the same key re-flags with the very same word and no check of link
+        // values can tell the two epochs apart.  The once-ever claim bit can:
+        // whichever owner sets it first owns the (single) success.
+        if claimant && !self.try_claim_removal(victim_ref, guard) {
+            self.clean_mark_right(victim, guard);
+            trace_ev!(ClaimLost, order, victim);
+            return FinishOutcome::Invalidated;
         }
         self.clean_mark_right(victim, guard);
         FinishOutcome::Done
@@ -450,23 +444,21 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 // remaining unlinking (the parent swing) may still be pending
                 // if the thread that performed the order-link swing stalled
                 // between the two — so drive it to completion here instead of
-                // assuming that thread is still running (PR 7: the old
-                // early-return here let a single descheduled thread wedge
-                // every helper in a `flag_parent` -> `help_node` spin and let
-                // owners report success with the victim still linked).
+                // assuming that thread is still running (bug 1: an early
+                // return here let a single descheduled thread wedge every
+                // helper in a step-V `help_node` spin and let owners report
+                // success with the victim still linked).
                 self.finish_unlink(victim, guard);
                 trace_ev!(CleanMarkEscape, victim, victim);
                 return;
             }
-            if same_node(order, victim) || same_node(order, left) {
-                if self.remove_cat12(victim, order, guard) {
-                    return;
-                }
+            let completion = if same_node(order, victim) || same_node(order, left) {
+                self.remove_cat12(victim, order, guard)
             } else {
-                match self.remove_cat3(victim, order, guard) {
-                    Cat3Outcome::Done => return,
-                    Cat3Outcome::Reexamine => {}
-                }
+                self.remove_cat3(victim, order, guard)
+            };
+            if completion == Completion::Done {
+                return;
             }
         }
     }
@@ -554,16 +546,14 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         is_thread(r) && same_node(r, victim)
     }
 
-    /// Category 1/2 completion: (optional category-2 left mark,) flag the
-    /// victim's parent link, then swing the order link and the parent link.
-    ///
-    /// Returns `true` when the removal is complete, `false` to re-dispatch.
+    /// Category 1/2 completion: (the category-2 left mark,) step V, (the
+    /// category-2 order-link swing,) then the unlink (paper lines 99–106).
     fn remove_cat12<'g>(
         &self,
         victim: Shared<'g, Node<K, V>>,
         order: Shared<'g, Node<K, V>>,
         guard: &'g R::Guard,
-    ) -> bool {
+    ) -> Completion {
         let victim_ref = unsafe { victim.deref() };
         let is_cat1 = same_node(order, victim);
 
@@ -581,7 +571,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 }
                 if !same_node(vl, order) {
                     // Our category read was stale; re-dispatch.
-                    return false;
+                    return Completion::Reexamine;
                 }
                 if is_flag(vl) {
                     // Cannot happen for a category-2 victim (the order node's
@@ -591,10 +581,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                     continue;
                 }
                 dst_point!();
-                if victim_ref.child[0]
-                    .compare_exchange(vl, vl.with_tag(vl.tag() | MARK), CAS, CAS_ERR, guard)
-                    .is_ok()
-                {
+                if self.cas_link(&victim_ref.child[0], vl, vl.with_tag(vl.tag() | MARK), guard) {
                     trace_ev!(MarkLeft, victim, order);
                     break;
                 }
@@ -602,81 +589,17 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         }
 
         // Step V: flag the parent link of the victim.
-        let Some((parent, pdir)) = self.flag_parent(victim, guard) else {
+        let Some((parent, pdir)) = self.flagged_parent(victim, guard) else {
             // The victim is already physically removed.
-            return true;
+            return Completion::Done;
         };
-        let parent_ref = unsafe { parent.deref() };
-
-        // Frozen right link of the victim (marked in step III, never changes).
-        let vr = victim_ref.child[1].load(LOAD, guard);
-        let rt = is_thread(vr);
-        let rtarget = vr.with_tag(0);
-        let new_right = rtarget.with_tag(if rt { THREAD } else { 0 });
-
-        // Backlink fixes are performed *before* the pointer swing that installs
-        // the corresponding new parent (DESIGN.md, Lemma-7 ordering): this keeps
-        // the invariant that a backlink never refers to a retired node, which is
-        // what makes dereferencing backlinks safe under epoch reclamation.
-        if is_cat1 {
-            // Swing the parent link straight to the victim's right link value
-            // (paper lines 99-101).
-            if !rt {
-                let _ = unsafe { rtarget.deref() }.backlink.compare_exchange(
-                    victim.with_tag(0),
-                    parent.with_tag(0),
-                    CAS,
-                    CAS_ERR,
-                    guard,
-                );
-            }
-            let pl = parent_ref.child[pdir].load(LOAD, guard);
-            dst_point!();
-            if same_node(pl, victim)
-                && is_flag(pl)
-                && parent_ref.child[pdir]
-                    .compare_exchange(pl, new_right, CAS, CAS_ERR, guard)
-                    .is_ok()
-            {
-                self.retire(victim, guard);
-            }
-        } else {
-            // Category 2 (paper lines 102-106): the order node (the victim's
-            // left child) inherits the victim's right link and takes its place.
-            let order_ref = unsafe { order.deref() };
-            if !rt {
-                let _ = unsafe { rtarget.deref() }.backlink.compare_exchange(
-                    victim.with_tag(0),
-                    order.with_tag(0),
-                    CAS,
-                    CAS_ERR,
-                    guard,
-                );
-            }
-            let orl = order_ref.child[1].load(LOAD, guard);
-            dst_point!();
-            if same_node(orl, victim) && is_flag(orl) && is_thread(orl) {
-                let _ = order_ref.child[1].compare_exchange(orl, new_right, CAS, CAS_ERR, guard);
-            }
-            let _ = order_ref.backlink.compare_exchange(
-                victim.with_tag(0),
-                parent.with_tag(0),
-                CAS,
-                CAS_ERR,
-                guard,
-            );
-            let pl = parent_ref.child[pdir].load(LOAD, guard);
-            dst_point!();
-            if same_node(pl, victim)
-                && is_flag(pl)
-                && parent_ref.child[pdir]
-                    .compare_exchange(pl, order.with_tag(0), CAS, CAS_ERR, guard)
-                    .is_ok()
-            {
-                self.retire(victim, guard);
-            }
+        if !is_cat1 {
+            // Category 2: the order node (the victim's left child) inherits
+            // the victim's right link, then takes the victim's place.
+            self.adopt_right_link(victim, order, guard);
         }
-        true
+        self.unlink(victim, parent, pdir, victim, guard);
+        Completion::Done
     }
 
     /// Category 3 completion: the order node (a distant predecessor) replaces
@@ -687,7 +610,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         victim: Shared<'g, Node<K, V>>,
         order: Shared<'g, Node<K, V>>,
         guard: &'g R::Guard,
-    ) -> Cat3Outcome {
+    ) -> Completion {
         let victim_ref = unsafe { victim.deref() };
         let order_ref = unsafe { order.deref() };
 
@@ -701,7 +624,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             let vl = victim_ref.child[0].load(LOAD, guard);
             if same_node(vl, order) {
                 trace_ev!(Cat3Reexamine, victim, order);
-                return Cat3Outcome::Reexamine;
+                return Completion::Reexamine;
             }
             let ocl = order_ref.child[0].load(LOAD, guard);
             if is_mark(ocl) {
@@ -713,6 +636,10 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 // the victim's left subtree: everything up to s3 is done.
                 break;
             }
+            // The category can flip between the re-check above and the
+            // parent search below (bug 8); a preemption point here lets the
+            // model checker schedule that flip.
+            dst_point!();
             // Find the order node's current parent (backlink fast path with a
             // traversal fallback).
             let Some((opar, odir)) = self.find_parent_of(order, guard) else {
@@ -720,23 +647,18 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 // miss: it is the mid-shift state — s1 already spliced the
                 // order node out of its old position (consuming the step-IV
                 // flag), and only s3/s4 can still be pending.  Retrying the
-                // parent search here spun forever (PR 7, found by
+                // parent search here spun forever (bug 3, found by
                 // `cat3-three-way`): nothing downstream would ever restore a
                 // parent, because finishing the shift is *this* removal's own
                 // job.  Skip ahead to the (individually guarded, idempotent)
                 // swings instead.
                 // First distinguish "mid-shift" from "this removal finished
-                // long ago".  The order node's right link holds
-                // `THREAD|FLAG→victim` continuously from step I until s3, and
-                // the value can never recur (the victim is retired and never
-                // re-linked), so its absence is an instance-unique witness
-                // that a helper already drove the removal past the swings —
-                // possibly so far past that the shifted order node has since
-                // been removed *itself*, in which case both searches below
-                // would miss forever (PR 7, found by the depth-3 hunt on
-                // `cat3-three-way`).
-                let orl = order_ref.child[1].load(LOAD, guard);
-                if !(same_node(orl, victim) && is_flag(orl) && is_thread(orl)) {
+                // long ago" with the pre-s3 witness: its absence proves that a
+                // helper already drove the removal past the swings — possibly
+                // so far past that the shifted order node has since been
+                // removed *itself*, in which case both searches below would
+                // miss forever (bug 5).
+                if !is_order_flag(order_ref.child[1].load(LOAD, guard), victim) {
                     break;
                 }
                 let okey = order_ref
@@ -756,10 +678,9 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 // which no category-2 swing consumes: every helper would then
                 // cycle `remove_cat12` -> `help_node(order)` ->
                 // `clean_flag_threaded` -> `clean_mark_right` -> `remove_cat12`
-                // without bound (a stack overflow in the tiny-range stress
-                // tests).
+                // without bound (bug 8, a stack overflow).
                 trace_ev!(Cat3Reexamine, victim, order);
-                return Cat3Outcome::Reexamine;
+                return Completion::Reexamine;
             }
             let opar_ref = unsafe { opar.deref() };
             let ol = opar_ref.child[odir].load(LOAD, guard);
@@ -774,52 +695,43 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 self.help_node(opar, guard);
                 continue;
             }
-            match opar_ref.child[odir].compare_exchange(
-                ol,
-                ol.with_tag(ol.tag() | FLAG),
-                CAS,
-                CAS_ERR,
-                guard,
-            ) {
-                Ok(_) => {
-                    // ABA mitigation (DESIGN.md): confirm the removal is still
-                    // pre-swing; if not, our flag is spurious — roll it back.
-                    dst_point!();
-                    let live = {
-                        let orl = order_ref.child[1].load(LOAD, guard);
-                        same_node(orl, victim) && is_flag(orl) && is_thread(orl)
-                    };
-                    if live {
-                        trace_ev!(FlagOrderParent, order, opar);
-                        break;
-                    }
-                    trace_ev!(Cat3Rollback, order, victim);
-                    let _ = opar_ref.child[odir].compare_exchange(
-                        ol.with_tag(ol.tag() | FLAG),
-                        ol,
-                        CAS,
-                        CAS_ERR,
-                        guard,
-                    );
-                    return Cat3Outcome::Done;
-                }
-                Err(_) => {
-                    if self.record_stats() {
-                        self.stats.record_cas(false);
-                    }
-                    continue;
-                }
+            // `ol` lives on the live order node's parent link, so it can recur
+            // after helpers finish this removal; a late flag there would then
+            // land on a link that a later removal of the order node flags as
+            // its own step V, and the rollback below would take that flag
+            // away again, stranding the later removal half-done.  The pre-s3
+            // witness proves that this removal is still pending.
+            if !is_order_flag(order_ref.child[1].load(LOAD, guard), victim) {
+                break;
             }
+            let flagged = ol.with_tag(ol.tag() | FLAG);
+            if !self.cas_link(&opar_ref.child[odir], ol, flagged, guard) {
+                continue;
+            }
+            // ABA mitigation (DESIGN.md): confirm the removal is still
+            // pre-swing; if not, our flag is spurious — roll it back.
+            dst_point!();
+            if is_order_flag(order_ref.child[1].load(LOAD, guard), victim) {
+                trace_ev!(FlagOrderParent, order, opar);
+                break;
+            }
+            trace_ev!(Cat3Rollback, order, victim);
+            self.cas_link(&opar_ref.child[odir], flagged, ol, guard);
+            return Completion::Done;
         }
 
         // ---- Step V: flag the parent link of the victim. -----------------------
-        let Some((parent, pdir)) = self.flag_parent(victim, guard) else {
-            return Cat3Outcome::Done;
+        let Some((parent, pdir)) = self.flagged_parent(victim, guard) else {
+            return Completion::Done;
         };
         let parent_ref = unsafe { parent.deref() };
+        // The pending latch (DESIGN.md §7): every CAS below that targets the
+        // live order node first proves, on the victim's parent link, that
+        // this removal has not been completed by a helper yet.
+        let pending = || is_parent_flag(parent_ref.child[pdir].load(LOAD, guard), victim);
 
         // ---- Step VI: mark the victim's left link. -----------------------------
-        let mut spin = SpinBound::new("remove_cat3/step-vii");
+        let mut spin = SpinBound::new("remove_cat3/step-vi");
         loop {
             spin.tick();
             dst_point!();
@@ -831,7 +743,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 // Category changed under us (cannot normally happen after step
                 // IV); re-dispatch to be safe.
                 trace_ev!(Cat3Reexamine, victim, order);
-                return Cat3Outcome::Reexamine;
+                return Completion::Reexamine;
             }
             if is_flag(vl) {
                 // The left child is under removal (its parent link is this
@@ -841,10 +753,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 continue;
             }
             dst_point!();
-            if victim_ref.child[0]
-                .compare_exchange(vl, vl.with_tag(vl.tag() | MARK), CAS, CAS_ERR, guard)
-                .is_ok()
-            {
+            if self.cas_link(&victim_ref.child[0], vl, vl.with_tag(vl.tag() | MARK), guard) {
                 trace_ev!(MarkLeft, victim, order);
                 break;
             }
@@ -852,7 +761,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
 
         // ---- Step VII: mark the order node's left link. ------------------------
         let vl_frozen = victim_ref.child[0].load(LOAD, guard);
-        let mut spin = SpinBound::new("remove_cat3/swing");
+        let mut spin = SpinBound::new("remove_cat3/step-vii");
         loop {
             spin.tick();
             dst_point!();
@@ -864,7 +773,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 // s3 already replaced the order node's left link; nothing to mark.
                 break;
             }
-            if is_flag(ocl) && !is_thread(ocl) {
+            if is_parent_flag(ocl, ocl) {
                 // The order node's left child is under removal: help it first
                 // (Lemma 8 forbids marking a flagged unthreaded left link).
                 self.note_help();
@@ -881,38 +790,27 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             // the order node's parent link is no longer a flagged unthreaded
             // link at it, the splice already happened and a late mark here
             // would tag a link that belongs to the node's post-shift life
-            // (PR 7: after the splice, a *new* removal can legitimately have
+            // (after the splice, a *new* removal can legitimately have
             // rewritten `order.child[0]`, and re-marking it would let s2
             // resurrect a retired subtree).
-            let iv_standing = match self.find_parent_of(order, guard) {
-                Some((op2, od2)) => {
-                    let ol2 = unsafe { op2.deref() }.child[od2].load(LOAD, guard);
-                    same_node(ol2, order) && is_flag(ol2) && !is_thread(ol2)
-                }
-                None => false,
-            };
+            let iv_standing = self.find_parent_of(order, guard).is_some_and(|(op, od)| {
+                is_parent_flag(unsafe { op.deref() }.child[od].load(LOAD, guard), order)
+            });
             if !iv_standing {
                 break;
             }
-            // Stale-straggler guard (PR 7): unlike every other removal CAS,
+            // Stale-straggler guard (bug 3): unlike every other removal CAS,
             // step VII's expected value lives on a node that *stays live* (the
             // order node), so the value can legitimately recur after a helper
             // completes this removal — a descheduled owner waking up here
-            // would then mark a bystander's link.  The parent link is a
-            // one-way latch: it holds FLAG→victim continuously from step V
-            // until s4 and can never hold that value again (the victim is
-            // never re-linked and the guard pins its address), so observing
-            // it proves `ocl` is a pending-window value.
-            let pl = parent_ref.child[pdir].load(LOAD, guard);
-            if !(same_node(pl, victim) && is_flag(pl) && !is_thread(pl)) {
-                // s4 already happened: a helper finished this removal while we
-                // were descheduled.  Nothing here is ours to touch any more.
-                return Cat3Outcome::Done;
+            // would then mark a bystander's link.  The latch proves `ocl` is
+            // a pending-window value.
+            if !pending() {
+                // A helper finished this removal while we were descheduled.
+                // Nothing here is ours to touch any more.
+                return Completion::Done;
             }
-            if order_ref.child[0]
-                .compare_exchange(ocl, ocl.with_tag(ocl.tag() | MARK), CAS, CAS_ERR, guard)
-                .is_ok()
-            {
+            if self.cas_link(&order_ref.child[0], ocl, ocl.with_tag(ocl.tag() | MARK), guard) {
                 break;
             }
         }
@@ -921,254 +819,196 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         // Each backlink fix is performed *before* the swing that installs the
         // corresponding new parent (DESIGN.md, Lemma-7 ordering), so that a
         // backlink never refers to a retired node.
-        let vr_frozen = victim_ref.child[1].load(LOAD, guard);
-        let rt = is_thread(vr_frozen);
-        let rtarget = vr_frozen.with_tag(0);
         let lstar = vl_frozen.with_tag(0);
 
         // s1: splice the order node out of its old position (its parent adopts
         // the order node's left link value); the left child's backlink is fixed
         // first.
         dst_point!();
-        // Pending latch (PR 7): `FLAG→order` on a parent link is *not*
-        // instance-unique — after this removal completes, the shifted (live)
-        // order node can be the target of a step-V flag of its own removal,
-        // sitting on a link its re-read backlink points at.  A descheduled
-        // thread waking up here would mistake that flag for its own step-IV
-        // flag and splice a live node out of the tree.  The victim's parent
-        // link, by contrast, holds FLAG→victim exactly until s4 and never
-        // again; if it no longer does, every swing below belongs to the past.
-        {
-            let pl = parent_ref.child[pdir].load(LOAD, guard);
-            if !(same_node(pl, victim) && is_flag(pl) && !is_thread(pl)) {
-                return Cat3Outcome::Done;
-            }
+        // `FLAG→order` on a parent link is *not* instance-unique — after this
+        // removal completes, the shifted (live) order node can be the target
+        // of a step-V flag of its own removal, sitting on a link its re-read
+        // backlink points at.  A descheduled thread waking up here would
+        // mistake that flag for its own step-IV flag and splice a live node
+        // out of the tree (bug 4), so s1 sits behind the latch too.
+        if !pending() {
+            return Completion::Done;
         }
         let opar = order_ref.backlink.load(LOAD, guard).with_tag(0);
         if !opar.is_null() {
             let opar_ref = unsafe { opar.deref() };
-            let okey = &order_ref.key;
-            let odir = if *okey < unsafe { opar.deref() }.key { 0 } else { 1 };
+            let odir = if order_ref.key < opar_ref.key { 0 } else { 1 };
             let ol = opar_ref.child[odir].load(LOAD, guard);
-            if same_node(ol, order) && is_flag(ol) && !is_thread(ol) {
+            if is_parent_flag(ol, order) {
                 let ofl = order_ref.child[0].load(LOAD, guard);
                 if is_mark(ofl) {
                     if !is_thread(ofl) {
-                        let _ = unsafe { ofl.with_tag(0).deref() }.backlink.compare_exchange(
-                            order.with_tag(0),
-                            opar.with_tag(0),
-                            CAS,
-                            CAS_ERR,
-                            guard,
-                        );
+                        move_backlink(ofl, order, opar, guard);
                     }
-                    let new_val = ofl.with_tag(if is_thread(ofl) { THREAD } else { 0 });
+                    let spliced = ofl.with_tag(ofl.tag() & THREAD);
                     dst_point!();
-                    let _ = opar_ref.child[odir].compare_exchange(ol, new_val, CAS, CAS_ERR, guard);
+                    self.cas_link(&opar_ref.child[odir], ol, spliced, guard);
                 }
             }
         }
 
         // s2: the order node adopts the victim's left subtree.
-        let _ = unsafe { lstar.deref() }.backlink.compare_exchange(
-            victim.with_tag(0),
-            order.with_tag(0),
-            CAS,
-            CAS_ERR,
-            guard,
-        );
+        move_backlink(lstar, victim, order, guard);
         let ocl = order_ref.child[0].load(LOAD, guard);
         dst_point!();
         // Same stale-straggler guard as step VII: a marked left link on the
         // (live) order node can recur via a later removal that elects it as
         // order node again, so prove `ocl` belongs to *this* removal's pending
         // window before swinging it to the victim's left subtree.
-        let pl = parent_ref.child[pdir].load(LOAD, guard);
-        if !(same_node(pl, victim) && is_flag(pl) && !is_thread(pl)) {
-            return Cat3Outcome::Done;
+        if !pending() {
+            return Completion::Done;
         }
         if is_mark(ocl) {
-            let _ =
-                order_ref.child[0].compare_exchange(ocl, lstar.with_tag(0), CAS, CAS_ERR, guard);
+            self.cas_link(&order_ref.child[0], ocl, lstar, guard);
         }
 
         // s3: the order node adopts the victim's right link.
-        if !rt {
-            let _ = unsafe { rtarget.deref() }.backlink.compare_exchange(
-                victim.with_tag(0),
-                order.with_tag(0),
-                CAS,
-                CAS_ERR,
-                guard,
-            );
-        }
-        let orl = order_ref.child[1].load(LOAD, guard);
-        dst_point!();
-        if same_node(orl, victim) && is_flag(orl) && is_thread(orl) {
-            let new_right = rtarget.with_tag(if rt { THREAD } else { 0 });
-            let _ = order_ref.child[1].compare_exchange(orl, new_right, CAS, CAS_ERR, guard);
-        }
+        self.adopt_right_link(victim, order, guard);
 
         // s4: the victim's parent adopts the order node (physical removal).
-        if !opar.is_null() && !same_node(opar, parent) {
-            let _ = order_ref.backlink.compare_exchange(
-                opar.with_tag(0),
-                parent.with_tag(0),
-                CAS,
-                CAS_ERR,
-                guard,
-            );
+        self.unlink(victim, parent, pdir, opar, guard);
+        Completion::Done
+    }
+
+    /// The order-link swing of categories 2 and 3 (s3): the order node
+    /// replaces its `THREAD|FLAG→victim` right link with the victim's frozen
+    /// right link, after the victim's right child (if any) has moved its
+    /// backlink to the order node.
+    fn adopt_right_link<'g>(
+        &self,
+        victim: Shared<'g, Node<K, V>>,
+        order: Shared<'g, Node<K, V>>,
+        guard: &'g R::Guard,
+    ) {
+        let vr = unsafe { victim.deref() }.child[1].load(LOAD, guard);
+        if !is_thread(vr) {
+            move_backlink(vr, victim, order, guard);
         }
+        let order_ref = unsafe { order.deref() };
+        let orl = order_ref.child[1].load(LOAD, guard);
+        dst_point!();
+        if is_order_flag(orl, victim) {
+            self.cas_link(&order_ref.child[1], orl, vr.with_tag(vr.tag() & THREAD), guard);
+        }
+    }
+
+    /// The last step of every removal, and the only place a tree node is
+    /// retired: swings the victim's flagged parent link `parent.child[pdir]`
+    /// to the victim's replacement, and retires the victim if that CAS wins.
+    /// Returns whether it did.
+    ///
+    /// The replacement is read off the victim's frozen state.  Once the
+    /// victim's right link is marked (step III), its left link and its
+    /// `prelink` target no longer change (the prelink's `CLAIMED` bit may
+    /// still be set by the success-claim CAS, but readers here strip tags):
+    /// every step-II writer stored the same order node while the order-link
+    /// flag stood, and no new threaded link into the victim can form (inserts
+    /// refuse tagged links).  So a threaded left link (the flagged
+    /// self-thread) means category 1, and the parent adopts the victim's
+    /// right-link value (paper lines 99–101); a marked left link means
+    /// category 2 or 3, and the order node (`prelink`) takes the victim's
+    /// place.
+    ///
+    /// The replacement's backlink moves from `back` to `parent` before the
+    /// swing (DESIGN.md, Lemma-7 ordering).  `back` is the victim, except at
+    /// category 3's s4, where the order node's backlink still names its old
+    /// parent (null: leave the backlink alone).  The swing is the usual CAS
+    /// away from `FLAG→victim`, so it happens exactly once however many
+    /// threads race here, and only the winner retires.
+    fn unlink<'g>(
+        &self,
+        victim: Shared<'g, Node<K, V>>,
+        parent: Shared<'g, Node<K, V>>,
+        pdir: usize,
+        back: Shared<'g, Node<K, V>>,
+        guard: &'g R::Guard,
+    ) -> bool {
+        let victim_ref = unsafe { victim.deref() };
+        let (new_link, heir) = if is_thread(victim_ref.child[0].load(LOAD, guard)) {
+            let vr = victim_ref.child[1].load(LOAD, guard);
+            let heir = if is_thread(vr) { Shared::null() } else { vr.with_tag(0) };
+            (vr.with_tag(vr.tag() & THREAD), heir)
+        } else {
+            let order = victim_ref.prelink.load(LOAD, guard).with_tag(0);
+            // A category-2/3 order node is a strict predecessor, never the
+            // victim itself; the step-II CAS discipline keeps the hint exact
+            // once the right link is marked.  Guard anyway: swinging the
+            // parent link to the victim itself would silently undo step V and
+            // retire a node that is still linked (bug 6).
+            if order.is_null() || same_node(order, victim) {
+                return false;
+            }
+            (order, order)
+        };
+        if !heir.is_null() && !back.is_null() && !same_node(back, parent) {
+            move_backlink(heir, back, parent, guard);
+        }
+        let parent_ref = unsafe { parent.deref() };
         let pl = parent_ref.child[pdir].load(LOAD, guard);
         dst_point!();
-        if same_node(pl, victim)
-            && is_flag(pl)
-            && parent_ref.child[pdir]
-                .compare_exchange(pl, order.with_tag(0), CAS, CAS_ERR, guard)
-                .is_ok()
-        {
+        let won = is_parent_flag(pl, victim)
+            && self.cas_link(&parent_ref.child[pdir], pl, new_link, guard);
+        if won {
             self.retire(victim, guard);
         }
-        Cat3Outcome::Done
+        won
     }
 
     /// Completes the physical unlinking of a marked victim whose order link
-    /// has already been swung (the `order_node_of` escape): if the victim's
-    /// parent link is still flagged at it, perform the pending parent swing
-    /// and retire the victim.
+    /// has already been swung (the `order_node_of` escape): finds the
+    /// victim's flagged parent link, and [`unlink`](Self::unlink) performs
+    /// the pending parent swing.
     ///
-    /// Safety of the re-derived swing value: once the victim's right link is
-    /// marked (step III), its left link and `prelink` *target* are frozen for
-    /// the rest of the removal (the prelink's `CLAIMED` tag bit may still be
-    /// set by the success-claim CAS, but readers here strip tags) — every
-    /// step-II writer stored the same order node while
-    /// the order-link flag stood, and no new threaded link into the victim can
-    /// form (inserts refuse tagged links).  So a marked left link means the
-    /// order node (`prelink`) replaces the victim (categories 2/3, the same
-    /// value `remove_cat12`/`remove_cat3` install), and a flagged self-thread
-    /// means category 1 (the parent adopts the victim's frozen right-link
-    /// value).  The swing itself is the usual CAS on the flagged parent link,
-    /// so it still happens exactly once no matter how many threads race here
-    /// with the stalled swinger — and only the winner retires.
+    /// The states checked here only move forward — a mark is never cleared,
+    /// and a swung order link never comes back — so they are checked once.
     fn finish_unlink<'g>(&self, victim: Shared<'g, Node<K, V>>, guard: &'g R::Guard) {
         let victim_ref = unsafe { victim.deref() };
-        let mut spin = SpinBound::new("finish_unlink");
-        loop {
-            spin.tick();
-            dst_point!();
-            let r = victim_ref.child[1].load(LOAD, guard);
-            if !is_mark(r) {
-                // Not logically removed: nothing pending.
-                return;
-            }
-            let vl = victim_ref.child[0].load(LOAD, guard);
-            let order = if is_thread(vl) {
-                if !is_flag(vl) {
-                    // A clean self-thread: no removal owns this node.
-                    return;
-                }
-                // Category 1: no replacement node, the parent adopts the
-                // victim's right-link value directly.
-                Shared::null()
-            } else {
-                if !is_mark(vl) {
-                    // The left link is not frozen yet (pre-VI): the driving
-                    // thread is still mid-protocol and the order link must
-                    // still exist; leave this to the normal path.
-                    return;
-                }
-                let o = victim_ref.prelink.load(LOAD, guard).with_tag(0);
-                if o.is_null() || self.is_order_node_of(o, victim, guard) {
-                    // The order link still stands: the normal (re-derived)
-                    // completion path owns this removal.
-                    return;
-                }
-                // A category-2/3 order node is a strict predecessor, never the
-                // victim itself; the step-II CAS discipline keeps the hint
-                // exact once the right link is marked.  Guard anyway: swinging
-                // the parent link to the victim itself would silently undo
-                // step V and retire a node that is still linked.
-                if same_node(o, victim) {
-                    return;
-                }
-                o
-            };
-
-            let Some((parent, pdir)) = self.find_parent_of(victim, guard) else {
-                // Confirm the victim is really unlinked (same guard as
-                // `flag_parent`): a transient miss must not abandon the swing.
-                let key = unsafe { victim.deref() }
-                    .key
-                    .as_key()
-                    .expect("sentinel nodes are never removed");
-                if self.find_exact(key, victim, guard) {
-                    self.help_shift_path(key, guard);
-                    continue;
-                }
-                return;
-            };
-            let parent_ref = unsafe { parent.deref() };
-            let pl = parent_ref.child[pdir].load(LOAD, guard);
-            if !same_node(pl, victim) || is_thread(pl) {
-                // Raced with the swing (or a stale parent): re-derive.
-                continue;
-            }
-            if is_mark(pl) {
-                // The parent is itself logically removed; completing it
-                // rewires the victim's incoming link.
-                self.note_help();
-                self.help_node(parent, guard);
-                continue;
-            }
-            if !is_flag(pl) {
-                // Step V has not happened: the order link must still stand
-                // (the swings only start after V), so the state we derived is
-                // stale; re-derive.
-                continue;
-            }
-
-            let new_val = if order.is_null() {
-                let vr = victim_ref.child[1].load(LOAD, guard);
-                let rtarget = vr.with_tag(0);
-                if !is_thread(vr) {
-                    let _ = unsafe { rtarget.deref() }.backlink.compare_exchange(
-                        victim.with_tag(0),
-                        parent.with_tag(0),
-                        CAS,
-                        CAS_ERR,
-                        guard,
-                    );
-                }
-                rtarget.with_tag(if is_thread(vr) { THREAD } else { 0 })
-            } else {
-                let _ = unsafe { order.deref() }.backlink.compare_exchange(
-                    victim.with_tag(0),
-                    parent.with_tag(0),
-                    CAS,
-                    CAS_ERR,
-                    guard,
-                );
-                order.with_tag(0)
-            };
-            dst_point!();
-            if parent_ref.child[pdir].compare_exchange(pl, new_val, CAS, CAS_ERR, guard).is_ok() {
-                trace_ev!(FinishUnlink, victim, parent);
-                self.retire(victim, guard);
-            }
+        if !is_mark(victim_ref.child[1].load(LOAD, guard)) {
+            // Not logically removed: nothing pending.
             return;
+        }
+        let vl = victim_ref.child[0].load(LOAD, guard);
+        let owned_elsewhere = if is_thread(vl) {
+            // A clean self-thread: no removal owns this node.  A flagged one
+            // is category 1.
+            !is_flag(vl)
+        } else {
+            // The left link is not frozen yet (pre-VI), or the order link
+            // still stands: the driving thread is still mid-protocol and the
+            // normal (re-derived) completion path owns this removal.
+            !is_mark(vl) || {
+                let order = victim_ref.prelink.load(LOAD, guard).with_tag(0);
+                order.is_null() || self.is_order_node_of(order, victim, guard)
+            }
+        };
+        if owned_elsewhere {
+            return;
+        }
+        // Step V precedes every swing, so the parent link is normally
+        // flagged already.  A clean one means a stale step-IV rollback took
+        // the flag away (bug 10); flagging it again is step V once more.
+        if let Some((parent, pdir)) = self.flagged_parent(victim, guard) {
+            if self.unlink(victim, parent, pdir, victim, guard) {
+                trace_ev!(FinishUnlink, victim, parent);
+            }
         }
     }
 
-    /// Step V (and the category 1/2 flag): flags the link from the victim's
-    /// current parent to the victim.
-    ///
-    /// Returns `None` when the victim has already been physically removed.
-    fn flag_parent<'g>(
+    /// Step V (also the category-1/2 flag), the one parent lookup: finds the
+    /// link from the victim's current parent, flags it if it is clean, and
+    /// returns it once it is flagged at the victim — or `None` once the
+    /// victim is no longer linked.
+    fn flagged_parent<'g>(
         &self,
         victim: Shared<'g, Node<K, V>>,
         guard: &'g R::Guard,
     ) -> Option<(Shared<'g, Node<K, V>>, usize)> {
-        let mut spin = SpinBound::new("flag_parent");
+        let mut spin = SpinBound::new("flagged_parent");
         loop {
             spin.tick();
             dst_point!();
@@ -1185,7 +1025,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                     // an order node mid-shift, between the s1 splice and the
                     // s4 parent swing of the removal it replaces.  Retrying
                     // alone would spin until the shifting thread resumes
-                    // (PR 7); the pending s4's flagged link lies on the
+                    // (bug 2); the pending s4's flagged link lies on the
                     // victim's own search path, so help it forward first.
                     self.help_shift_path(key, guard);
                     continue;
@@ -1209,22 +1049,9 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 continue;
             }
             dst_point!();
-            match parent_ref.child[pdir].compare_exchange(
-                pl,
-                pl.with_tag(pl.tag() | FLAG),
-                CAS,
-                CAS_ERR,
-                guard,
-            ) {
-                Ok(_) => {
-                    trace_ev!(FlagParent, victim, parent);
-                    return Some((parent, pdir));
-                }
-                Err(_) => {
-                    if self.record_stats() {
-                        self.stats.record_cas(false);
-                    }
-                }
+            if self.cas_link(&parent_ref.child[pdir], pl, pl.with_tag(pl.tag() | FLAG), guard) {
+                trace_ev!(FlagParent, victim, parent);
+                return Some((parent, pdir));
             }
         }
     }
@@ -1244,7 +1071,7 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         // Fast path: the backlink hint.  A marked link is not trusted: a
         // removed category-2/3 node keeps its frozen, marked left link to its
         // old child, so a stale backlink to it would "validate" forever and
-        // wedge `flag_parent` in a `help_node` loop on a node with nothing
+        // wedge `flagged_parent` in a `help_node` loop on a node with nothing
         // left to help.  The descent below tells a dying parent (still
         // reachable, returned again) from a dead one (skipped).
         let hint = node_ref.backlink.load(LOAD, guard).with_tag(0);
@@ -1375,8 +1202,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
 
     /// Hands a physically removed node to the epoch reclamation scheme.
     ///
-    /// Called exactly once per removed node: only the thread whose CAS unlinked
-    /// the last incoming parent link reaches this call.
+    /// Called exactly once per removed node, from [`unlink`](Self::unlink):
+    /// only the thread whose CAS swung the victim's parent link reaches it.
     fn retire<'g>(&self, victim: Shared<'g, Node<K, V>>, guard: &'g R::Guard) {
         trace_ev!(Retire, victim, victim);
         unsafe {
@@ -1438,6 +1265,34 @@ mod tests {
         assert!(t.remove(&8));
         assert_eq!(t.iter_keys(), vec![5, 7, 12, 15, 20]);
         validate(&t).unwrap();
+    }
+
+    /// Every flag, mark and swing CAS on a child link counts once; backlink,
+    /// `prelink` and claim CASes do not.  Uncontended, each category's
+    /// removal issues a fixed number of them, all successful: category 1
+    /// I, III, V and the unlink; category 2 adds the left mark and the
+    /// order-link swing; category 3 is I, III, IV–VII and s1–s4.
+    #[cfg(feature = "stats")]
+    #[test]
+    fn every_protocol_cas_counts_once_per_category() {
+        for (keys, victim, cases) in [
+            (&[10u64, 5, 15, 7][..], 7, 4),
+            (&[10, 5, 15, 3][..], 10, 6),
+            (&[10, 5, 15, 7, 8, 12, 20][..], 10, 10),
+        ] {
+            let t: LfBst<u64> = LfBst::with_config(crate::Config::new().record_stats(true));
+            for &k in keys {
+                assert!(t.insert(k));
+            }
+            let before = t.stats();
+            assert!(t.remove(&victim));
+            let d = t.stats().since(&before);
+            assert_eq!(
+                (d.cas_successes, d.cas_failures),
+                (cases, 0),
+                "removing {victim} of {keys:?}"
+            );
+        }
     }
 
     #[test]

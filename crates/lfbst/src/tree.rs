@@ -8,7 +8,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_epoch::{self as epoch, Ebr, Owned, Reclaimer, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Ebr, Owned, Reclaimer, Shared};
 use cset::{ConcurrentMap, KeyBound, OpStats, OrderedMap, StatsSnapshot};
 
 use crate::config::{Config, HelpPolicy, RestartPolicy};
@@ -425,26 +425,12 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
                 new_ref.child[1].store(link.with_tag(THREAD), INIT);
                 new_ref.backlink.store(curr.with_tag(0), INIT);
                 dst_point!();
-                match curr_ref.child[loc.dir].compare_exchange(
-                    link.with_tag(THREAD),
-                    new.with_tag(0),
-                    CAS,
-                    CAS_ERR,
-                    guard,
-                ) {
-                    Ok(_) => {
-                        if record {
-                            self.stats.record_cas(true);
-                        }
-                        self.size.add(1);
-                        return InsertOutcome::Inserted;
-                    }
-                    Err(_) => {
-                        if record {
-                            self.stats.record_cas(false);
-                            self.stats.record_restart();
-                        }
-                    }
+                if self.cas_link(&curr_ref.child[loc.dir], link.with_tag(THREAD), new, guard) {
+                    self.size.add(1);
+                    return InsertOutcome::Inserted;
+                }
+                if record {
+                    self.stats.record_restart();
                 }
             }
 
@@ -878,6 +864,28 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         if self.record_stats() {
             self.stats.record_help();
         }
+    }
+
+    /// Counts one protocol CAS on a child link (see `OpStats` for which CASes
+    /// count).
+    pub(crate) fn note_cas(&self, ok: bool) {
+        if self.record_stats() {
+            self.stats.record_cas(ok);
+        }
+    }
+
+    /// One protocol CAS on a child link — insert's injection, or a removal's
+    /// flag, mark, unflag or swing — counted through [`note_cas`](Self::note_cas).
+    pub(crate) fn cas_link<'g>(
+        &self,
+        link: &Atomic<Node<K, V>>,
+        current: Shared<'g, Node<K, V>>,
+        new: Shared<'g, Node<K, V>>,
+        guard: &'g R::Guard,
+    ) -> bool {
+        let ok = link.compare_exchange(current, new, CAS, CAS_ERR, guard).is_ok();
+        self.note_cas(ok);
+        ok
     }
 }
 

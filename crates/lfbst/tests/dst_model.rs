@@ -12,8 +12,8 @@
 //!
 //! The `dst_hunt` test (ignored) sweeps every scenario exhaustively at an
 //! env-controlled preemption depth; `dst_exhaustive_smoke` runs the same
-//! sweep at a CI-sized budget; the `regression_*` tests replay checked-in
-//! schedules that were found by the hunt and fixed.
+//! sweep completely at 2 preemptions; the `regression_*` tests replay
+//! checked-in schedules that were found by the hunt and fixed.
 
 #![cfg(feature = "dst")]
 
@@ -168,6 +168,16 @@ const CONFIGS: &[Config] = &[
         setup: &[2, 1, 3],
         threads: &[&[RemoveRange(1, 2)], &[RemoveRange(2, 3)]],
     },
+    // DESIGN.md §7, bug 8: the category flip inside step IV.  Remove(5) is a
+    // category-3 removal whose order node 4 hangs off 2; Remove(2) is a
+    // category-1 removal that lifts 4 (with its left child 3) into 5's left
+    // link, so a step-IV helper that read 5 as category 3 finds the order
+    // node's parent to be the victim itself.
+    Config {
+        name: "cat3-category-flip",
+        setup: &[5, 2, 6, 4, 3],
+        threads: &[&[Remove(5)], &[Remove(2)]],
+    },
 ];
 
 /// Per-thread `(op, removed-or-inserted count)` logs, filled by the scenario
@@ -286,12 +296,15 @@ fn describe(report: &dst::RunReport) -> String {
     format!("schedule {} ({} steps): {:?}", report.schedule.id(), report.steps, report.outcome)
 }
 
-/// Exhaustive sweep of every scenario, CI-sized: 2 preemptions, bounded runs.
-/// Post-fix this must find nothing.
+/// Exhaustive sweep of every scenario at 2 preemptions.  The run budget
+/// (`DST_BUDGET`, default 20 000) is a cap, not a sample size: every scenario
+/// must be explored completely within it, and one that hits it fails the
+/// test, so a scenario that outgrows the budget cannot silently lose
+/// coverage.  Post-fix this must find nothing.
 #[test]
 fn dst_exhaustive_smoke() {
     let max_runs: usize =
-        std::env::var("DST_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(3_000);
+        std::env::var("DST_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(20_000);
     for config in CONFIGS {
         let opts = ExploreOpts { max_preemptions: 2, max_runs, ..ExploreOpts::default() };
         let result = explore(|| scenario(config), opts);
@@ -301,12 +314,12 @@ fn dst_exhaustive_smoke() {
             config.name,
             describe(result.violation.as_ref().unwrap())
         );
-        eprintln!(
-            "dst smoke: {} clean over {} runs{}",
-            config.name,
-            result.runs,
-            if result.budget_exhausted { " (budget capped)" } else { "" }
+        assert!(
+            !result.budget_exhausted,
+            "scenario {}: not fully explored within DST_BUDGET={max_runs} runs",
+            config.name
         );
+        eprintln!("dst smoke: {} clean over {} runs", config.name, result.runs);
     }
 }
 
@@ -521,4 +534,35 @@ fn regression_cat3_cross_instance_s1() {
 #[test]
 fn regression_cat1_reflag_aba() {
     assert_schedule_passes("cat1-reflag-aba", "s2:3-1");
+}
+
+/// Bug #8 — the category flip inside step IV.  Thread 0's category-3
+/// removal of key 5 (order node 4, whose parent is 2) passed step IV's
+/// category re-check and was preempted before the parent search; thread 1
+/// removed 2 (category 1), which lifted 4 into 5's left link.  Resuming,
+/// `find_parent_of(4)` returned 5 itself.  With the `Reexamine` check
+/// reverted, thread 0 flags 5's own left link as step IV, and every
+/// dispatch then recurses through `remove_cat12` → `help_node(4)` →
+/// `clean_mark_right(5)` until the stack overflows.
+#[test]
+fn regression_cat3_category_flip() {
+    assert_schedule_passes("cat3-category-flip", "s2:12-1");
+}
+
+/// Bug #10 — a stale step-IV flag steals a later step V.  Thread 0's
+/// category-3 removal of key 4 passed step IV's checks and was preempted
+/// before the parent search; thread 1 finished that removal (3 replaced 4)
+/// and began removing 3, marking it.  Resuming, thread 0 flagged 3's new
+/// parent link — a clean link to the order node, the value it expected —
+/// and thread 1 took that flag for its own step V.  Thread 0's rollback
+/// then cleared it, so thread 1's swing found no flag and left 3 marked and
+/// linked (the first id: a residual mark), or a later helper waited in
+/// `finish_unlink` for a step V that never came (the second: livelock).
+/// Fixes: the first id needs the pre-s3 witness check right before the
+/// step-IV flag CAS; the second passes with either that check or
+/// `finish_unlink` placing a missing step-V flag itself.
+#[test]
+fn regression_cat3_stale_step_iv_flag() {
+    assert_schedule_passes("cat3-vs-order", "s2:12-1.52-0.53-1.56-0");
+    assert_schedule_passes("cat3-three-way", "s3:12-1.53-0.55-1.56-0");
 }
