@@ -101,6 +101,12 @@ pub trait Scheme: Copy + Default + Send + Sync + 'static {
         load()
     }
 
+    /// [`ReclaimGuard::try_protect_load`] for this scheme's guards.
+    #[inline]
+    fn try_protect_load<F: FnOnce() -> usize>(_guard: &Guard<Self>, load: F) -> Option<usize> {
+        Some(load())
+    }
+
     /// [`ReclaimGuard::protect_current_era`] for this scheme's guards.
     #[inline]
     fn protect_current_era(_guard: &Guard<Self>) {}
@@ -429,6 +435,11 @@ impl<S: Scheme> ReclaimGuard for Guard<S> {
     #[inline]
     fn protect_load<F: FnMut() -> usize>(&self, load: F) -> usize {
         S::protect_load(self, load)
+    }
+
+    #[inline]
+    fn try_protect_load<F: FnOnce() -> usize>(&self, load: F) -> Option<usize> {
+        S::try_protect_load(self, load)
     }
 
     #[inline]

@@ -4,7 +4,7 @@
 //!
 //! * A global epoch counter advances one step at a time.
 //! * Every thread *pins* the current epoch before touching shared nodes
-//!   ([`pin`] returns a [`Guard`]; dropping the guard unpins).
+//!   (`Ebr::pin` returns a [`Guard`]; dropping the guard unpins).
 //! * Retired nodes ([`Guard::defer_destroy`]) are stamped with the epoch at
 //!   retirement and freed only once the global epoch has advanced **twice**
 //!   past that stamp.  Advancing requires every pinned thread to have
@@ -32,7 +32,7 @@ use std::sync::atomic::{fence, AtomicUsize, Ordering};
 
 use crate::bags::{Bag, Deferred};
 use crate::domain::{Domain, Local, OwnLine, Scheme, Unprotected};
-use crate::{Guard, Reclaimer};
+use crate::Guard;
 
 /// Sentinel slot value meaning "this participant is not currently pinned".
 const NOT_PINNED: usize = usize::MAX;
@@ -50,24 +50,6 @@ thread_local! {
 /// The current global epoch (diagnostic; free-running since process start).
 pub fn global_epoch() -> usize {
     EBR.clock.load(Ordering::Relaxed)
-}
-
-/// Pins the current thread and returns a guard; shared nodes may be read for
-/// as long as the guard lives.
-#[inline]
-pub fn pin() -> Guard {
-    Ebr::pin()
-}
-
-/// Returns a dummy guard for contexts with exclusive access (constructors and
-/// destructors).  Deferred destructions on this guard run immediately.
-///
-/// # Safety
-///
-/// The caller must guarantee that no other thread is accessing the data
-/// structure concurrently.
-pub unsafe fn unprotected() -> &'static Guard {
-    Ebr::unprotected()
 }
 
 /// One thread's retired nodes, stamped with the global epoch at retirement,
@@ -126,7 +108,7 @@ impl Bag for EpochBag {
     }
 }
 
-/// The epoch-based backend as a [`Reclaimer`] (the workspace default).
+/// The epoch-based backend as a [`Reclaimer`](crate::Reclaimer) (the workspace default).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Ebr;
 
@@ -224,7 +206,7 @@ impl Scheme for Ebr {
 mod tests {
     use super::*;
     use crate::tests::NoteDrop;
-    use crate::{Atomic, Owned};
+    use crate::{Atomic, Owned, Reclaimer};
     use std::sync::atomic::AtomicUsize as StdAtomicUsize;
     use std::sync::Arc;
 
@@ -247,7 +229,7 @@ mod tests {
         let reader = {
             let a = Arc::clone(&a);
             std::thread::spawn(move || {
-                let guard = pin();
+                let guard = Ebr::pin();
                 let p = a.load(Ordering::SeqCst, &guard);
                 ready_tx.send(()).unwrap();
                 done_rx.recv().unwrap();
@@ -258,18 +240,18 @@ mod tests {
         };
         ready_rx.recv().unwrap();
         {
-            let guard = pin();
+            let guard = Ebr::pin();
             let old = a.load(Ordering::SeqCst, &guard);
             let new = Owned::new(42u64).into_shared(&guard);
             a.compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst, &guard).unwrap();
             unsafe { guard.defer_destroy(old) };
         }
         for _ in 0..6 * PINS_PER_COLLECT {
-            drop(pin());
+            drop(Ebr::pin());
         }
         done_tx.send(()).unwrap();
         reader.join().unwrap();
-        let guard = pin();
+        let guard = Ebr::pin();
         unsafe { drop(a.load(Ordering::SeqCst, &guard).into_owned()) };
     }
 
@@ -281,7 +263,7 @@ mod tests {
         let _serial = crate::serial_test();
         let dropped = Arc::new(StdAtomicUsize::new(0));
         {
-            let guard = pin();
+            let guard = Ebr::pin();
             // Fewer than the bag's high-water mark, so no eager collect.
             for _ in 0..100 {
                 let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
@@ -292,7 +274,7 @@ mod tests {
         // Two cadence collects advance the epoch twice; the rest is margin
         // for a contended registry skipping an advance.
         for _ in 0..6 * PINS_PER_COLLECT {
-            drop(pin());
+            drop(Ebr::pin());
         }
         assert_eq!(dropped.load(Ordering::SeqCst), 100, "own garbage never drained");
     }
@@ -308,7 +290,7 @@ mod tests {
         {
             let dropped = Arc::clone(&dropped);
             std::thread::spawn(move || {
-                let guard = pin();
+                let guard = Ebr::pin();
                 for _ in 0..100 {
                     let p = Owned::new(NoteDrop(Arc::clone(&dropped))).into_shared(&guard);
                     unsafe { guard.defer_destroy(p) };
@@ -319,7 +301,7 @@ mod tests {
         }
         assert_eq!(dropped.load(Ordering::SeqCst), 0, "freed before the thread exited");
         for _ in 0..12 * PINS_PER_COLLECT {
-            drop(pin());
+            drop(Ebr::pin());
         }
         assert_eq!(dropped.load(Ordering::SeqCst), 100, "orphaned garbage never drained");
     }

@@ -28,11 +28,14 @@
 //! still *attached* (reachable) at load time: such a target cannot have been
 //! retired before the load, so every collector scanning after its retirement
 //! sees the reader's raised `hi` covering it.  Pointers read out of already
-//! detached nodes carry no such guarantee — the same restriction hazard-
-//! pointer schemes place on Harris-style lists.  The in-tree structures fit:
-//! operations re-locate from the root, mutations validate via CAS expected
-//! values, and the long-lived cursors repin-and-reseek on a fixed cadence
-//! (DESIGN.md §8 spells out the argument).
+//! detached nodes carry no such guarantee: a detached node keeps pointing at
+//! children that may have been born after the reader's `hi`, retired and
+//! freed before the reader raised it.  Re-loading such a cell after the
+//! raise returns the same freed pointer.  A traversal that can pass through
+//! detached nodes must therefore restart from a root whenever its
+//! reservation grows: [`crate::Atomic::try_load`] declines the word instead
+//! of re-loading it.  The baseline trees traverse that way; `lfbst`'s
+//! traversals still use the re-loading `load` (DESIGN.md §8).
 //!
 //! ## Bags and orphans
 //!
@@ -258,6 +261,24 @@ impl Scheme for Ibr {
         })
     }
 
+    fn try_protect_load<F: FnOnce() -> usize>(guard: &IbrGuard, load: F) -> Option<usize> {
+        let word = load();
+        if !guard.protected {
+            return Some(word);
+        }
+        LOCAL.with(|local| {
+            let era = IBR.clock.era.load(Ordering::SeqCst);
+            if era == local.cache.get() {
+                return Some(word);
+            }
+            // Extend for the restart, but do not hand out the word: its cell
+            // may belong to a node unlinked before this extension.
+            local.slot.hi.store(era, Ordering::SeqCst);
+            local.cache.set(era);
+            None
+        })
+    }
+
     fn protect_current_era(guard: &IbrGuard) {
         if !guard.protected {
             return;
@@ -276,7 +297,7 @@ impl Scheme for Ibr {
 mod tests {
     use super::*;
     use crate::tests::NoteDrop;
-    use crate::{Atomic, Owned, Reclaimer};
+    use crate::{Atomic, Owned, Reclaimer, Shared};
     use std::sync::atomic::AtomicUsize as StdAtomicUsize;
     use std::sync::Arc;
 
@@ -397,6 +418,54 @@ mod tests {
         reader.join().unwrap();
         let guard = Ibr::pin();
         unsafe { drop(a.load(Ordering::SeqCst, &guard).into_owned()) };
+    }
+
+    /// The hazard `try_load` exists for.  A stalled reader holds node `x`.
+    /// A writer then links a child born after the reader's `hi` into `x`,
+    /// unlinks `x` and retires the child, and a collect frees it while `x`
+    /// still points at it.  The reader's next load from `x` must be declined,
+    /// not re-loaded: a re-load after extending `hi` returns the freed child.
+    #[test]
+    fn try_load_declines_a_cell_read_after_the_era_moved() {
+        let _serial = crate::serial_test();
+        use std::sync::mpsc;
+        struct X {
+            child: Atomic<NoteDrop>,
+        }
+        let root = Arc::new(Atomic::new(X { child: Atomic::null() }));
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let reader = {
+            let root = Arc::clone(&root);
+            std::thread::spawn(move || {
+                let guard = Ibr::pin();
+                let x = root.try_load(Ordering::SeqCst, &guard).expect("nothing moved yet");
+                ready_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                let child = unsafe { x.deref() }.child.try_load(Ordering::SeqCst, &guard);
+                assert!(child.is_none(), "a cell read after the era moved was handed out");
+            })
+        };
+        ready_rx.recv().unwrap();
+        churn_once();
+        churn_once();
+        let drops = Arc::new(StdAtomicUsize::new(0));
+        let x_raw = {
+            let guard = Ibr::pin();
+            let x = root.load(Ordering::SeqCst, &guard);
+            let child = Owned::new(NoteDrop(Arc::clone(&drops))).into_shared(&guard);
+            unsafe { x.deref() }.child.store(child, Ordering::SeqCst);
+            // Unlink `x` (the reader still holds it), then retire the child
+            // `x` still points at.
+            root.store(Shared::null(), Ordering::SeqCst);
+            unsafe { guard.defer_destroy(child) };
+            x.as_raw()
+        };
+        churn_until(|| drops.load(Ordering::SeqCst) == 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "the young child was never freed");
+        go_tx.send(()).unwrap();
+        reader.join().unwrap();
+        unsafe { drop(Shared::from(x_raw).into_owned()) };
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! # ebr — pluggable lock-free memory reclamation
 //!
-//! A self-contained reclamation crate.  It keeps the `crossbeam-epoch` names
-//! the workspace was written against (the build environment is offline, so
-//! the workspace maps the dependency name `crossbeam-epoch` onto this crate;
-//! see the root `Cargo.toml`) and grows them into *pluggable* schemes:
+//! A self-contained reclamation crate.  It keeps the `crossbeam-epoch`
+//! pointer names the workspace was written against (`Atomic`, `Shared`,
+//! `Owned`, `Guard`; the workspace maps the dependency name
+//! `crossbeam-epoch` onto this crate, see the root `Cargo.toml`) and grows
+//! them into *pluggable* schemes:
 //!
 //! * the [`Reclaimer`] / [`ReclaimGuard`] trait pair abstracts
 //!   pin/retire/flush/collect/stats, so data structures are generic over the
-//!   backend;
-//! * [`Ebr`] is the epoch-based backend and the default — the free functions
-//!   [`pin`], [`unprotected`] and [`global_epoch`] and the [`Guard`] type
-//!   default to it, so crossbeam-style code compiles unchanged;
+//!   backend; it is the one way to pin (`R::pin()`, `R::unprotected()`);
+//! * [`Ebr`] is the epoch-based backend and the default — the [`Guard`] type
+//!   defaults to it, and [`global_epoch`] reads its clock;
 //! * [`Ibr`] is an interval-based backend: per-node birth/retire era stamps
 //!   and per-thread reservations mean a stalled reader only pins garbage
 //!   retired *inside* its reservation, instead of freezing reclamation
@@ -50,7 +50,7 @@ mod ptr;
 pub use block::{alloc_raw, dealloc_raw};
 pub use bound::{garbage_bound, set_garbage_bound, GarbageBound};
 pub use domain::Guard;
-pub use epoch::{global_epoch, pin, unprotected, Ebr};
+pub use epoch::{global_epoch, Ebr};
 pub use ibr::{Ibr, IbrGuard};
 pub use ptr::{Atomic, CompareExchangeError, Owned, Pointer, Shared};
 
@@ -89,6 +89,18 @@ pub trait ReclaimGuard: Sized + 'static {
     /// retries until its reservation covers the load's era); `load` must be
     /// a plain re-loadable read with no side effects.
     fn protect_load<F: FnMut() -> usize>(&self, load: F) -> usize;
+
+    /// Performs `load` once and returns the word only if the reservation
+    /// already covers the load's era.  Otherwise it extends the reservation
+    /// and returns `None`: the caller drops every pointer it loaded since it
+    /// last started from a root, and starts again from one.
+    ///
+    /// [`protect_load`](Self::protect_load)'s re-load suffices for a cell of
+    /// a linked node.  An unlinked node's cell keeps naming children that a
+    /// collect may have freed before the extension, so traversals that pass
+    /// through unlinked nodes use this hook.  The epoch backend always
+    /// returns `Some`.
+    fn try_protect_load<F: FnOnce() -> usize>(&self, load: F) -> Option<usize>;
 
     /// Runs `f` as one batch-retire window: every `defer_destroy` issued on
     /// this thread inside `f` skips the per-retirement [`GarbageBound`]

@@ -7,12 +7,16 @@
 //!
 //! * every dereferenceable load goes through
 //!   [`ReclaimGuard::protect_load`], so a backend that must extend its
-//!   reservation before the pointer may be used gets to retry the load;
+//!   reservation before the pointer may be used gets to retry the load
+//!   ([`Atomic::try_load`] declines instead, for traversals that must then
+//!   restart from a root);
 //! * operations that can publish a *fresh* allocation
 //!   ([`Owned::into_shared`], a successful [`Atomic::compare_exchange`] or
 //!   [`Atomic::swap`]) call [`ReclaimGuard::protect_current_era`], so the
-//!   allocation's birth era is inside the caller's reservation before any
-//!   other thread could retire it.
+//!   allocation's birth era is inside the caller's reservation.
+//!   `into_shared` does so before the allocation is published; a CAS or swap
+//!   only after, so a traversal must not read on through nodes it reached
+//!   before such a raise (see [`ReclaimGuard::try_protect_load`]).
 //!
 //! The return values of [`Atomic::fetch_or`] and the failure arm of
 //! [`Atomic::compare_exchange`] are *words*, not dereference licenses: they
@@ -63,6 +67,18 @@ impl<T> Atomic<T> {
     /// is dereferenceable for the guard's lifetime under every backend.
     pub fn load<'g, G: ReclaimGuard>(&self, ord: Ordering, guard: &'g G) -> Shared<'g, T> {
         Shared { data: guard.protect_load(|| self.data.load(ord)), _marker: PhantomData }
+    }
+
+    /// Loads the current pointer if the guard's reservation already covers
+    /// the load ([`ReclaimGuard::try_protect_load`]).  `None` means the
+    /// reservation had to grow: restart the traversal from a root.
+    pub fn try_load<'g, G: ReclaimGuard>(
+        &self,
+        ord: Ordering,
+        guard: &'g G,
+    ) -> Option<Shared<'g, T>> {
+        let data = guard.try_protect_load(|| self.data.load(ord))?;
+        Some(Shared { data, _marker: PhantomData })
     }
 
     /// Stores `new`.

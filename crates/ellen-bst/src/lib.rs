@@ -11,7 +11,8 @@
 //! when they modify disjoint links — exactly the disjoint-access limitation the
 //! threaded internal BST removes.
 //!
-//! Memory is reclaimed through `crossbeam-epoch`, and nothing is retired
+//! Memory is reclaimed through the tree's `R: Reclaimer` backend (`Ebr` by
+//! default, `Ibr` through [`EllenBst::new_in`]), and nothing is retired
 //! while a thread that pins later could still reach it:
 //!
 //! * an operation descriptor is retired by the CAS that overwrites it in the
@@ -28,10 +29,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Ebr, Owned, ReclaimGuard, Reclaimer, Shared};
 use cset::ConcurrentMap;
 
 const ORD: Ordering = Ordering::SeqCst;
@@ -41,7 +45,6 @@ const CLEAN: usize = 0b00;
 const IFLAG: usize = 0b01;
 const DFLAG: usize = 0b10;
 const MARK: usize = 0b11;
-const STATE_MASK: usize = 0b11;
 
 /// Key space with the two sentinel keys (`Inf1 < Inf2`) of the original paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,8 +78,10 @@ enum Info<K> {
         gp: *const ENode<K>,
         p: *const ENode<K>,
         l: *const ENode<K>,
-        /// The value of `p.update` observed when the delete was injected.
-        pupdate: usize,
+        /// The descriptor in `p.update` when the delete was injected (the word
+        /// was CLEAN, so its tag is 0).  A CAS expected value only: it came
+        /// from no protected load of a helper, so it is never dereferenced.
+        pupdate: *const Info<K>,
     },
 }
 
@@ -89,14 +94,10 @@ struct ENode<K> {
 }
 
 impl<K> ENode<K> {
-    fn leaf(key: EKey<K>) -> Self {
+    /// A node with no children yet: a leaf, or an internal node before its
+    /// children are stored.
+    fn new(key: EKey<K>) -> Self {
         ENode { key, child: [Atomic::null(), Atomic::null()], update: Atomic::null() }
-    }
-    fn internal(key: EKey<K>) -> Self {
-        ENode { key, child: [Atomic::null(), Atomic::null()], update: Atomic::null() }
-    }
-    fn is_leaf(&self, guard: &Guard) -> bool {
-        self.child[0].load(ORD, guard).is_null()
     }
 }
 
@@ -113,23 +114,28 @@ impl<K> ENode<K> {
 /// assert!(set.remove(&7));
 /// assert!(!set.remove(&7));
 /// ```
-pub struct EllenBst<K> {
+pub struct EllenBst<K, R: Reclaimer = Ebr> {
     root: *mut ENode<K>,
     size: AtomicUsize,
+    reclaimer: PhantomData<R>,
 }
 
-unsafe impl<K: Send + Sync> Send for EllenBst<K> {}
-unsafe impl<K: Send + Sync> Sync for EllenBst<K> {}
+// SAFETY: `root` owns the node graph, which threads touch only through
+// atomics under an `R` guard and free only through `R` or in `Drop`; keys are
+// read from any thread, hence `K: Send + Sync`.  `size` is atomic and
+// `reclaimer` is a zero-sized marker.
+unsafe impl<K: Send + Sync, R: Reclaimer> Send for EllenBst<K, R> {}
+unsafe impl<K: Send + Sync, R: Reclaimer> Sync for EllenBst<K, R> {}
 
-impl<K> fmt::Debug for EllenBst<K> {
+impl<K, R: Reclaimer> fmt::Debug for EllenBst<K, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EllenBst").field("len", &self.size.load(Ordering::Relaxed)).finish()
     }
 }
 
-impl<K: Ord> Default for EllenBst<K> {
+impl<K: Ord, R: Reclaimer> Default for EllenBst<K, R> {
     fn default() -> Self {
-        Self::new()
+        Self::new_in()
     }
 }
 
@@ -143,16 +149,24 @@ struct EllenSearch<'g, K> {
 }
 
 impl<K: Ord> EllenBst<K> {
-    /// Creates an empty tree (root with key `Inf2` and two dummy leaves).
+    /// Creates an empty tree on the default epoch-based backend.
     pub fn new() -> Self {
-        let l1 = epoch::alloc_raw(ENode::leaf(EKey::Inf1));
-        let l2 = epoch::alloc_raw(ENode::leaf(EKey::Inf2));
-        let root = epoch::alloc_raw(ENode::internal(EKey::Inf2));
+        Self::new_in()
+    }
+}
+
+impl<K: Ord, R: Reclaimer> EllenBst<K, R> {
+    /// Creates an empty tree (root with key `Inf2` and two dummy leaves) on
+    /// reclamation backend `R`; `EllenBst::new()` is the `R = Ebr` shorthand.
+    pub fn new_in() -> Self {
+        let l1 = epoch::alloc_raw(ENode::new(EKey::Inf1));
+        let l2 = epoch::alloc_raw(ENode::new(EKey::Inf2));
+        let root = epoch::alloc_raw(ENode::new(EKey::Inf2));
         unsafe {
             (*root).child[0].store(Shared::from(l1 as *const ENode<K>), ORD);
             (*root).child[1].store(Shared::from(l2 as *const ENode<K>), ORD);
         }
-        EllenBst { root, size: AtomicUsize::new(0) }
+        EllenBst { root, size: AtomicUsize::new(0), reclaimer: PhantomData }
     }
 
     fn root_shared<'g>(&self) -> Shared<'g, ENode<K>> {
@@ -171,32 +185,43 @@ impl<K: Ord> EllenBst<K> {
 
     /// Standard BST search down to a leaf, recording the parent, grandparent
     /// and their update fields.
-    fn search<'g>(&self, key: &K, guard: &'g Guard) -> EllenSearch<'g, K> {
-        let mut gp = Shared::null();
-        let mut gpupdate = Shared::null();
-        let mut p = self.root_shared();
-        let mut pupdate = unsafe { p.deref() }.update.load(ORD, guard);
-        let mut l = unsafe { p.deref() }.child
-            [if unsafe { p.deref() }.key.goes_left(key) { 0 } else { 1 }]
-        .load(ORD, guard)
-        .with_tag(0);
+    ///
+    /// A search can pass through nodes that are already unlinked, so it
+    /// loads with `try_load` and starts over from the root whenever the
+    /// reclamation reservation had to grow (the interval backend's rule, see
+    /// `ebr::ReclaimGuard::try_protect_load`); under EBR it never restarts.
+    fn search<'g>(&self, key: &K, guard: &'g R::Guard) -> EllenSearch<'g, K> {
         loop {
-            let l_ref = unsafe { l.deref() };
-            if l_ref.is_leaf(guard) {
-                return EllenSearch { gp, p, l, pupdate, gpupdate };
+            if let Some(s) = self.try_search(key, guard) {
+                return s;
             }
-            gp = p;
-            gpupdate = pupdate;
-            p = l;
-            pupdate = l_ref.update.load(ORD, guard);
-            let dir = if l_ref.key.goes_left(key) { 0 } else { 1 };
-            l = l_ref.child[dir].load(ORD, guard).with_tag(0);
+        }
+    }
+
+    /// One search attempt from the root; `None` if a load was declined.
+    fn try_search<'g>(&self, key: &K, guard: &'g R::Guard) -> Option<EllenSearch<'g, K>> {
+        let (mut gp, mut gpupdate) = (Shared::null(), Shared::null());
+        let (mut p, mut pupdate) = (Shared::null(), Shared::null());
+        let mut l = self.root_shared();
+        loop {
+            // SAFETY: `l` is the never-retired root or came from a `try_load`
+            // of this attempt, so the reservation covers it (see `search`).
+            let l_ref = unsafe { l.deref() };
+            if l_ref.child[0].try_load(ORD, guard)?.is_null() {
+                return Some(EllenSearch { gp, p, l, pupdate, gpupdate });
+            }
+            (gp, gpupdate, p) = (p, pupdate, l);
+            // The update word is read before the child: a successful flag
+            // CAS on it then proves the child link did not change since.
+            pupdate = l_ref.update.try_load(ORD, guard)?;
+            let dir = usize::from(!l_ref.key.goes_left(key));
+            l = l_ref.child[dir].try_load(ORD, guard)?.with_tag(0);
         }
     }
 
     /// Returns `true` if `key` is in the set.
     pub fn contains(&self, key: &K) -> bool {
-        let guard = &epoch::pin();
+        let guard = &R::pin();
         let s = self.search(key, guard);
         unsafe { s.l.deref() }.key.cmp_key(key) == std::cmp::Ordering::Equal
     }
@@ -206,7 +231,7 @@ impl<K: Ord> EllenBst<K> {
     where
         K: Clone,
     {
-        let guard = &epoch::pin();
+        let guard = &R::pin();
         loop {
             let s = self.search(&key, guard);
             let l_ref = unsafe { s.l.deref() };
@@ -214,7 +239,7 @@ impl<K: Ord> EllenBst<K> {
                 return false;
             }
             if s.pupdate.tag() != CLEAN {
-                self.help(s.pupdate, guard);
+                self.help_node(unsafe { s.p.deref() }, guard);
                 continue;
             }
             // Build: new internal whose children are a fresh leaf for `key`
@@ -222,15 +247,15 @@ impl<K: Ord> EllenBst<K> {
             // let `l` become `p`'s child again (when the new leaf is deleted),
             // and a stale helper's child CAS would then re-link the removed
             // internal node.
-            let new_leaf = epoch::alloc_raw(ENode::leaf(EKey::Key(key.clone())));
-            let sibling = epoch::alloc_raw(ENode::leaf(clone_ekey(&l_ref.key)));
+            let new_leaf = epoch::alloc_raw(ENode::new(EKey::Key(key.clone())));
+            let sibling = epoch::alloc_raw(ENode::new(l_ref.key.clone()));
             let (ikey, left, right): (EKey<K>, *const ENode<K>, *const ENode<K>) =
                 if l_ref.key.goes_left(&key) {
-                    (clone_ekey(&l_ref.key), new_leaf, sibling)
+                    (l_ref.key.clone(), new_leaf, sibling)
                 } else {
                     (EKey::Key(key.clone()), sibling, new_leaf)
                 };
-            let new_internal = epoch::alloc_raw(ENode::internal(ikey));
+            let new_internal = epoch::alloc_raw(ENode::new(ikey));
             unsafe {
                 (*new_internal).child[0].store(Shared::from(left), ORD);
                 (*new_internal).child[1].store(Shared::from(right), ORD);
@@ -256,14 +281,16 @@ impl<K: Ord> EllenBst<K> {
                     unsafe { guard.defer_destroy(s.l) };
                     return true;
                 }
-                Err(e) => {
+                Err(_) => {
+                    // Whoever flagged `p` is helped by the next search's
+                    // flag check, not here: allocating `op` may have grown
+                    // the reservation since this search (see `search`).
                     unsafe {
                         drop(epoch::dealloc_raw(new_leaf));
                         drop(epoch::dealloc_raw(sibling));
                         drop(epoch::dealloc_raw(new_internal));
                         drop(op.into_owned());
                     }
-                    self.help(e.current, guard);
                 }
             }
         }
@@ -271,7 +298,7 @@ impl<K: Ord> EllenBst<K> {
 
     /// Removes `key`; returns `true` if it was present and this call removed it.
     pub fn remove(&self, key: &K) -> bool {
-        let guard = &epoch::pin();
+        let guard = &R::pin();
         loop {
             let s = self.search(key, guard);
             if unsafe { s.l.deref() }.key.cmp_key(key) != std::cmp::Ordering::Equal {
@@ -283,18 +310,18 @@ impl<K: Ord> EllenBst<K> {
                 return false;
             }
             if s.gpupdate.tag() != CLEAN {
-                self.help(s.gpupdate, guard);
+                self.help_node(unsafe { s.gp.deref() }, guard);
                 continue;
             }
             if s.pupdate.tag() != CLEAN {
-                self.help(s.pupdate, guard);
+                self.help_node(unsafe { s.p.deref() }, guard);
                 continue;
             }
             let op = Owned::new(Info::Delete {
                 gp: s.gp.as_raw(),
                 p: s.p.as_raw(),
                 l: s.l.as_raw(),
-                pupdate: pack(s.pupdate),
+                pupdate: s.pupdate.as_raw(),
             })
             .into_shared(guard);
             match unsafe { s.gp.deref() }.update.compare_exchange(
@@ -315,16 +342,22 @@ impl<K: Ord> EllenBst<K> {
                     // the grandparent's word until a later flag overwrites
                     // it; retry with a fresh search.
                 }
-                Err(e) => {
-                    unsafe { drop(op.into_owned()) };
-                    self.help(e.current, guard);
-                }
+                // As in `insert`, the next search helps whoever flagged `gp`.
+                Err(_) => unsafe { drop(op.into_owned()) },
             }
         }
     }
 
-    /// Dispatches helping according to the state bits of an update word.
-    fn help<'g>(&self, u: Shared<'g, Info<K>>, guard: &'g Guard) {
+    /// Helps the operation that currently flags or marks `node`, dispatching
+    /// on the state bits of its update word.  The word is re-read here with
+    /// `try_load`, never taken from a failed CAS: only a protected load
+    /// licenses dereferencing the descriptor (a CAS failure word may name
+    /// one born after the guard's interval-backend reservation).  Callers
+    /// reach `node` by a search with no reservation growth since, or name it
+    /// in a descriptor whose flag keeps it linked.
+    fn help_node<'g>(&self, node: &'g ENode<K>, guard: &'g R::Guard) {
+        // A declined load leaves the helping to the caller's next search.
+        let Some(u) = node.update.try_load(ORD, guard) else { return };
         match u.tag() {
             IFLAG => self.help_insert(u, guard),
             DFLAG => {
@@ -336,7 +369,7 @@ impl<K: Ord> EllenBst<K> {
     }
 
     /// Completes an insert whose descriptor has been installed (IFLAG).
-    fn help_insert<'g>(&self, op: Shared<'g, Info<K>>, guard: &'g Guard) {
+    fn help_insert<'g>(&self, op: Shared<'g, Info<K>>, guard: &'g R::Guard) {
         let Info::Insert { p, l, new_internal } = (unsafe { op.deref() }) else {
             return;
         };
@@ -358,12 +391,12 @@ impl<K: Ord> EllenBst<K> {
     /// Tries to complete a delete whose descriptor has been installed (DFLAG).
     /// Returns `false` if the operation had to backtrack (the parent could not
     /// be marked) and the caller must retry.
-    fn help_delete<'g>(&self, op: Shared<'g, Info<K>>, guard: &'g Guard) -> bool {
+    fn help_delete<'g>(&self, op: Shared<'g, Info<K>>, guard: &'g R::Guard) -> bool {
         let Info::Delete { gp, p, pupdate, .. } = (unsafe { op.deref() }) else {
             return true;
         };
         let p_ref = unsafe { &**p };
-        let expected = unpack::<K>(*pupdate, guard);
+        let expected = Shared::from(*pupdate);
         let result = p_ref.update.compare_exchange(expected, op.with_tag(MARK), ORD, ORD, guard);
         let marked_by_us = result.is_ok();
         if marked_by_us {
@@ -379,9 +412,12 @@ impl<K: Ord> EllenBst<K> {
             self.help_marked(op, guard);
             true
         } else {
-            // Failed to mark: help whoever is in the way, then undo our flag on
-            // the grandparent (backtrack).
-            self.help(current, guard);
+            // Failed to mark: undo our flag on the grandparent (backtrack).
+            // Whoever is in the way is helped by the caller's next search,
+            // not here.  For the owner, the CAS that flagged the grandparent
+            // grew the reservation only after publishing `op`: a helper may
+            // have backtracked since and `p` been unlinked, with a marking
+            // descriptor that a collect freed before the growth.
             let gp_ref = unsafe { &**gp };
             let _ = gp_ref.update.compare_exchange(
                 op.with_tag(DFLAG),
@@ -396,7 +432,7 @@ impl<K: Ord> EllenBst<K> {
 
     /// Final phase of a delete: splice the parent out from under the
     /// grandparent and unflag the grandparent.
-    fn help_marked<'g>(&self, op: Shared<'g, Info<K>>, guard: &'g Guard) {
+    fn help_marked<'g>(&self, op: Shared<'g, Info<K>>, guard: &'g R::Guard) {
         let Info::Delete { gp, p, l, .. } = (unsafe { op.deref() }) else {
             return;
         };
@@ -436,23 +472,7 @@ impl<K: Ord> EllenBst<K> {
     where
         K: Clone,
     {
-        let guard = &epoch::pin();
-        let mut out = Vec::new();
-        let mut stack = vec![self.root_shared()];
-        while let Some(node) = stack.pop() {
-            let n = unsafe { node.deref() };
-            let left = n.child[0].load(ORD, guard).with_tag(0);
-            if left.is_null() {
-                if let EKey::Key(k) = &n.key {
-                    out.push(k.clone());
-                }
-            } else {
-                stack.push(left);
-                stack.push(n.child[1].load(ORD, guard).with_tag(0));
-            }
-        }
-        out.sort();
-        out
+        self.keys_in_range_limited(Bound::Unbounded, Bound::Unbounded, usize::MAX)
     }
 
     /// Collects up to `limit` keys in `[lo, hi]`, ascending (weakly
@@ -464,50 +484,62 @@ impl<K: Ord> EllenBst<K> {
     /// before the left yields leaves in ascending order, subtrees wholly
     /// outside the bounds are skipped, and the walk stops as soon as `limit`
     /// keys have been emitted — the bounded page primitive behind the chunked
-    /// fallback cursor of [`cset::OrderedSet::scan_keys`].
-    pub fn keys_in_range_limited(
-        &self,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
-        limit: usize,
-    ) -> Vec<K>
+    /// fallback cursor of [`cset::OrderedSet::scan_keys`].  A pass cut short
+    /// by a declined load (see `search`) is resumed from the root above the
+    /// last key emitted.
+    pub fn keys_in_range_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K>
     where
         K: Clone,
     {
-        use std::cmp::Ordering as CmpOrdering;
-        use std::ops::Bound;
         let mut out = Vec::new();
         if limit == 0 {
             return out;
         }
-        let guard = &epoch::pin();
+        let guard = &R::pin();
+        let mut resume = None;
+        while !self.range_pass(
+            resume.as_ref().map_or(lo, Bound::Excluded),
+            hi,
+            limit,
+            &mut out,
+            guard,
+        ) {
+            resume = out.last().cloned();
+        }
+        out
+    }
+
+    /// One DFS pass of [`keys_in_range_limited`](Self::keys_in_range_limited)
+    /// from the root, appending to `out`; `false` if a load was declined.
+    fn range_pass(
+        &self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        limit: usize,
+        out: &mut Vec<K>,
+        guard: &R::Guard,
+    ) -> bool
+    where
+        K: Clone,
+    {
         let mut stack = vec![self.root_shared()];
         while let Some(node) = stack.pop() {
+            // SAFETY: the root, or a child from a `try_load` of this pass.
             let n = unsafe { node.deref() };
-            let left = n.child[0].load(ORD, guard).with_tag(0);
+            let Some(left) = n.child[0].try_load(ORD, guard) else { return false };
             if left.is_null() {
                 // A leaf: emit its key if it is real and within bounds.
                 if let EKey::Key(k) = &n.key {
-                    let above = match lo {
-                        Bound::Unbounded => true,
-                        Bound::Included(b) => k >= b,
-                        Bound::Excluded(b) => k > b,
-                    };
-                    let below = match hi {
-                        Bound::Unbounded => true,
-                        Bound::Included(b) => k <= b,
-                        Bound::Excluded(b) => k < b,
-                    };
-                    if above && below {
+                    if (lo, hi).contains(k) {
                         out.push(k.clone());
                         if out.len() == limit {
-                            return out;
+                            return true;
                         }
                     }
                 }
                 continue;
             }
-            let right = n.child[1].load(ORD, guard).with_tag(0);
+            let Some(right) = n.child[1].try_load(ORD, guard) else { return false };
             // Prune: the left subtree holds keys < n.key, the right subtree
             // keys >= n.key (sentinel routing keys compare above every real
             // key, so their pruned right subtrees hold only sentinel leaves).
@@ -521,37 +553,24 @@ impl<K: Ord> EllenBst<K> {
                 Bound::Excluded(b) => n.key.cmp_key(b) != CmpOrdering::Less,
             };
             // LIFO: the right child goes first so the left subtree pops first.
-            if !skip_right && !right.is_null() {
-                stack.push(right);
+            if !skip_right {
+                stack.push(right.with_tag(0));
             }
             if !skip_left {
-                stack.push(left);
+                stack.push(left.with_tag(0));
             }
         }
-        out
+        true
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> cset::OrderedMap<K, ()> for EllenBst<K> {
-    fn entries_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, ())> {
+impl<K: Ord + Clone + Send + Sync, R: Reclaimer> cset::OrderedMap<K, ()> for EllenBst<K, R> {
+    fn entries_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, ())> {
         self.entries_between_limited(lo, hi, usize::MAX)
     }
 
-    fn entries_between_limited(
-        &self,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
-        limit: usize,
-    ) -> Vec<(K, ())> {
+    fn entries_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<(K, ())> {
         self.keys_in_range_limited(lo, hi, limit).into_iter().map(|k| (k, ())).collect()
-    }
-}
-
-fn clone_ekey<K: Ord + Clone>(key: &EKey<K>) -> EKey<K> {
-    match key {
-        EKey::Key(k) => EKey::Key(k.clone()),
-        EKey::Inf1 => EKey::Inf1,
-        EKey::Inf2 => EKey::Inf2,
     }
 }
 
@@ -566,28 +585,15 @@ fn clone_ekey<K: Ord + Clone>(key: &EKey<K>) -> EKey<K> {
 ///
 /// The caller's CAS must have succeeded in replacing `old` with a different
 /// descriptor.
-unsafe fn retire_overwritten<K>(old: Shared<'_, Info<K>>, guard: &Guard) {
+unsafe fn retire_overwritten<K, G: ReclaimGuard>(old: Shared<'_, Info<K>>, guard: &G) {
     if !old.is_null() {
         guard.defer_destroy(old.with_tag(0));
     }
 }
 
-/// Packs an update word (pointer + state tag) into a plain usize for storage
-/// inside a descriptor.
-fn pack<K>(s: Shared<'_, Info<K>>) -> usize {
-    s.as_raw() as usize | s.tag()
-}
-
-/// Unpacks a word stored by [`pack`].
-fn unpack<'g, K>(word: usize, _guard: &'g Guard) -> Shared<'g, Info<K>> {
-    let ptr = (word & !STATE_MASK) as *const Info<K>;
-    let s: Shared<'g, Info<K>> = Shared::from(ptr);
-    s.with_tag(word & STATE_MASK)
-}
-
-impl<K> Drop for EllenBst<K> {
+impl<K, R: Reclaimer> Drop for EllenBst<K, R> {
     fn drop(&mut self) {
-        let guard = unsafe { epoch::unprotected() };
+        let guard = unsafe { R::unprotected() };
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
             unsafe {
@@ -611,7 +617,7 @@ impl<K> Drop for EllenBst<K> {
 
 /// The Set ADT as a map with `()` values: the set face comes from `cset`'s
 /// blanket impls.
-impl<K: Ord + Clone + Send + Sync> ConcurrentMap<K, ()> for EllenBst<K> {
+impl<K: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentMap<K, ()> for EllenBst<K, R> {
     fn insert(&self, key: K, (): ()) -> bool {
         EllenBst::insert(self, key)
     }
@@ -707,10 +713,23 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_mixed_accounting() {
+    fn concurrent_mixed_accounting_on_ebr() {
+        concurrent_mixed_accounting::<Ebr>();
+    }
+
+    #[test]
+    fn concurrent_mixed_accounting_on_ibr() {
+        concurrent_mixed_accounting::<crossbeam_epoch::Ibr>();
+    }
+
+    /// Four threads of random inserts and removes over 256 keys: for every
+    /// key, successful inserts minus successful removes must be 0 or 1 and
+    /// match its final membership.  Run on both backends, so a descriptor or
+    /// node freed too early shows up on the one that frees it.
+    fn concurrent_mixed_accounting<R: Reclaimer>() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let tree = Arc::new(EllenBst::new());
+        let tree: Arc<EllenBst<u64, R>> = Arc::new(EllenBst::new_in());
         let range = 256u64;
         let balance = Arc::new((0..range).map(|_| AtomicI64::new(0)).collect::<Vec<_>>());
         let handles: Vec<_> = (0..4u64)

@@ -684,14 +684,12 @@ fn e9(opts: &Options) {
         let lfbst = (n_f + 2.0) * LfBst::<u64>::node_size_bytes() as f64 / n_f;
         let external = (2.0 * n_f - 1.0) * natarajan_bst::node_size_bytes() as f64 / n_f;
         let ellen = (2.0 * n_f - 1.0) * ellen_bst::node_size_bytes() as f64 / n_f;
-        let list = lflist::node_size_bytes() as f64;
         rows.push((
             n.to_string(),
             vec![
                 ("lfbst".to_string(), lfbst),
                 ("natarajan".to_string(), external),
                 ("ellen".to_string(), ellen),
-                ("harris-list".to_string(), list),
             ],
         ));
     }

@@ -85,13 +85,13 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// # Examples
     ///
     /// ```
-    /// use lfbst::LfBst;
+    /// use lfbst::{Ebr, LfBst, Reclaimer};
     ///
     /// let set = LfBst::new();
     /// for k in [10u64, 20, 30, 40] {
     ///     set.insert(k);
     /// }
-    /// let guard = crossbeam_epoch::pin();
+    /// let guard = Ebr::pin();
     /// let mut cursor = set.range_cursor(15.., &guard);
     /// assert_eq!(cursor.next().map(|e| *e.key()), Some(20));
     /// assert_eq!(cursor.next().map(|e| *e.key()), Some(30));
@@ -437,7 +437,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch as epoch;
+    use crossbeam_epoch::Ebr;
 
     #[test]
     fn cursor_streams_in_range_ascending() {
@@ -445,7 +445,7 @@ mod tests {
         for k in [50u64, 10, 30, 20, 40] {
             set.insert(k);
         }
-        let guard = epoch::pin();
+        let guard = Ebr::pin();
         let mut cursor = set.range_cursor(15..=40, &guard);
         let mut seen = Vec::new();
         while let Some(e) = cursor.next() {
@@ -462,7 +462,7 @@ mod tests {
         for k in [1u64, 2, 3] {
             map.insert_entry(k, k * 100);
         }
-        let guard = epoch::pin();
+        let guard = Ebr::pin();
         let mut cursor = map.range_cursor(.., &guard);
         let e = cursor.next().unwrap();
         assert_eq!((*e.key(), e.value()), (1, 100));

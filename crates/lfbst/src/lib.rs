@@ -165,7 +165,8 @@ pub use value::{BoxedCell, InlineCell, InlineValue, MapValue, UnitCell, ValueCel
 
 /// The epoch guard type accepted by the `*_with` entry points of the default
 /// backend ([`LfBst::insert_with`] and friends); obtain one from
-/// [`LfBst::pin`] / [`Pinned::guard`] or from `crossbeam_epoch::pin` directly.
+/// [`LfBst::pin`] / [`Pinned::guard`] or from `Ebr::pin()` directly (any
+/// backend: `R::pin()`, through [`Reclaimer`]).
 pub use crossbeam_epoch::Guard;
 /// The pluggable reclamation surface: `LfBst<K, V, R>` is generic over a
 /// [`Reclaimer`] backend — [`Ebr`] (epoch-based, the default) or [`Ibr`]

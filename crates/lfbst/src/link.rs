@@ -64,7 +64,7 @@ pub(crate) fn same_node<T>(a: Shared<'_, T>, b: Shared<'_, T>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch::Owned;
+    use crossbeam_epoch::{Ebr, Owned, Reclaimer};
 
     #[test]
     fn tag_bits_are_distinct_and_fit_alignment() {
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn predicates_read_the_right_bits() {
-        let guard = crossbeam_epoch::pin();
+        let guard = Ebr::pin();
         let p = Owned::new(0u64).into_shared(&guard);
         assert!(is_clean(p));
         assert!(!is_thread(p));
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn same_node_ignores_tags() {
-        let guard = crossbeam_epoch::pin();
+        let guard = Ebr::pin();
         let a = Owned::new(1u64).into_shared(&guard);
         let b = Owned::new(1u64).into_shared(&guard);
         assert!(same_node(a, a.with_tag(FLAG | MARK | THREAD)));

@@ -144,12 +144,12 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch as epoch;
+    use crossbeam_epoch::Ebr;
 
     #[test]
     fn locate_on_empty_tree_stops_at_minus_inf_right_thread() {
         let t: LfBst<u64> = LfBst::new();
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         let loc = t.locate_from::<false>(t.root1(), t.root0(), &5, false, guard);
         assert_eq!(loc.dir, 1);
         assert!(same_node(loc.curr, t.root0()));
@@ -163,7 +163,7 @@ mod tests {
         for k in [10u64, 5, 15, 3, 7] {
             t.insert(k);
         }
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         let loc = t.locate_from::<false>(t.root1(), t.root0(), &7, false, guard);
         assert_eq!(loc.dir, 2);
         assert_eq!(unsafe { loc.curr.deref() }.key, cset::KeyBound::Key(7));
@@ -175,7 +175,7 @@ mod tests {
         for k in [10u64, 5, 15] {
             t.insert(k);
         }
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         // 7 lies in the interval (5, 10); 5's right thread points at 10.
         let loc = t.locate_from::<false>(t.root1(), t.root0(), &7, false, guard);
         assert_ne!(loc.dir, 2);
@@ -191,7 +191,7 @@ mod tests {
         for k in [10u64, 5, 15, 7] {
             t.insert(k);
         }
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         // The order node of 10 is 7 (rightmost node of its left subtree).
         let loc = t.locate_from::<true>(t.root1(), t.root0(), &10, false, guard);
         assert_eq!(unsafe { loc.curr.deref() }.key, cset::KeyBound::Key(7));
@@ -216,7 +216,7 @@ mod tests {
         for k in [5u64, 10, 15] {
             t.insert(k);
         }
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         for k in [5u64, 10, 15] {
             assert_eq!(
                 t.locate_from::<false>(t.root1(), t.root0(), &k, false, guard).dir,
@@ -247,7 +247,7 @@ mod tests {
         for k in [40u64, 20, 60, 10, 30, 50, 70] {
             t.insert(k);
         }
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         for key in 0..=80u64 {
             let plain = t.locate_from::<false>(t.root1(), t.root0(), &key, false, guard);
             let order = t.locate_from::<true>(t.root1(), t.root0(), &key, false, guard);
@@ -269,7 +269,7 @@ mod tests {
         let t = LfBst::new();
         t.insert(1u64);
         t.insert(2);
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         let loc = t.locate_from::<false>(t.root1(), t.root0(), &1, false, guard);
         assert!(t.find_exact(&1, loc.curr, guard));
         assert!(!t.find_exact(&2, loc.curr, guard));

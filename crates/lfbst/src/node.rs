@@ -60,6 +60,7 @@ impl<K, V: MapValue> Node<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam_epoch::{Ebr, Reclaimer};
 
     #[test]
     fn node_alignment_leaves_three_tag_bits() {
@@ -109,7 +110,7 @@ mod tests {
     #[test]
     fn new_node_has_null_links() {
         let n: Node<u32> = Node::new(KeyBound::Key(7));
-        let guard = crossbeam_epoch::pin();
+        let guard = Ebr::pin();
         assert!(n.child[0].load(std::sync::atomic::Ordering::SeqCst, &guard).is_null());
         assert!(n.child[1].load(std::sync::atomic::Ordering::SeqCst, &guard).is_null());
         assert!(n.backlink.load(std::sync::atomic::Ordering::SeqCst, &guard).is_null());
@@ -123,7 +124,7 @@ mod tests {
         // `String` is boxed, so a fresh cell is empty; an inline scalar cell
         // has no empty state.
         let n: Node<u32, String> = Node::new(KeyBound::Key(7));
-        let guard = crossbeam_epoch::pin();
+        let guard = Ebr::pin();
         assert!(n.value.read_with(&guard, String::clone).is_none());
         n.value.init("seventy".into());
         assert_eq!(n.value.read_with(&guard, String::clone).as_deref(), Some("seventy"));

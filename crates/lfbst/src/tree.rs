@@ -1118,7 +1118,7 @@ mod tests {
         // sentinel comparison that replaces `KeyBound::cmp_key` on hot paths.
         let t = LfBst::new();
         t.insert(10u64);
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         assert_eq!(t.cmp_node_key(t.root0(), &0), CmpOrdering::Less);
         assert_eq!(t.cmp_node_key(t.root0(), &u64::MAX), CmpOrdering::Less);
         assert_eq!(t.cmp_node_key(t.root1(), &0), CmpOrdering::Greater);

@@ -59,7 +59,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_epoch::{Atomic, Owned, ReclaimGuard};
+use crossbeam_epoch::{Atomic, Ebr, Owned, ReclaimGuard, Reclaimer};
 
 /// A type usable as the value of an [`LfBst`](crate::LfBst) map.
 ///
@@ -156,11 +156,11 @@ impl<V: Send + Sync> ValueCell<V> for BoxedCell<V> {
         // The node is unpublished: relaxed is enough, the injection CAS
         // releases the pointer together with the rest of the node.
         debug_assert!(
-            self.ptr.load(Ordering::Relaxed, unsafe { crossbeam_epoch::unprotected() }).is_null(),
+            self.ptr.load(Ordering::Relaxed, unsafe { Ebr::unprotected() }).is_null(),
             "value cell initialised twice"
         );
         let owned = Owned::new(value);
-        let guard = unsafe { crossbeam_epoch::unprotected() };
+        let guard = unsafe { Ebr::unprotected() };
         self.ptr.store(owned.into_shared(guard), Ordering::Relaxed);
     }
 
@@ -187,7 +187,7 @@ impl<V: Send + Sync> ValueCell<V> for BoxedCell<V> {
     }
 
     fn take_unpublished(&self) -> Option<V> {
-        let guard = unsafe { crossbeam_epoch::unprotected() };
+        let guard = unsafe { Ebr::unprotected() };
         let p = self.ptr.load(Ordering::Relaxed, guard);
         if p.is_null() {
             return None;
@@ -204,7 +204,7 @@ impl<V> Drop for BoxedCell<V> {
         // The cell is dropped together with its node, i.e. after the node has
         // become unreachable (epoch reclamation or exclusive teardown): the
         // pointer can no longer be raced.
-        let guard = unsafe { crossbeam_epoch::unprotected() };
+        let guard = unsafe { Ebr::unprotected() };
         let p = self.ptr.load(Ordering::Relaxed, guard);
         if !p.is_null() {
             unsafe { drop(p.into_owned()) };
@@ -343,17 +343,17 @@ impl<T: Send + Sync> MapValue for Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_epoch as epoch;
+    use crossbeam_epoch::Reclaimer;
 
     fn read<V: Clone, C: ValueCell<V>>(cell: &C) -> Option<V> {
-        cell.read_with(&epoch::pin(), V::clone)
+        cell.read_with(&Ebr::pin(), V::clone)
     }
 
     #[test]
     fn unit_cell_is_zero_sized_and_total() {
         assert_eq!(std::mem::size_of::<UnitCell>(), 0);
         let cell = UnitCell;
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         cell.init(());
         assert_eq!(read(&cell), Some(()));
         cell.replace((), guard);
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn boxed_cell_init_read_replace_roundtrip() {
         let cell: BoxedCell<String> = BoxedCell::default();
-        let guard = &epoch::pin();
+        let guard = &Ebr::pin();
         assert!(read(&cell).is_none(), "fresh cell is empty");
         cell.init("one".to_string());
         assert_eq!(cell.read_with(guard, |v| v.len()), Some(3), "f sees the boxed referent");
@@ -404,7 +404,7 @@ mod tests {
         let cell = InlineCell::<V>::default();
         cell.init(first);
         assert!(same(&read(&cell).unwrap(), &first), "read {first:?}");
-        let old = cell.replace(second, &epoch::pin());
+        let old = cell.replace(second, &Ebr::pin());
         assert!(same(&old, &first), "replace returned {old:?}, stored {first:?}");
         assert!(same(&read(&cell).unwrap(), &second), "read {second:?}");
         assert!(same(&cell.take_unpublished().unwrap(), &second), "take {second:?}");
@@ -451,7 +451,7 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 std::thread::spawn(move || {
                     for i in 0..5_000u64 {
-                        let guard = &epoch::pin();
+                        let guard = &Ebr::pin();
                         let old = cell.replace(w * 1_000_000 + i, guard);
                         assert!(old == 0 || old % 1_000_000 < 5_000, "foreign old value {old}");
                     }

@@ -8,7 +8,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use cset::{OrderedMap, OrderedSet};
-use lfbst::{LfBst, REPIN_SCAN_EVERY};
+use lfbst::{Ebr, LfBst, Reclaimer, REPIN_SCAN_EVERY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,7 +62,7 @@ fn cursor_matches_oracle_for_all_bound_combinations() {
             let expected_keys: Vec<u64> = expected.iter().map(|&(k, _)| k).collect();
 
             // The guard-scoped cursor.
-            let guard = crossbeam_epoch::pin();
+            let guard = Ebr::pin();
             let mut cursor = map.range_cursor((lo, hi), &guard);
             let mut via_cursor = Vec::new();
             while let Some(e) = cursor.next() {
@@ -100,7 +100,7 @@ fn cursor_matches_oracle_for_all_bound_combinations() {
 fn cursor_on_empty_tree_is_empty_for_every_bound_shape() {
     let map: LfBst<u64, u64> = LfBst::new();
     for (lo, hi) in bound_cases(10, 20) {
-        let guard = crossbeam_epoch::pin();
+        let guard = Ebr::pin();
         let mut cursor = map.range_cursor((lo, hi), &guard);
         assert!(cursor.next().is_none(), "{lo:?}..{hi:?}");
         assert!(map.scan_entries(lo.as_ref(), hi.as_ref()).next().is_none(), "{lo:?}..{hi:?}");
@@ -230,7 +230,7 @@ fn cursors_skip_a_key_reinserted_behind_them() {
     for k in [10u64, 20, 30] {
         map.insert_entry(k, k);
     }
-    let guard = crossbeam_epoch::pin();
+    let guard = Ebr::pin();
     let mut cursor = map.range_cursor(.., &guard);
     let mut seen = vec![*cursor.next().unwrap().key()];
     assert_eq!(map.remove_entry(&20), Some(20));
@@ -282,7 +282,7 @@ fn scans_stay_strictly_ascending_under_hot_key_reinsertion() {
         let seen: Vec<u64> = keys.iter().copied().filter(|k| !HOT.contains(k)).collect();
         assert_eq!(seen, cold);
 
-        let guard = crossbeam_epoch::pin();
+        let guard = Ebr::pin();
         let mut cursor = map.range_cursor(.., &guard);
         let mut keys = Vec::new();
         while let Some(e) = cursor.next() {

@@ -8,6 +8,7 @@
 //! failing seed, so the interleaving that produced the bug is part of the
 //! artifact instead of being lost with the process.
 
+use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -73,7 +74,11 @@ impl RoundWatchdog {
             while !*finished {
                 let now = Instant::now();
                 if now >= deadline {
-                    eprintln!(
+                    // Straight to the process's stderr: libtest captures
+                    // `eprintln!` per test (spawned threads included), and
+                    // the abort would discard the capture unprinted.
+                    let _ = writeln!(
+                        std::io::stderr(),
                         "stress watchdog: seed {seed} ({threads} threads × {ops} ops × \
                          range {range}) made no progress in {}s — aborting\n{}\n{}",
                         timeout.as_secs(),

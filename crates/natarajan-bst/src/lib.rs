@@ -12,18 +12,22 @@
 //! keys, which keeps the protocol short (one flag CAS, one tag bit, one splice
 //! CAS) at the cost of the extra routing layer that the internal BST avoids.
 //!
-//! Memory reclamation uses `crossbeam-epoch`.  When a single physical splice
-//! finishes several logically deleted leaves at once (a chain of tagged edges),
-//! only the nodes on the spliced chain are retired; the rare additional leaves
-//! hanging off the chain are left to the epoch collector at tree drop.
+//! Memory is reclaimed through the tree's `R: Reclaimer` backend (`Ebr` by
+//! default, `Ibr` through [`NatarajanBst::new_in`]).  When a single physical
+//! splice finishes several logically deleted leaves at once (a chain of
+//! tagged edges), the splice winner retires the whole chain: every routing
+//! node on it and every deleted leaf hanging off it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Ebr, Owned, ReclaimGuard, Reclaimer, Shared};
 use cset::ConcurrentMap;
 
 const ORD: Ordering = Ordering::SeqCst;
@@ -66,10 +70,9 @@ struct ExtNode<K> {
 }
 
 impl<K> ExtNode<K> {
-    fn leaf(key: ExtKey<K>) -> Self {
-        ExtNode { key, child: [Atomic::null(), Atomic::null()] }
-    }
-    fn internal(key: ExtKey<K>) -> Self {
+    /// A node with no children yet: a leaf, or a routing node before its
+    /// children are stored.
+    fn new(key: ExtKey<K>) -> Self {
         ExtNode { key, child: [Atomic::null(), Atomic::null()] }
     }
 }
@@ -94,42 +97,56 @@ struct SeekRecord<'g, K> {
 /// assert!(set.remove(&5));
 /// assert!(!set.contains(&5));
 /// ```
-pub struct NatarajanBst<K> {
+pub struct NatarajanBst<K, R: Reclaimer = Ebr> {
     root: *mut ExtNode<K>,
     size: AtomicUsize,
+    reclaimer: PhantomData<R>,
 }
 
-unsafe impl<K: Send + Sync> Send for NatarajanBst<K> {}
-unsafe impl<K: Send + Sync> Sync for NatarajanBst<K> {}
+// SAFETY: `root` owns the node graph, which threads touch only through
+// atomics under an `R` guard and free only through `R` or in `Drop`; keys are
+// read from any thread, hence `K: Send + Sync`.  `size` is atomic and
+// `reclaimer` is a zero-sized marker.
+unsafe impl<K: Send + Sync, R: Reclaimer> Send for NatarajanBst<K, R> {}
+unsafe impl<K: Send + Sync, R: Reclaimer> Sync for NatarajanBst<K, R> {}
 
-impl<K> fmt::Debug for NatarajanBst<K> {
+impl<K, R: Reclaimer> fmt::Debug for NatarajanBst<K, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NatarajanBst").field("len", &self.size.load(Ordering::Relaxed)).finish()
     }
 }
 
-impl<K: Ord> Default for NatarajanBst<K> {
+impl<K: Ord, R: Reclaimer> Default for NatarajanBst<K, R> {
     fn default() -> Self {
-        Self::new()
+        Self::new_in()
     }
 }
 
 impl<K: Ord> NatarajanBst<K> {
-    /// Creates an empty tree (the sentinel skeleton of the original algorithm).
+    /// Creates an empty tree on the default epoch-based backend.
     pub fn new() -> Self {
+        Self::new_in()
+    }
+}
+
+impl<K: Ord, R: Reclaimer> NatarajanBst<K, R> {
+    /// Creates an empty tree (the sentinel skeleton of the original
+    /// algorithm) on reclamation backend `R`; `NatarajanBst::new()` is the
+    /// `R = Ebr` shorthand.
+    pub fn new_in() -> Self {
         // R(inf2) -> { S(inf1), leaf(inf2) };  S(inf1) -> { leaf(inf0), leaf(inf1) }
-        let leaf_inf0 = epoch::alloc_raw(ExtNode::leaf(ExtKey::Inf0));
-        let leaf_inf1 = epoch::alloc_raw(ExtNode::leaf(ExtKey::Inf1));
-        let leaf_inf2 = epoch::alloc_raw(ExtNode::leaf(ExtKey::Inf2));
-        let s = epoch::alloc_raw(ExtNode::internal(ExtKey::Inf1));
-        let r = epoch::alloc_raw(ExtNode::internal(ExtKey::Inf2));
+        let leaf_inf0 = epoch::alloc_raw(ExtNode::new(ExtKey::Inf0));
+        let leaf_inf1 = epoch::alloc_raw(ExtNode::new(ExtKey::Inf1));
+        let leaf_inf2 = epoch::alloc_raw(ExtNode::new(ExtKey::Inf2));
+        let s = epoch::alloc_raw(ExtNode::new(ExtKey::Inf1));
+        let r = epoch::alloc_raw(ExtNode::new(ExtKey::Inf2));
         unsafe {
             (*s).child[0].store(Shared::from(leaf_inf0 as *const ExtNode<K>), ORD);
             (*s).child[1].store(Shared::from(leaf_inf1 as *const ExtNode<K>), ORD);
             (*r).child[0].store(Shared::from(s as *const ExtNode<K>), ORD);
             (*r).child[1].store(Shared::from(leaf_inf2 as *const ExtNode<K>), ORD);
         }
-        NatarajanBst { root: r, size: AtomicUsize::new(0) }
+        NatarajanBst { root: r, size: AtomicUsize::new(0), reclaimer: PhantomData }
     }
 
     fn root_shared<'g>(&self) -> Shared<'g, ExtNode<K>> {
@@ -147,25 +164,38 @@ impl<K: Ord> NatarajanBst<K> {
     }
 
     fn child_index(node: &ExtNode<K>, key: &K) -> usize {
-        if node.key.goes_left(key) {
-            0
-        } else {
-            1
-        }
+        usize::from(!node.key.goes_left(key))
     }
 
     /// The seek phase: descends to the leaf for `key`, remembering the deepest
     /// untagged edge (`ancestor` → `successor`) on the way.
-    fn seek<'g>(&self, key: &K, guard: &'g Guard) -> SeekRecord<'g, K> {
+    ///
+    /// The seek walks through spliced-out chains, i.e. nodes that are
+    /// already unlinked, so it loads with `try_load` and starts over from
+    /// the root whenever the reclamation reservation had to grow (the
+    /// interval backend's rule, see `ebr::ReclaimGuard::try_protect_load`);
+    /// under EBR it never restarts.
+    fn seek<'g>(&self, key: &K, guard: &'g R::Guard) -> SeekRecord<'g, K> {
+        loop {
+            if let Some(record) = self.try_seek(key, guard) {
+                return record;
+            }
+        }
+    }
+
+    /// One seek attempt from the root; `None` if a load was declined.
+    fn try_seek<'g>(&self, key: &K, guard: &'g R::Guard) -> Option<SeekRecord<'g, K>> {
+        // SAFETY (every `deref` below): each pointer is the never-retired
+        // root or came from a `try_load` of this attempt (see `seek`).
         let r = self.root_shared();
-        let s = unsafe { r.deref() }.child[0].load(ORD, guard).with_tag(0);
+        let s = unsafe { r.deref() }.child[0].try_load(ORD, guard)?.with_tag(0);
         // Edge from parent to leaf, as read at the parent.
-        let mut parent_field = unsafe { s.deref() }.child[0].load(ORD, guard);
+        let mut parent_field = unsafe { s.deref() }.child[0].try_load(ORD, guard)?;
         let mut record =
             SeekRecord { ancestor: r, successor: s, parent: s, leaf: parent_field.with_tag(0) };
         let mut current_field = unsafe { record.leaf.deref() }.child
             [Self::child_index(unsafe { record.leaf.deref() }, key)]
-        .load(ORD, guard);
+        .try_load(ORD, guard)?;
         let mut current = current_field.with_tag(0);
         while !current.is_null() {
             if parent_field.tag() & TAG == 0 {
@@ -176,15 +206,15 @@ impl<K: Ord> NatarajanBst<K> {
             record.leaf = current;
             parent_field = current_field;
             let node = unsafe { current.deref() };
-            current_field = node.child[Self::child_index(node, key)].load(ORD, guard);
+            current_field = node.child[Self::child_index(node, key)].try_load(ORD, guard)?;
             current = current_field.with_tag(0);
         }
-        record
+        Some(record)
     }
 
     /// Returns `true` if `key` is in the set.
     pub fn contains(&self, key: &K) -> bool {
-        let guard = &epoch::pin();
+        let guard = &R::pin();
         let record = self.seek(key, guard);
         unsafe { record.leaf.deref() }.key.cmp_key(key) == std::cmp::Ordering::Equal
     }
@@ -194,7 +224,7 @@ impl<K: Ord> NatarajanBst<K> {
     where
         K: Clone,
     {
-        let guard = &epoch::pin();
+        let guard = &R::pin();
         loop {
             let record = self.seek(&key, guard);
             let leaf_ref = unsafe { record.leaf.deref() };
@@ -205,14 +235,14 @@ impl<K: Ord> NatarajanBst<K> {
             let dir = Self::child_index(parent_ref, &key);
             // Build the replacement subtree: a routing node whose children are
             // the existing leaf and a new leaf holding `key`.
-            let new_leaf = Owned::new(ExtNode::leaf(ExtKey::Key(key.clone()))).into_shared(guard);
+            let new_leaf = Owned::new(ExtNode::new(ExtKey::Key(key.clone()))).into_shared(guard);
             let (internal_key, left, right) = if leaf_ref.key.goes_left(&key) {
                 // existing leaf key > new key: new leaf on the left
-                (clone_ext_key(&leaf_ref.key), new_leaf, record.leaf)
+                (leaf_ref.key.clone(), new_leaf, record.leaf)
             } else {
                 (ExtKey::Key(key.clone()), record.leaf, new_leaf)
             };
-            let internal = Owned::new(ExtNode::internal(internal_key)).into_shared(guard);
+            let internal = Owned::new(ExtNode::new(internal_key)).into_shared(guard);
             unsafe {
                 internal.deref().child[0].store(left, ORD);
                 internal.deref().child[1].store(right, ORD);
@@ -248,7 +278,7 @@ impl<K: Ord> NatarajanBst<K> {
 
     /// Removes `key`; returns `true` if it was present and this call removed it.
     pub fn remove(&self, key: &K) -> bool {
-        let guard = &epoch::pin();
+        let guard = &R::pin();
         let mut injecting = true;
         let mut target: Shared<'_, ExtNode<K>> = Shared::null();
         loop {
@@ -300,7 +330,7 @@ impl<K: Ord> NatarajanBst<K> {
 
     /// The splice phase: tags the sibling edge and swings the deepest untagged
     /// ancestor edge over the whole flagged/tagged chain.
-    fn cleanup<'g>(&self, key: &K, record: &SeekRecord<'g, K>, guard: &'g Guard) -> bool {
+    fn cleanup<'g>(&self, key: &K, record: &SeekRecord<'g, K>, guard: &'g R::Guard) -> bool {
         let ancestor_ref = unsafe { record.ancestor.deref() };
         let parent_ref = unsafe { record.parent.deref() };
         let child_dir = Self::child_index(parent_ref, key);
@@ -333,41 +363,43 @@ impl<K: Ord> NatarajanBst<K> {
     }
 
     /// Retires the spliced-out chain: the routing nodes from `successor` down
-    /// to `parent` along the search path of `key`, plus the deleted leaf.
+    /// to `parent` along the search path of `key`, the deleted leaf under
+    /// `parent`, and the deleted leaf hanging off each routing node above
+    /// `parent`.
+    ///
+    /// Every edge of the chain is frozen before the splice: the path edges
+    /// above `parent` are tagged (that is why `ancestor` sits above them), a
+    /// tagged edge's sibling is the flagged edge to a deleted leaf, and
+    /// `cleanup` tagged `parent`'s surviving edge itself.  So the walk sees
+    /// exactly the nodes the splice unlinked, and only the splice winner
+    /// retires them.
     fn retire_chain<'g>(
         &self,
         record: &SeekRecord<'g, K>,
         key: &K,
         sibling_dir: usize,
-        guard: &'g Guard,
+        guard: &'g R::Guard,
     ) {
-        unsafe {
-            let mut node = record.successor;
-            // Walk the search path from successor to parent, retiring routing nodes.
-            let mut hops = 0;
-            while node.with_tag(0) != record.parent.with_tag(0) && hops < 64 {
-                let node_ref = node.deref();
-                let dir = Self::child_index(node_ref, key);
-                let next = node_ref.child[dir].load(ORD, guard).with_tag(0);
-                guard.defer_destroy(node.with_tag(0));
-                if next.is_null() {
-                    return;
-                }
-                node = next;
-                hops += 1;
+        let mut node = record.successor.with_tag(0);
+        loop {
+            // SAFETY: the chain's nodes are the ones `seek` loaded for
+            // `record`, reached again through its frozen edges.
+            let node_ref = unsafe { node.deref() };
+            let off_path = if node == record.parent.with_tag(0) {
+                1 - sibling_dir
+            } else {
+                1 - Self::child_index(node_ref, key)
+            };
+            let leaf = node_ref.child[off_path].load(ORD, guard).with_tag(0);
+            // SAFETY: the splice unlinked the whole chain (see above).
+            unsafe {
+                guard.defer_destroy(leaf);
+                guard.defer_destroy(node);
             }
-            if node.with_tag(0) == record.parent.with_tag(0) {
-                // Retire the parent routing node and the removed leaf (the
-                // child on the non-surviving side).
-                let removed =
-                    record.parent.deref().child[1 - sibling_dir].load(ORD, guard).with_tag(0);
-                if !removed.is_null() {
-                    guard.defer_destroy(removed);
-                }
-                if record.parent.with_tag(0) != record.successor.with_tag(0) || hops == 0 {
-                    guard.defer_destroy(record.parent.with_tag(0));
-                }
+            if node == record.parent.with_tag(0) {
+                return;
             }
+            node = node_ref.child[Self::child_index(node_ref, key)].load(ORD, guard).with_tag(0);
         }
     }
 
@@ -376,24 +408,7 @@ impl<K: Ord> NatarajanBst<K> {
     where
         K: Clone,
     {
-        let guard = &epoch::pin();
-        let mut out = Vec::new();
-        let mut stack = vec![self.root_shared()];
-        while let Some(node) = stack.pop() {
-            let n = unsafe { node.deref() };
-            let left = n.child[0].load(ORD, guard).with_tag(0);
-            if left.is_null() {
-                // A leaf.
-                if let ExtKey::Key(k) = &n.key {
-                    out.push(k.clone());
-                }
-            } else {
-                stack.push(left);
-                stack.push(n.child[1].load(ORD, guard).with_tag(0));
-            }
-        }
-        out.sort();
-        out
+        self.keys_in_range_limited(Bound::Unbounded, Bound::Unbounded, usize::MAX)
     }
 
     /// Collects up to `limit` keys in `[lo, hi]`, ascending (weakly
@@ -404,49 +419,60 @@ impl<K: Ord> NatarajanBst<K> {
     /// `ellen_bst`'s: right child pushed before left for ascending pops,
     /// out-of-bounds subtrees pruned, early exit at `limit` — the bounded
     /// page primitive behind the chunked fallback cursor of
-    /// [`cset::OrderedSet::scan_keys`].
-    pub fn keys_in_range_limited(
-        &self,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
-        limit: usize,
-    ) -> Vec<K>
+    /// [`cset::OrderedSet::scan_keys`].  A pass cut short by a declined load
+    /// (see `seek`) is resumed from the root above the last key emitted.
+    pub fn keys_in_range_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<K>
     where
         K: Clone,
     {
-        use std::cmp::Ordering as CmpOrdering;
-        use std::ops::Bound;
         let mut out = Vec::new();
         if limit == 0 {
             return out;
         }
-        let guard = &epoch::pin();
+        let guard = &R::pin();
+        let mut resume = None;
+        while !self.range_pass(
+            resume.as_ref().map_or(lo, Bound::Excluded),
+            hi,
+            limit,
+            &mut out,
+            guard,
+        ) {
+            resume = out.last().cloned();
+        }
+        out
+    }
+
+    /// One DFS pass of [`keys_in_range_limited`](Self::keys_in_range_limited)
+    /// from the root, appending to `out`; `false` if a load was declined.
+    fn range_pass(
+        &self,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+        limit: usize,
+        out: &mut Vec<K>,
+        guard: &R::Guard,
+    ) -> bool
+    where
+        K: Clone,
+    {
         let mut stack = vec![self.root_shared()];
         while let Some(node) = stack.pop() {
+            // SAFETY: the root, or a child from a `try_load` of this pass.
             let n = unsafe { node.deref() };
-            let left = n.child[0].load(ORD, guard).with_tag(0);
+            let Some(left) = n.child[0].try_load(ORD, guard) else { return false };
             if left.is_null() {
                 if let ExtKey::Key(k) = &n.key {
-                    let above = match lo {
-                        Bound::Unbounded => true,
-                        Bound::Included(b) => k >= b,
-                        Bound::Excluded(b) => k > b,
-                    };
-                    let below = match hi {
-                        Bound::Unbounded => true,
-                        Bound::Included(b) => k <= b,
-                        Bound::Excluded(b) => k < b,
-                    };
-                    if above && below {
+                    if (lo, hi).contains(k) {
                         out.push(k.clone());
                         if out.len() == limit {
-                            return out;
+                            return true;
                         }
                     }
                 }
                 continue;
             }
-            let right = n.child[1].load(ORD, guard).with_tag(0);
+            let Some(right) = n.child[1].try_load(ORD, guard) else { return false };
             // Left subtree holds keys < n.key, right subtree keys >= n.key
             // (sentinel routing keys compare above every real key).
             let skip_left = match lo {
@@ -458,47 +484,30 @@ impl<K: Ord> NatarajanBst<K> {
                 Bound::Included(b) => n.key.cmp_key(b) == CmpOrdering::Greater,
                 Bound::Excluded(b) => n.key.cmp_key(b) != CmpOrdering::Less,
             };
-            if !skip_right && !right.is_null() {
-                stack.push(right);
+            if !skip_right {
+                stack.push(right.with_tag(0));
             }
             if !skip_left {
-                stack.push(left);
+                stack.push(left.with_tag(0));
             }
         }
-        out
+        true
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> cset::OrderedMap<K, ()> for NatarajanBst<K> {
-    fn entries_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, ())> {
+impl<K: Ord + Clone + Send + Sync, R: Reclaimer> cset::OrderedMap<K, ()> for NatarajanBst<K, R> {
+    fn entries_between(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, ())> {
         self.entries_between_limited(lo, hi, usize::MAX)
     }
 
-    fn entries_between_limited(
-        &self,
-        lo: std::ops::Bound<&K>,
-        hi: std::ops::Bound<&K>,
-        limit: usize,
-    ) -> Vec<(K, ())> {
+    fn entries_between_limited(&self, lo: Bound<&K>, hi: Bound<&K>, limit: usize) -> Vec<(K, ())> {
         self.keys_in_range_limited(lo, hi, limit).into_iter().map(|k| (k, ())).collect()
     }
 }
 
-fn clone_ext_key<K>(key: &ExtKey<K>) -> ExtKey<K>
-where
-    K: Ord + Clone,
-{
-    match key {
-        ExtKey::Key(k) => ExtKey::Key(k.clone()),
-        ExtKey::Inf0 => ExtKey::Inf0,
-        ExtKey::Inf1 => ExtKey::Inf1,
-        ExtKey::Inf2 => ExtKey::Inf2,
-    }
-}
-
-impl<K> Drop for NatarajanBst<K> {
+impl<K, R: Reclaimer> Drop for NatarajanBst<K, R> {
     fn drop(&mut self) {
-        let guard = unsafe { epoch::unprotected() };
+        let guard = unsafe { R::unprotected() };
         let mut stack = vec![self.root];
         while let Some(p) = stack.pop() {
             unsafe {
@@ -516,7 +525,7 @@ impl<K> Drop for NatarajanBst<K> {
 
 /// The Set ADT as a map with `()` values: the set face comes from `cset`'s
 /// blanket impls.
-impl<K: Ord + Clone + Send + Sync> ConcurrentMap<K, ()> for NatarajanBst<K> {
+impl<K: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentMap<K, ()> for NatarajanBst<K, R> {
     fn insert(&self, key: K, (): ()) -> bool {
         NatarajanBst::insert(self, key)
     }
@@ -634,10 +643,23 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_mixed_accounting() {
+    fn concurrent_mixed_accounting_on_ebr() {
+        concurrent_mixed_accounting::<Ebr>();
+    }
+
+    #[test]
+    fn concurrent_mixed_accounting_on_ibr() {
+        concurrent_mixed_accounting::<crossbeam_epoch::Ibr>();
+    }
+
+    /// Four threads of random inserts and removes over 256 keys: for every
+    /// key, successful inserts minus successful removes must be 0 or 1 and
+    /// match its final membership.  Run on both backends, so a descriptor or
+    /// node freed too early shows up on the one that frees it.
+    fn concurrent_mixed_accounting<R: Reclaimer>() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let tree = Arc::new(NatarajanBst::new());
+        let tree: Arc<NatarajanBst<u64, R>> = Arc::new(NatarajanBst::new_in());
         let range = 256u64;
         let balance = Arc::new((0..range).map(|_| AtomicI64::new(0)).collect::<Vec<_>>());
         let handles: Vec<_> = (0..4u64)

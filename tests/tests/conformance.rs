@@ -6,7 +6,6 @@ use integration_tests::SetConformance;
 
 use ellen_bst::EllenBst;
 use lfbst::{Config, HelpPolicy, LfBst, RestartPolicy};
-use lflist::LockFreeList;
 use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use shard::{BoundaryRouter, HashRouter, Sharded};
@@ -41,13 +40,6 @@ fn ellen_bst_conformance() {
 #[test]
 fn natarajan_bst_conformance() {
     battery().check_all(NatarajanBst::<u64>::new);
-}
-
-#[test]
-fn harris_list_conformance() {
-    // Smaller key range: the list is O(n) per operation.
-    let c = SetConformance { key_range: 128, ops_per_thread: 8_000, ..battery() };
-    c.check_all(LockFreeList::<u64>::new);
 }
 
 #[test]

@@ -16,7 +16,6 @@ use std::sync::Mutex;
 use cset::{ConcurrentMap, ConcurrentSet, OrderedMap, OrderedSet};
 use ellen_bst::EllenBst;
 use lfbst::LfBst;
-use lflist::LockFreeList;
 use locked_bst::{CoarseLockBst, CoarseLockMap, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
@@ -59,21 +58,12 @@ fn all_implementations_agree_on_sequential_histories() {
         let lfbst = LfBst::new();
         let ellen = EllenBst::new();
         let natarajan = NatarajanBst::new();
-        let list = LockFreeList::new();
         let coarse = CoarseLockBst::new();
         let rwlock = RwLockBst::new();
         let sharded_hash = Sharded::new(HashRouter::new(8), |_| LfBst::new());
         let sharded_range = Sharded::new(BoundaryRouter::covering(8, 300), |_| LfBst::new());
-        let sets: Vec<&dyn ConcurrentSet<u64>> = vec![
-            &lfbst,
-            &ellen,
-            &natarajan,
-            &list,
-            &coarse,
-            &rwlock,
-            &sharded_hash,
-            &sharded_range,
-        ];
+        let sets: Vec<&dyn ConcurrentSet<u64>> =
+            vec![&lfbst, &ellen, &natarajan, &coarse, &rwlock, &sharded_hash, &sharded_range];
         for (i, &op) in ops.iter().enumerate() {
             let expected = apply(sets[0], op);
             for set in &sets[1..] {
@@ -104,7 +94,6 @@ fn snapshots_agree_after_identical_updates() {
     let lfbst = LfBst::new();
     let ellen = EllenBst::new();
     let natarajan = NatarajanBst::new();
-    let list = LockFreeList::new();
     let sharded_range = Sharded::new(BoundaryRouter::covering(8, 200), |_| LfBst::new());
     for &op in &ops {
         if let Op::Contains(_) = op {
@@ -113,13 +102,11 @@ fn snapshots_agree_after_identical_updates() {
         apply(&lfbst, op);
         apply(&ellen, op);
         apply(&natarajan, op);
-        apply(&list, op);
         apply(&sharded_range, op);
     }
     let reference = lfbst.iter_keys();
     assert_eq!(reference, ellen.iter_keys());
     assert_eq!(reference, natarajan.iter_keys());
-    assert_eq!(reference, list.iter_keys());
     // The order-preserving sharded scan must reproduce the global order.
     assert_eq!(reference, sharded_range.keys_between(Bound::Unbounded, Bound::Unbounded));
     lfbst::validate::validate(&lfbst).expect("lfbst structure must validate");

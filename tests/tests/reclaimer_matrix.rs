@@ -6,21 +6,24 @@
 //! The tests are generic over `R: Reclaimer` and instantiated for both
 //! [`lfbst::Ebr`] and [`lfbst::Ibr`]; a reclamation bug that only manifests
 //! on one backend (premature free, leaked bag, stuck era) fails exactly one
-//! instantiation and names it.
+//! instantiation and names it.  Besides `lfbst`, the paper's two baselines
+//! (`ellen-bst`, `natarajan-bst`) run the full set battery on both backends
+//! (the `baselines_on_` rows).
 //!
 //! Reclamation statistics and the `GarbageBound` ceiling are process-global,
 //! so every test here serialises on one mutex — each `.rs` file under
 //! `tests/` is its own test binary, which makes the lock airtight.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crossbeam_epoch::{garbage_bound, set_garbage_bound};
-use integration_tests::Tagged;
+use ellen_bst::EllenBst;
+use integration_tests::{SetConformance, Tagged};
 use lfbst::{Ebr, GarbageBound, Ibr, LfBst, MapValue, Reclaimer};
-use lflist::LockFreeList;
+use natarajan_bst::NatarajanBst;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,28 +34,40 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(Mutex::default).lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Sequential set conformance against a `BTreeSet` oracle, over whichever
-/// structure the closure builds.
-fn set_agrees_with_oracle(set: &dyn cset::ConcurrentSet<u64>, seed: u64) {
-    let mut oracle = BTreeSet::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..4_000 {
-        let k = rng.gen_range(0..64u64);
-        match rng.gen_range(0..3u8) {
-            0 => assert_eq!(set.insert(k), oracle.insert(k), "insert({k}) on {}", set.name()),
-            1 => assert_eq!(set.remove(&k), oracle.remove(&k), "remove({k}) on {}", set.name()),
-            _ => assert_eq!(set.contains(&k), oracle.contains(&k), "contains({k})"),
-        }
-        assert_eq!(set.len(), oracle.len());
-    }
-}
-
 fn set_conformance<R: Reclaimer>() {
     let tree: LfBst<u64, (), R> = LfBst::new_in();
-    set_agrees_with_oracle(&tree, 0xC0FF_EE00);
+    SetConformance { threads: 1, ops_per_thread: 4_000, key_range: 64, seed: 0xC0FF_EE00 }
+        .check_against_model(&tree);
     lfbst::validate::validate(&tree).expect("tree validates after oracle run");
-    let list: LockFreeList<u64, R> = LockFreeList::new_in();
-    set_agrees_with_oracle(&list, 0xC0FF_EE01);
+}
+
+/// The full set battery (sequential, model and 4-thread accounting checks)
+/// over both baseline trees on backend `R`; the battery's messages name the
+/// tree.  The retirement count proves each tree really reclaims through `R`:
+/// one that ignored its parameter would retire nothing on the backend it
+/// names.
+fn baselines_conformance<R: Reclaimer>() {
+    fn battery<S: cset::ConcurrentSet<u64> + 'static, R: Reclaimer>(make: fn() -> S) {
+        let before = R::stats();
+        SetConformance { threads: 4, ops_per_thread: 15_000, key_range: 256, seed: 0xBA5E }
+            .check_all(make);
+        let retired = R::stats().since(&before).nodes_retired;
+        assert!(retired > 0, "{} retired nothing on {}", std::any::type_name::<S>(), R::NAME);
+    }
+    battery::<_, R>(EllenBst::<u64, R>::new_in);
+    battery::<_, R>(NatarajanBst::<u64, R>::new_in);
+}
+
+#[test]
+fn baselines_on_ebr() {
+    let _g = lock();
+    baselines_conformance::<Ebr>();
+}
+
+#[test]
+fn baselines_on_ibr() {
+    let _g = lock();
+    baselines_conformance::<Ibr>();
 }
 
 fn map_conformance<R: Reclaimer>() {

@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use ellen_bst::EllenBst;
 use lfbst::LfBst;
-use lflist::LockFreeList;
 use locked_bst::{CoarseLockBst, RwLockBst};
 use natarajan_bst::NatarajanBst;
 use workload::{run_workload, KeyDistribution, OperationMix, WorkloadSpec};
@@ -30,9 +29,6 @@ fn workload_driver_runs_every_structure() {
 
     let m = run_workload(Arc::new(NatarajanBst::new()), &spec(), threads, duration);
     assert!(m.total_ops() > 0, "natarajan produced no operations");
-
-    let m = run_workload(Arc::new(LockFreeList::new()), &spec(), threads, duration);
-    assert!(m.total_ops() > 0, "harris list produced no operations");
 
     let m = run_workload(Arc::new(CoarseLockBst::new()), &spec(), threads, duration);
     assert!(m.total_ops() > 0, "coarse lock produced no operations");
