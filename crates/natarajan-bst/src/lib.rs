@@ -643,6 +643,39 @@ mod tests {
     }
 
     #[test]
+    fn string_keys_on_ebr() {
+        string_keys::<Ebr>();
+    }
+
+    #[test]
+    fn string_keys_on_ibr() {
+        string_keys::<crossbeam_epoch::Ibr>();
+    }
+
+    /// Heap-owning keys: removes retire nodes whose `String` the backend
+    /// drops later, and the tree's `Drop` frees the keys still in it.  A key
+    /// dropped twice or read after its node is freed fails under ASAN.
+    fn string_keys<R: Reclaimer>() {
+        let t: NatarajanBst<String, R> = NatarajanBst::new_in();
+        for k in 0..200u32 {
+            assert!(t.insert(format!("k{:03}", (k * 37) % 200)));
+        }
+        assert!(!t.insert("k042".to_string()));
+        assert_eq!(t.len(), 200);
+        for k in (0..200u32).step_by(2) {
+            assert!(t.remove(&format!("k{k:03}")));
+        }
+        assert!(!t.remove(&"k000".to_string()));
+        assert!(t.contains(&"k001".to_string()));
+        assert!(!t.contains(&"k002".to_string()));
+        let keys = t.iter_keys();
+        assert_eq!(
+            keys,
+            (0..200u32).filter(|k| k % 2 == 1).map(|k| format!("k{k:03}")).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn concurrent_mixed_accounting_on_ebr() {
         concurrent_mixed_accounting::<Ebr>();
     }
