@@ -369,9 +369,11 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// CAS on that link.  On failure the operation helps any obstructing
     /// removal and retries from the vicinity of the failure.
     ///
-    /// On a present key the unpublished node is dismantled and its key and
-    /// value handed back through [`InsertOutcome::Present`], so callers
-    /// (`upsert`) can retry without cloning.
+    /// The node is allocated only once an insertable link has been found, so
+    /// a call on a present key allocates nothing.  If a retry then finds the
+    /// key present after all, the unpublished node is dismantled.  Either way
+    /// the key and value go back through [`InsertOutcome::Present`], so
+    /// callers (`upsert`) can retry without cloning.
     pub(crate) fn insert_core<'g>(
         &self,
         key: K,
@@ -379,21 +381,14 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         guard: &'g R::Guard,
     ) -> InsertOutcome<'g, K, V> {
         let record = self.record_stats();
-        // Allocate and pre-thread the new node: its left link is a thread to
-        // itself (lines 163-164); the right link and backlink are filled in per
-        // attempt below.  The node is unpublished until the injection CAS, so
-        // its initialisation (value cell included) can stay relaxed: the CAS
-        // releases it.
-        let new = Owned::new(Node::<K, V>::new(KeyBound::Key(key))).into_shared(guard);
-        let new_ref = unsafe { new.deref() };
-        new_ref.value.init(value);
-        new_ref.child[0].store(new.with_tag(THREAD), INIT);
-        let key_ref = match &new_ref.key {
-            KeyBound::Key(k) => k,
-            // A freshly built node always carries a real key.  The sentinel
-            // fast path (`cmp_node_key`) relies on this invariant.
-            _ => unreachable!("insert allocates real keys only"),
-        };
+        // The entry, until it moves into `new` at the first insertable link;
+        // that node then serves every retry.
+        let mut entry = Some((key, value));
+        // SAFETY (each `new.deref()` / `new.into_owned()` below): they run only
+        // once `entry` is `None`, so `new` is the node this call allocated, and
+        // it stays private to this call until the injection CAS publishes it,
+        // after which the call returns without touching it.
+        let mut new: Shared<'g, Node<K, V>> = Shared::null();
 
         let mut prev = self.root1();
         let mut curr = self.root0();
@@ -401,17 +396,24 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         loop {
             spin.tick();
             dst_point!();
+            let key_ref = match &entry {
+                Some((k, _)) => k,
+                None => {
+                    unsafe { new.deref() }.key.as_key().expect("insert allocates real keys only")
+                }
+            };
             let loc = self.locate_from::<false>(prev, curr, key_ref, self.eager_help(), guard);
             if loc.dir == 2 {
-                // Key already present: dismantle the unpublished node and hand
-                // its contents back to the caller.
-                let value =
-                    new_ref.value.take_unpublished().expect("unpublished node keeps its value");
-                let node = unsafe { new.into_owned() }.into_inner();
-                let key = match node.key {
-                    KeyBound::Key(k) => k,
-                    _ => unreachable!("insert allocates real keys only"),
-                };
+                // Key already present: hand the entry back, dismantling the
+                // unpublished node if one was built.
+                let (key, value) = entry.unwrap_or_else(|| {
+                    let value = unsafe { new.deref() }
+                        .value
+                        .take_unpublished()
+                        .expect("unpublished node keeps its value");
+                    let node = unsafe { new.into_owned() }.into_inner();
+                    (node.key.into_key().expect("insert allocates real keys only"), value)
+                });
                 return InsertOutcome::Present { existing: loc.curr, key, value };
             }
             prev = loc.prev;
@@ -420,8 +422,19 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             let link = loc.link;
 
             if is_thread(link) && is_clean(link) {
+                if let Some((key, value)) = entry.take() {
+                    // Allocate and pre-thread the new node: its left link is a
+                    // thread to itself (lines 163-164).  The node is unpublished
+                    // until the injection CAS, so its initialisation (value cell
+                    // included) can stay relaxed: the CAS releases it.
+                    new = Owned::new(Node::<K, V>::new(KeyBound::Key(key))).into_shared(guard);
+                    let new_ref = unsafe { new.deref() };
+                    new_ref.value.init(value);
+                    new_ref.child[0].store(new.with_tag(THREAD), INIT);
+                }
                 // Copy the located threaded link into the new node's right link
                 // (line 171) and point its backlink at the prospective parent.
+                let new_ref = unsafe { new.deref() };
                 new_ref.child[1].store(link.with_tag(THREAD), INIT);
                 new_ref.backlink.store(curr.with_tag(0), INIT);
                 dst_point!();
