@@ -467,14 +467,6 @@ impl<K: Ord, R: Reclaimer> EllenBst<K, R> {
         }
     }
 
-    /// Keys in ascending order (weakly consistent; exact at quiescence).
-    pub fn iter_keys(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
-        self.keys_in_range_limited(Bound::Unbounded, Bound::Unbounded, usize::MAX)
-    }
-
     /// Collects up to `limit` keys in `[lo, hi]`, ascending (weakly
     /// consistent; exact at quiescence, though a key whose removal is still
     /// in its physical-splice window may briefly be reported).
@@ -648,7 +640,7 @@ impl<K: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentMap<K, ()> for EllenB
 }
 
 /// Size in bytes of one (internal or leaf) node for `u64` keys (footprint
-/// reporting, experiment E9).  An external tree needs `2n - 1` such nodes for
+/// reporting, `tests/tests/footprint.rs`).  An external tree needs `2n - 1` such nodes for
 /// `n` keys, plus one operation descriptor per in-flight update.
 pub fn node_size_bytes() -> usize {
     std::mem::size_of::<ENode<u64>>()
@@ -657,6 +649,7 @@ pub fn node_size_bytes() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cset::OrderedSet;
     use std::sync::atomic::AtomicI64;
     use std::sync::Arc;
 
@@ -671,10 +664,10 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(t.contains(&3));
         assert!(!t.contains(&4));
-        assert_eq!(t.iter_keys(), vec![3, 5, 8]);
+        assert_eq!(t.keys_between(Bound::Unbounded, Bound::Unbounded), vec![3, 5, 8]);
         assert!(t.remove(&5));
         assert!(!t.remove(&5));
-        assert_eq!(t.iter_keys(), vec![3, 8]);
+        assert_eq!(t.keys_between(Bound::Unbounded, Bound::Unbounded), vec![3, 8]);
         assert!(t.remove(&3));
         assert!(t.remove(&8));
         assert!(t.is_empty());
@@ -709,7 +702,10 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.len(), 4000);
-        assert_eq!(t.iter_keys(), (0..4000).collect::<Vec<_>>());
+        assert_eq!(
+            t.keys_between(Bound::Unbounded, Bound::Unbounded),
+            (0..4000).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -738,7 +734,7 @@ mod tests {
         assert!(!t.remove(&"k000".to_string()));
         assert!(t.contains(&"k001".to_string()));
         assert!(!t.contains(&"k002".to_string()));
-        let keys = t.iter_keys();
+        let keys = t.keys_between(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(
             keys,
             (0..200u32).filter(|k| k % 2 == 1).map(|k| format!("k{k:03}")).collect::<Vec<_>>()
@@ -795,6 +791,6 @@ mod tests {
             expected += b as usize;
         }
         assert_eq!(tree.len(), expected);
-        assert_eq!(tree.iter_keys().len(), expected);
+        assert_eq!(tree.keys_between(Bound::Unbounded, Bound::Unbounded).len(), expected);
     }
 }

@@ -3,14 +3,14 @@
 //! Reproduces the planned evaluation of *Efficient Lock-free Binary Search
 //! Trees* (the paper defers experiments to future work; the suite below is the
 //! standard concurrent-set methodology its comparators use, see `DESIGN.md`
-//! and `EXPERIMENTS.md` for the experiment index E1–E10 and E16–E18).
+//! and `EXPERIMENTS.md` for the experiment index E1–E8 and E16–E18).
 //! Per-layer costs on the benchmark's own key stream (value cells, cursors,
 //! shard routing, latency percentiles) are priced by `perfbench`, not here.
 //!
 //! Usage:
 //!
 //! ```text
-//! experiments [e1|...|e10|e16|e17|e18|all|e1,e17,...] [--quick] [--duration-ms N]
+//! experiments [e1|...|e8|e16|e17|e18|all|e1,e17,...] [--quick] [--duration-ms N]
 //!             [--max-threads N] [--dist uniform|zipf:<exp>] [--csv] [--json <path>]
 //! ```
 //!
@@ -675,93 +675,6 @@ fn disjoint_access_run<S: ConcurrentSet<u64>>(
     })
 }
 
-fn e9(opts: &Options) {
-    // Memory footprint: bytes per stored key, from the concrete node layouts.
-    let sizes = [1_000usize, 100_000];
-    let mut rows = Vec::new();
-    for &n in &sizes {
-        let n_f = n as f64;
-        let lfbst = (n_f + 2.0) * LfBst::<u64>::node_size_bytes() as f64 / n_f;
-        let external = (2.0 * n_f - 1.0) * natarajan_bst::node_size_bytes() as f64 / n_f;
-        let ellen = (2.0 * n_f - 1.0) * ellen_bst::node_size_bytes() as f64 / n_f;
-        rows.push((
-            n.to_string(),
-            vec![
-                ("lfbst".to_string(), lfbst),
-                ("natarajan".to_string(), external),
-                ("ellen".to_string(), ellen),
-            ],
-        ));
-    }
-    opts.emit("E9 — memory footprint (bytes per stored key, from node layouts)", "keys", &rows);
-    println!(
-        "lfbst node = {} bytes ({} words per key; the paper predicts 5 words plus the key-bound tag)",
-        LfBst::<u64>::node_size_bytes(),
-        LfBst::<u64>::node_size_bytes() / std::mem::size_of::<usize>()
-    );
-}
-
-fn e10(opts: &Options) {
-    // Sequential sanity: single-threaded behaviour against std::collections.
-    use std::time::Instant;
-    let n: u64 = if opts.quick { 100_000 } else { 1_000_000 };
-    let mut rows = Vec::new();
-
-    // Random insertion order.
-    let keys: Vec<u64> = {
-        use rand::seq::SliceRandom;
-        let mut v: Vec<u64> = (0..n).collect();
-        v.shuffle(&mut StdRng::seed_from_u64(42));
-        v
-    };
-
-    let tree = LfBst::new();
-    let start = Instant::now();
-    for &k in &keys {
-        tree.insert(k);
-    }
-    let lfbst_insert = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    for &k in &keys {
-        assert!(tree.contains(&k));
-    }
-    let lfbst_lookup = start.elapsed().as_secs_f64();
-
-    let mut btree = std::collections::BTreeSet::new();
-    let start = Instant::now();
-    for &k in &keys {
-        btree.insert(k);
-    }
-    let btree_insert = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    for &k in &keys {
-        assert!(btree.contains(&k));
-    }
-    let btree_lookup = start.elapsed().as_secs_f64();
-
-    let height = tree.height() as f64;
-    let ideal = (n as f64).log2();
-    rows.push((
-        "insert Mops".to_string(),
-        vec![
-            ("lfbst(1 thread)".to_string(), n as f64 / lfbst_insert / 1e6),
-            ("BTreeSet".to_string(), n as f64 / btree_insert / 1e6),
-        ],
-    ));
-    rows.push((
-        "lookup Mops".to_string(),
-        vec![
-            ("lfbst(1 thread)".to_string(), n as f64 / lfbst_lookup / 1e6),
-            ("BTreeSet".to_string(), n as f64 / btree_lookup / 1e6),
-        ],
-    ));
-    rows.push((
-        "height / log2(n)".to_string(),
-        vec![("lfbst(1 thread)".to_string(), height / ideal), ("BTreeSet".to_string(), 1.0)],
-    ));
-    opts.emit(&format!("E10 — sequential sanity, n = {n} random keys"), "metric", &rows);
-}
-
 /// Appends one implementation's latency percentile columns to an E18 row.
 fn push_latency_cells(cells: &mut Vec<(String, f64)>, name: &str, m: &Measurement) {
     cells.push((format!("{name} p50ns"), m.latency.p50() as f64));
@@ -1174,7 +1087,7 @@ fn e18(opts: &Options) {
 fn reclamation_report(opts: &Options) {
     let stats = Ebr::stats();
     if stats.nodes_retired == 0 && stats.epoch_advances == 0 {
-        return; // nothing epoch-managed ran (e.g. an e9/e10-only invocation)
+        return; // nothing epoch-managed ran
     }
     let mut gauges = vec![
         ("ebr.epoch_advances", stats.epoch_advances),
@@ -1212,7 +1125,7 @@ fn reclamation_report(opts: &Options) {
 /// The experiments, in run order: the one dispatch table, and the list of
 /// ids the command line accepts.
 type Experiment = (&'static str, fn(&Options));
-const EXPERIMENTS: [Experiment; 13] = [
+const EXPERIMENTS: [Experiment; 11] = [
     ("e1", e1),
     ("e2", e2),
     ("e3", e3),
@@ -1221,8 +1134,6 @@ const EXPERIMENTS: [Experiment; 13] = [
     ("e6", e6),
     ("e7", e7),
     ("e8", e8),
-    ("e9", e9),
-    ("e10", e10),
     ("e16", e16),
     ("e17", e17),
     ("e18", e18),
@@ -1408,7 +1319,7 @@ mod tests {
         assert_eq!(opts.duration, Duration::from_millis(120), "--quick caps the duration");
         let opts = Options::parse(&[
             "--experiments",
-            "e9",
+            "e8",
             "--max-threads",
             "3",
             "--dist",
@@ -1418,7 +1329,7 @@ mod tests {
             "out.json",
         ])
         .unwrap();
-        assert!(opts.selected("e9") && opts.csv && opts.json.as_deref() == Some("out.json"));
+        assert!(opts.selected("e8") && opts.csv && opts.json.as_deref() == Some("out.json"));
         assert_eq!(opts.max_threads, 3);
         assert_eq!(opts.duration, Duration::from_millis(300));
         assert!(Options::parse(&[]).unwrap().selected("e18"), "no selector means all");
@@ -1428,9 +1339,11 @@ mod tests {
     fn parse_rejects_unknown_ids_flags_and_malformed_numbers() {
         for args in [
             &["e13"][..],
+            &["e9"],
+            &["e10"],
             &["e1,e19"],
             &["--quik"],
-            &["e9", "--duration-ms", "abc"],
+            &["e8", "--duration-ms", "abc"],
             &["--max-threads", "-1"],
             &["--json"],
             &["--dist", "pareto"],
@@ -1443,7 +1356,9 @@ mod tests {
         for (id, _) in EXPERIMENTS {
             assert!(usage.contains(id), "usage omits {id}");
         }
-        assert!(!usage.contains("e13"));
+        for retired in ["e9", "e10", "e13"] {
+            assert!(!usage.contains(retired), "usage still lists {retired}");
+        }
     }
 
     /// `--value-bytes` and `--sample-every` fed only the retired E13 and
@@ -1451,7 +1366,7 @@ mod tests {
     #[test]
     fn parse_rejects_the_retired_flags() {
         for flag in ["--value-bytes", "--sample-every"] {
-            let err = Options::parse(&["e9", flag, "64"]).expect_err(flag);
+            let err = Options::parse(&["e8", flag, "64"]).expect_err(flag);
             assert!(err.contains(flag), "{flag}: {err}");
             assert!(!usage().contains(flag), "usage still lists {flag}");
         }

@@ -8,8 +8,8 @@
 //! The sweep driver here amortizes all three:
 //!
 //! * **one reusable repinning guard** — the whole sweep runs under a single
-//!   `R::pin()` that is refreshed between chunks (the same cadence the batch
-//!   entry points in [`crate::guard`] use), instead of a pin per key;
+//!   `R::pin()` that is refreshed between chunks (the same cadence the
+//!   streaming scans in [`crate::cursor`] use), instead of a pin per key;
 //! * **a fused walk-and-remove pass** — the in-order successor walk and the
 //!   removal protocol are interleaved in a single pass: the cursor reads a
 //!   node's successor *first* (and prefetches it), then runs the protocol
@@ -105,19 +105,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         K: Clone,
     {
         self.bulk_sweep(Bound::Unbounded, Bound::Unbounded, Some(&keep))
-    }
-
-    /// [`retain`](Self::retain) restricted to `range`: entries outside the
-    /// range are untouched, entries inside it survive iff `keep` says so.
-    pub fn retain_in_range<B: RangeBounds<K>>(
-        &self,
-        range: B,
-        keep: impl Fn(&K, &V) -> bool,
-    ) -> usize
-    where
-        K: Clone,
-    {
-        self.bulk_sweep(range.start_bound().cloned(), range.end_bound(), Some(&keep))
     }
 
     /// The shared sweep driver behind [`remove_range`](Self::remove_range) and
@@ -250,33 +237,11 @@ fn prefetch_node<K, V: MapValue>(ptr: *const Node<K, V>) {
     let _ = ptr;
 }
 
-impl<K: Ord, V: MapValue, R: Reclaimer> crate::guard::Pinned<'_, K, V, R> {
-    /// [`LfBst::remove_range`] on the pinned tree.
-    ///
-    /// The sweep manages its own repinning guard (a long-lived pin must not
-    /// hold the whole range's garbage), so this is a convenience forward, not
-    /// a pin elision like the single-key methods.
-    pub fn remove_range<B: RangeBounds<K>>(&self, range: B) -> usize
-    where
-        K: Clone,
-    {
-        self.tree().remove_range(range)
-    }
-
-    /// [`LfBst::retain`] on the pinned tree; see
-    /// [`remove_range`](Self::remove_range) for the guard caveat.
-    pub fn retain(&self, keep: impl Fn(&K, &V) -> bool) -> usize
-    where
-        K: Clone,
-    {
-        self.tree().retain(keep)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validate::validate;
+    use cset::OrderedMap;
 
     fn set_with(n: u64) -> LfBst<u64> {
         let t = LfBst::new();
@@ -326,7 +291,10 @@ mod tests {
         let t = set_with(n + 10);
         assert_eq!(t.remove_range(5..5 + n), n as usize);
         assert_eq!(t.len(), 10);
-        assert_eq!(t.iter_keys(), (0..5).chain(5 + n..n + 10).collect::<Vec<_>>());
+        assert_eq!(
+            t.range_iter(..).keys().collect::<Vec<_>>(),
+            (0..5).chain(5 + n..n + 10).collect::<Vec<_>>()
+        );
         validate(&t).unwrap();
     }
 
@@ -357,29 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn retain_in_range_leaves_outside_untouched() {
+    fn retain_range_leaves_outside_untouched() {
         let map: LfBst<u64, u64> = LfBst::new();
         for k in 0..30u64 {
             map.insert_entry(k, k % 2);
         }
         // Evict odd-valued entries, but only inside [10, 20).
-        let removed = map.retain_in_range(10..20, |_, v| *v == 0);
+        let removed = map.retain_range(Bound::Included(&10), Bound::Excluded(&20), &|_, v| *v == 0);
         assert_eq!(removed, 5);
         for k in 0..30u64 {
             let expect = !(10..20).contains(&k) || k % 2 == 0;
             assert_eq!(map.contains(&k), expect, "key {k}");
         }
         validate(&map).unwrap();
-    }
-
-    #[test]
-    fn pinned_forwards_bulk_mutations() {
-        let t = set_with(20);
-        let pinned = t.pin();
-        assert_eq!(pinned.remove_range(0..10), 10);
-        assert_eq!(pinned.retain(|k, _| *k >= 15), 5);
-        drop(pinned);
-        assert_eq!(t.iter_keys(), (15..20).collect::<Vec<_>>());
     }
 
     #[test]

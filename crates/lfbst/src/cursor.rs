@@ -152,44 +152,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
             finished: false,
         }
     }
-
-    /// Returns the smallest key strictly greater than `key`, if any (weakly
-    /// consistent): one `Locate` descent plus one successor-thread hop.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    ///
-    /// let set = LfBst::new();
-    /// for k in [10u64, 20, 30] {
-    ///     set.insert(k);
-    /// }
-    /// assert_eq!(set.next_key_after(&10), Some(20));
-    /// assert_eq!(set.next_key_after(&15), Some(20));
-    /// assert_eq!(set.next_key_after(&30), None);
-    /// ```
-    pub fn next_key_after(&self, key: &K) -> Option<K>
-    where
-        K: Clone,
-    {
-        let guard = &R::pin();
-        let mut cursor = self.range_cursor((Bound::Excluded(key.clone()), Bound::Unbounded), guard);
-        cursor.next().map(|e| e.key().clone())
-    }
-
-    /// Returns the entry with the smallest key strictly greater than `key`,
-    /// if any (weakly consistent) — the map twin of
-    /// [`next_key_after`](Self::next_key_after).
-    pub fn next_entry_after(&self, key: &K) -> Option<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let guard = &R::pin();
-        let mut cursor = self.range_cursor((Bound::Excluded(key.clone()), Bound::Unbounded), guard);
-        cursor.next().map(|e| (e.key().clone(), e.value()))
-    }
 }
 
 /// One entry yielded by a [`Cursor`]: references into the live node, valid
@@ -438,6 +400,7 @@ where
 mod tests {
     use super::*;
     use crossbeam_epoch::Ebr;
+    use cset::{OrderedMap, OrderedSet};
 
     #[test]
     fn cursor_streams_in_range_ascending() {
@@ -500,14 +463,14 @@ mod tests {
     #[test]
     fn successor_queries() {
         let set = LfBst::new();
-        assert_eq!(set.next_key_after(&0u64), None);
+        assert_eq!(set.next_after(&0u64), None);
         for k in [10u64, 20, 30] {
             set.insert(k);
         }
-        assert_eq!(set.next_key_after(&0), Some(10));
-        assert_eq!(set.next_key_after(&10), Some(20));
-        assert_eq!(set.next_key_after(&25), Some(30));
-        assert_eq!(set.next_key_after(&30), None);
+        assert_eq!(set.next_after(&0), Some(10));
+        assert_eq!(set.next_after(&10), Some(20));
+        assert_eq!(set.next_after(&25), Some(30));
+        assert_eq!(set.next_after(&30), None);
         let map: LfBst<u64, u64> = LfBst::new();
         map.insert_entry(5, 50);
         assert_eq!(map.next_entry_after(&1), Some((5, 50)));

@@ -129,8 +129,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> Pinned<'_, K, V, R> {
         self.tree
     }
 
-    /// The underlying guard, usable with the `*_with` entry points of any
-    /// tree on the same backend (pins are domain-wide, not per-tree).
+    /// The underlying guard, usable with [`LfBst::range_cursor`] on any tree
+    /// of the same backend (pins are domain-wide, not per-tree).
     pub fn guard(&self) -> &R::Guard {
         &self.guard
     }
@@ -172,10 +172,10 @@ mod tests {
         pinned.refresh();
         assert!(pinned.contains(&50));
         assert!(pinned.tree().contains(&50));
-        // A guard from one tree works with another tree's *_with entry points.
+        // A guard from one tree scans another tree of the same backend.
         let other = LfBst::new();
-        assert!(other.insert_with(7u64, pinned.guard()));
-        assert!(other.contains_with(&7, pinned.guard()));
+        assert!(other.insert(7u64));
+        assert_eq!(other.range_cursor(.., pinned.guard()).next().map(|e| *e.key()), Some(7));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! a value beside each key (`LfBst<K>` is exactly `LfBst<K, ()>`, so the Set
 //! face costs nothing) with [`insert_entry`](LfBst::insert_entry),
 //! [`get`](LfBst::get), [`upsert`](LfBst::upsert) (atomic in-place value
-//! replacement), [`remove_entry`](LfBst::remove_entry) (returns the evicted
-//! value) and [`entries_in_range`](LfBst::entries_in_range).  See [`MapValue`]
+//! replacement) and [`remove_entry`](LfBst::remove_entry) (returns the
+//! evicted value).  See [`MapValue`]
 //! for how value storage is chosen per type, and `DESIGN.md` ("Values on an
 //! internal BST") for the linearization argument.
 //!
@@ -33,15 +33,15 @@
 //! Ordered reads are **streaming**: the [`cursor`] module turns the threaded
 //! representation's one-hop-per-successor property into a guard-scoped
 //! [`Cursor`] (seek once, stream entries, zero allocation) and an owning
-//! [`RangeIter`] that repins its epoch guard on long scans; the collecting
-//! APIs ([`keys_in_range`](LfBst::keys_in_range),
-//! [`entries_in_range`](LfBst::entries_in_range), [`iter_keys`](LfBst::iter_keys))
-//! are thin adapters over it, and [`next_key_after`](LfBst::next_key_after) /
-//! [`min_key`](LfBst::min_key) / [`max_key`](LfBst::max_key) serve successor
-//! queries for pagination.
+//! [`RangeIter`] that repins its epoch guard on long scans.  Collecting a
+//! range is `range_iter(r).collect()` (or `.keys().collect()` on a set), and
+//! the smallest key from some bound on is `range_iter(r).next()`.  Generic
+//! code reaches the same scans, and the largest key, through the [`OrderedSet`]
+//! / [`OrderedMap`] traits (`keys_between`, `first`, `last`, `next_after` and
+//! their entry twins).
 //!
 //! ```
-//! use lfbst::LfBst;
+//! use lfbst::{LfBst, OrderedSet};
 //!
 //! let set = LfBst::new();
 //! for k in [30u64, 10, 50, 20, 40] {
@@ -50,6 +50,7 @@
 //! // Top-2 keys at or above 15, without materialising the rest.
 //! let top2: Vec<u64> = set.range_iter(15..).keys().take(2).collect();
 //! assert_eq!(top2, vec![20, 30]);
+//! assert_eq!((set.first(), set.last(), set.next_after(&30)), (Some(10), Some(50), Some(40)));
 //! ```
 //!
 //! Ordered *mutations* are streaming too: the [`bulk`] module drives the
@@ -163,10 +164,10 @@ pub use guard::Pinned;
 pub use tree::LfBst;
 pub use value::{BoxedCell, InlineCell, InlineValue, MapValue, UnitCell, ValueCell};
 
-/// The epoch guard type accepted by the `*_with` entry points of the default
-/// backend ([`LfBst::insert_with`] and friends); obtain one from
-/// [`LfBst::pin`] / [`Pinned::guard`] or from `Ebr::pin()` directly (any
-/// backend: `R::pin()`, through [`Reclaimer`]).
+/// The epoch guard of the default backend, which [`LfBst::range_cursor`]
+/// borrows; obtain one from [`Pinned::guard`] or from `Ebr::pin()` directly
+/// (any backend: `R::pin()`, through [`Reclaimer`]).  Guarded point
+/// operations go through [`LfBst::pin`]'s [`Pinned`] handle.
 pub use crossbeam_epoch::Guard;
 /// The pluggable reclamation surface: `LfBst<K, V, R>` is generic over a
 /// [`Reclaimer`] backend — [`Ebr`] (epoch-based, the default) or [`Ibr`]

@@ -120,9 +120,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         self.remove_with(key, &R::pin())
     }
 
-    /// [`remove`](Self::remove) under a caller-held guard (see
-    /// [`pin`](Self::pin)): skips the per-operation epoch pin.
-    pub fn remove_with(&self, key: &K, guard: &R::Guard) -> bool {
+    /// [`remove`](Self::remove) under a caller-held guard.
+    pub(crate) fn remove_with(&self, key: &K, guard: &R::Guard) -> bool {
         self.remove_node_with(key, guard).is_some()
     }
 
@@ -1225,13 +1224,17 @@ mod tests {
         t
     }
 
+    fn keys(t: &LfBst<u64>) -> Vec<u64> {
+        t.range_iter(..).keys().collect()
+    }
+
     #[test]
     fn remove_category1_leaf() {
         // 7 is a leaf whose left link is a self thread: category 1.
         let t = tree_with(&[10, 5, 15, 7]);
         assert!(t.remove(&7));
         assert!(!t.contains(&7));
-        assert_eq!(t.iter_keys(), vec![5, 10, 15]);
+        assert_eq!(keys(&t), vec![5, 10, 15]);
         validate(&t).unwrap();
     }
 
@@ -1240,7 +1243,7 @@ mod tests {
         // 5 has only a right child (7): still category 1 (no left child).
         let t = tree_with(&[10, 5, 7, 15]);
         assert!(t.remove(&5));
-        assert_eq!(t.iter_keys(), vec![7, 10, 15]);
+        assert_eq!(keys(&t), vec![7, 10, 15]);
         assert!(t.contains(&7));
         validate(&t).unwrap();
     }
@@ -1250,7 +1253,7 @@ mod tests {
         // 10's left child is 5, and 5 has no right child: removing 10 is category 2.
         let t = tree_with(&[10, 5, 15, 3]);
         assert!(t.remove(&10));
-        assert_eq!(t.iter_keys(), vec![3, 5, 15]);
+        assert_eq!(keys(&t), vec![3, 5, 15]);
         validate(&t).unwrap();
     }
 
@@ -1259,11 +1262,11 @@ mod tests {
         // 10's left subtree is {5, 7, 8}; its predecessor 8 is distant: category 3.
         let t = tree_with(&[10, 5, 15, 7, 8, 12, 20]);
         assert!(t.remove(&10));
-        assert_eq!(t.iter_keys(), vec![5, 7, 8, 12, 15, 20]);
+        assert_eq!(keys(&t), vec![5, 7, 8, 12, 15, 20]);
         validate(&t).unwrap();
         // The predecessor 8 must have taken 10's place and still be removable.
         assert!(t.remove(&8));
-        assert_eq!(t.iter_keys(), vec![5, 7, 12, 15, 20]);
+        assert_eq!(keys(&t), vec![5, 7, 12, 15, 20]);
         validate(&t).unwrap();
     }
 

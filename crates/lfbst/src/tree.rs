@@ -1,7 +1,8 @@
 //! The public [`LfBst`] type: construction, `insert`, `contains`, the map
 //! entry points (`insert_entry` / `get` / `upsert` / `remove_entry`), size
-//! queries, snapshots and teardown.  The removal protocol lives in
-//! `remove.rs`, the traversal in `locate.rs`, the value cells in `value.rs`.
+//! queries, the `OrderedMap` impl and teardown.  The removal protocol lives
+//! in `remove.rs`, the traversal in `locate.rs`, the value cells in
+//! `value.rs`.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::fmt;
@@ -103,13 +104,19 @@ impl SizeCounter {
 /// Set (`LfBst<K>`) or, with a value type, an ordered Map (`LfBst<K, V>`).
 ///
 /// The second type parameter defaults to `()`: `LfBst<K>` **is**
-/// `LfBst<K, ()>`, the paper's Set with its five-word node intact, and the
-/// whole set-flavoured API (`insert` / `remove` / `contains`, the
-/// [`Pinned`](crate::Pinned) handles, the batch helpers) lives on that alias.  Instantiating a real
-/// value type turns the same protocol into a map: the value rides in a cell
-/// beside the key (see [`MapValue`]) and `insert_entry` / [`get`](Self::get) /
-/// [`upsert`](Self::upsert) / [`remove_entry`](Self::remove_entry) carry it
-/// end to end.
+/// `LfBst<K, ()>`, the paper's Set with its five-word node intact.  Only
+/// `insert` is set-only (it needs no value); `remove`, `contains` and the
+/// [`Pinned`](crate::Pinned) handle serve every value type.  Instantiating a
+/// real value type turns the same protocol into a map: the value rides in a
+/// cell beside the key (see [`MapValue`]) and `insert_entry` /
+/// [`get`](Self::get) / [`upsert`](Self::upsert) /
+/// [`remove_entry`](Self::remove_entry) carry it end to end.
+///
+/// Each operation has one public entry point.  A batch of point operations
+/// under one epoch pin goes through [`pin`](Self::pin); ordered reads go
+/// through [`range_iter`](Self::range_iter) /
+/// [`range_cursor`](Self::range_cursor) or the [`OrderedMap`] /
+/// [`OrderedSet`](cset::OrderedSet) traits.
 ///
 /// See the [crate-level documentation](crate) for the algorithm overview and
 /// `DESIGN.md` for the full protocol description (including "Values on an
@@ -355,9 +362,9 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         self.contains_with(key, &R::pin())
     }
 
-    /// [`contains`](Self::contains) under a caller-held guard (see
-    /// [`pin`](Self::pin)): skips the per-operation epoch pin.
-    pub fn contains_with(&self, key: &K, guard: &R::Guard) -> bool {
+    /// [`contains`](Self::contains) under a caller-held guard: the body
+    /// behind both it and [`Pinned::contains`](crate::Pinned::contains).
+    pub(crate) fn contains_with(&self, key: &K, guard: &R::Guard) -> bool {
         let loc =
             self.locate_from::<false>(self.root1(), self.root0(), key, self.eager_help(), guard);
         loc.dir == 2
@@ -500,9 +507,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         self.insert_entry_with(key, value, &R::pin())
     }
 
-    /// [`insert_entry`](Self::insert_entry) under a caller-held guard (see
-    /// [`pin`](Self::pin)): skips the per-operation epoch pin.
-    pub fn insert_entry_with(&self, key: K, value: V, guard: &R::Guard) -> bool {
+    /// [`insert_entry`](Self::insert_entry) under a caller-held guard.
+    pub(crate) fn insert_entry_with(&self, key: K, value: V, guard: &R::Guard) -> bool {
         matches!(self.insert_core(key, value, guard), InsertOutcome::Inserted)
     }
 
@@ -520,8 +526,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         self.get_with(key, &R::pin())
     }
 
-    /// [`get`](Self::get) under a caller-held guard (see [`pin`](Self::pin)).
-    pub fn get_with(&self, key: &K, guard: &R::Guard) -> Option<V>
+    /// [`get`](Self::get) under a caller-held guard.
+    pub(crate) fn get_with(&self, key: &K, guard: &R::Guard) -> Option<V>
     where
         V: Clone,
     {
@@ -550,9 +556,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         self.upsert_with(key, value, &R::pin())
     }
 
-    /// [`upsert`](Self::upsert) under a caller-held guard (see
-    /// [`pin`](Self::pin)).
-    pub fn upsert_with(&self, key: K, value: V, guard: &R::Guard) -> Option<V>
+    /// [`upsert`](Self::upsert) under a caller-held guard.
+    pub(crate) fn upsert_with(&self, key: K, value: V, guard: &R::Guard) -> Option<V>
     where
         V: Clone,
     {
@@ -616,9 +621,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         self.remove_entry_with(key, &R::pin())
     }
 
-    /// [`remove_entry`](Self::remove_entry) under a caller-held guard (see
-    /// [`pin`](Self::pin)).
-    pub fn remove_entry_with(&self, key: &K, guard: &R::Guard) -> Option<V>
+    /// [`remove_entry`](Self::remove_entry) under a caller-held guard.
+    pub(crate) fn remove_entry_with(&self, key: &K, guard: &R::Guard) -> Option<V>
     where
         V: Clone,
     {
@@ -628,164 +632,6 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
         // been retired to the epoch collector.
         let node_ref = unsafe { victim.deref() };
         Some(node_ref.value.read_with(guard, V::clone).expect("keyed node has a value"))
-    }
-
-    /// Returns `true` if `key` currently has an entry.
-    ///
-    /// Identical to [`contains`](Self::contains); provided so map call sites
-    /// read naturally.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.contains(key)
-    }
-
-    /// Collects the keys currently in the set, in ascending order.
-    ///
-    /// The snapshot walks the threaded representation (an in-order walk is a
-    /// linear scan over threads).  It is **weakly consistent**: concurrent
-    /// mutations may or may not be observed; in a quiescent state it is exact.
-    ///
-    /// This is a convenience collector; for streaming consumption use
-    /// [`range_cursor`](Self::range_cursor) / [`range_iter`](Self::range_iter).
-    pub fn iter_keys(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
-        self.keys_in_range(..)
-    }
-
-    /// Collects the `(key, value)` entries currently in the map, in ascending
-    /// key order (same weak-consistency contract as
-    /// [`iter_keys`](Self::iter_keys)).
-    pub fn iter_entries(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.entries_in_range(..)
-    }
-
-    /// Collects the keys in `range`, in ascending order.
-    ///
-    /// Ordered range scans are where the threaded representation shines: once
-    /// the lower bound is located, the scan follows successor threads like a
-    /// linked list without re-descending the tree.  Like
-    /// [`iter_keys`](Self::iter_keys) the scan is **weakly consistent** under
-    /// concurrency and exact in a quiescent state.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    ///
-    /// let set = LfBst::new();
-    /// for k in [10u64, 20, 30, 40, 50] {
-    ///     set.insert(k);
-    /// }
-    /// assert_eq!(set.keys_in_range(15..=40), vec![20, 30, 40]);
-    /// assert_eq!(set.keys_in_range(..20), vec![10]);
-    /// assert_eq!(set.keys_in_range(41..), vec![50]);
-    /// ```
-    pub fn keys_in_range<B>(&self, range: B) -> Vec<K>
-    where
-        K: Clone,
-        B: std::ops::RangeBounds<K>,
-    {
-        let guard = &R::pin();
-        let mut cursor = self.range_cursor(range, guard);
-        let mut out = Vec::new();
-        while let Some(entry) = cursor.next() {
-            out.push(entry.key().clone());
-        }
-        out
-    }
-
-    /// Collects the `(key, value)` entries in `range`, in ascending key order.
-    ///
-    /// Each value is read from its node's cell at the moment the scan visits
-    /// it; like [`keys_in_range`](Self::keys_in_range) the scan is **weakly
-    /// consistent** under concurrency and exact in a quiescent state.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    ///
-    /// let map: LfBst<u64, u64> = LfBst::new();
-    /// for k in [10u64, 20, 30] {
-    ///     map.insert_entry(k, k * 10);
-    /// }
-    /// assert_eq!(map.entries_in_range(15..=30), vec![(20, 200), (30, 300)]);
-    /// ```
-    pub fn entries_in_range<B>(&self, range: B) -> Vec<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-        B: std::ops::RangeBounds<K>,
-    {
-        let guard = &R::pin();
-        let mut cursor = self.range_cursor(range, guard);
-        let mut out = Vec::new();
-        while let Some(entry) = cursor.next() {
-            out.push((entry.key().clone(), entry.value()));
-        }
-        out
-    }
-
-    /// Returns the smallest key in the set, if any (weakly consistent).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    /// let set = LfBst::new();
-    /// assert_eq!(set.min_key(), None);
-    /// set.insert(7u64);
-    /// set.insert(3);
-    /// assert_eq!(set.min_key(), Some(3));
-    /// ```
-    pub fn min_key(&self) -> Option<K>
-    where
-        K: Clone,
-    {
-        let guard = &R::pin();
-        let first = self.in_order_successor(self.root0(), guard);
-        unsafe { first.deref() }.key.as_key().cloned()
-    }
-
-    /// Returns the largest key in the set, if any (weakly consistent).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lfbst::LfBst;
-    /// let set = LfBst::new();
-    /// set.insert(7u64);
-    /// set.insert(11);
-    /// assert_eq!(set.max_key(), Some(11));
-    /// ```
-    pub fn max_key(&self) -> Option<K>
-    where
-        K: Clone,
-    {
-        let guard = &R::pin();
-        self.rightmost(guard).map(|node| {
-            node.key.as_key().cloned().expect("rightmost interior node carries a real key")
-        })
-    }
-
-    /// Returns the entry with the largest key, if any (weakly consistent):
-    /// the map twin of [`max_key`](Self::max_key), one rightmost-path walk.
-    pub fn max_entry(&self) -> Option<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let guard = &R::pin();
-        self.rightmost(guard).map(|node| {
-            let k = node.key.as_key().cloned().expect("rightmost interior node carries a real key");
-            let v = node.value.read_with(guard, V::clone).expect("keyed node has a value");
-            (k, v)
-        })
     }
 
     /// The rightmost interior node, reached through unthreaded right links.
@@ -862,7 +708,8 @@ impl<K: Ord, V: MapValue, R: Reclaimer> LfBst<K, V, R> {
     /// The paper notes the design uses five memory words per node (key, two
     /// child links, backlink, prelink); the map face adds exactly one word for
     /// the value-cell pointer (zero for the set alias).  This reports the
-    /// concrete Rust layout, used by the memory-footprint experiment (E9).
+    /// concrete Rust layout, used by the memory-footprint test
+    /// (`tests/tests/footprint.rs`).
     pub fn node_size_bytes() -> usize {
         std::mem::size_of::<Node<K, V>>()
     }
@@ -915,9 +762,8 @@ impl<K: Ord, R: Reclaimer> LfBst<K, (), R> {
         self.insert_with(key, &R::pin())
     }
 
-    /// [`insert`](Self::insert) under a caller-held guard (see
-    /// [`pin`](Self::pin)): skips the per-operation epoch pin.
-    pub fn insert_with(&self, key: K, guard: &R::Guard) -> bool {
+    /// [`insert`](Self::insert) under a caller-held guard.
+    pub(crate) fn insert_with(&self, key: K, guard: &R::Guard) -> bool {
         matches!(self.insert_core(key, (), guard), InsertOutcome::Inserted)
     }
 }
@@ -999,7 +845,7 @@ where
     R: Reclaimer,
 {
     fn entries_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
-        self.entries_in_range((lo.cloned(), hi.cloned()))
+        self.range_iter((lo.cloned(), hi.cloned())).collect()
     }
 
     fn entries_between_limited(
@@ -1037,12 +883,22 @@ where
         self.range_cursor(.., guard).next().map(|e| (e.key().clone(), e.value()))
     }
 
+    /// One walk down the rightmost path.
     fn last_entry(&self) -> Option<(K, V)> {
-        self.max_entry()
+        let guard = &R::pin();
+        self.rightmost(guard).map(|node| {
+            let k = node.key.as_key().cloned().expect("rightmost interior node carries a real key");
+            let v = node.value.read_with(guard, V::clone).expect("keyed node has a value");
+            (k, v)
+        })
     }
 
+    /// One `Locate` descent plus one successor-thread hop.
     fn next_entry_after(&self, key: &K) -> Option<(K, V)> {
-        LfBst::next_entry_after(self, key)
+        let guard = &R::pin();
+        let mut cursor =
+            self.range_cursor((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded), guard);
+        cursor.next().map(|e| (e.key().clone(), e.value()))
     }
 
     fn remove_range(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> usize {
@@ -1070,7 +926,7 @@ mod tests {
         assert_eq!(t.len(), 0);
         assert!(!t.contains(&1));
         assert!(!t.remove(&1));
-        assert_eq!(t.iter_keys(), Vec::<u64>::new());
+        assert_eq!(t.range_iter(..).next(), None);
         assert_eq!(t.height(), 0);
     }
 
@@ -1081,7 +937,7 @@ mod tests {
         assert!(t.contains(&42));
         assert!(!t.insert(42));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.iter_keys(), vec![42]);
+        assert_eq!(t.range_iter(..).keys().collect::<Vec<_>>(), vec![42]);
         assert!(t.remove(&42));
         assert!(!t.contains(&42));
         assert!(!t.remove(&42));
@@ -1096,7 +952,7 @@ mod tests {
             assert!(t.insert(k));
         }
         assert_eq!(t.len(), keys.len());
-        assert_eq!(t.iter_keys(), (0..10).collect::<Vec<_>>());
+        assert_eq!(t.range_iter(..).keys().collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
         for &k in &keys {
             assert!(t.contains(&k));
         }
@@ -1118,7 +974,7 @@ mod tests {
         assert!(t.insert("cherry".to_string()));
         assert!(t.contains(&"apple".to_string()));
         assert_eq!(
-            t.iter_keys(),
+            t.range_iter(..).keys().collect::<Vec<_>>(),
             vec!["apple".to_string(), "banana".to_string(), "cherry".to_string()]
         );
         assert!(t.remove(&"banana".to_string()));
@@ -1163,7 +1019,7 @@ mod tests {
         assert!(map.insert_entry(42, "answer".into()));
         assert!(!map.insert_entry(42, "not stored".into()));
         assert_eq!(map.get(&42).as_deref(), Some("answer"), "insert must not overwrite");
-        assert!(map.contains_key(&42));
+        assert!(map.contains(&42));
         assert_eq!(map.len(), 1);
         assert_eq!(map.remove_entry(&42).as_deref(), Some("answer"));
         assert_eq!(map.remove_entry(&42), None);
@@ -1188,13 +1044,21 @@ mod tests {
         for k in [5u64, 1, 9, 3, 7] {
             map.insert_entry(k, k * 100);
         }
-        assert_eq!(map.iter_entries(), vec![(1, 100), (3, 300), (5, 500), (7, 700), (9, 900)]);
-        assert_eq!(map.entries_in_range(3..=7), vec![(3, 300), (5, 500), (7, 700)]);
-        assert_eq!(map.entries_in_range(..3), vec![(1, 100)]);
-        assert_eq!(map.entries_in_range(8..), vec![(9, 900)]);
+        assert_eq!(
+            map.range_iter(..).collect::<Vec<_>>(),
+            vec![(1, 100), (3, 300), (5, 500), (7, 700), (9, 900)]
+        );
+        assert_eq!(map.range_iter(3..=7).collect::<Vec<_>>(), vec![(3, 300), (5, 500), (7, 700)]);
+        assert_eq!(map.range_iter(..3).collect::<Vec<_>>(), vec![(1, 100)]);
+        assert_eq!(map.range_iter(8..).collect::<Vec<_>>(), vec![(9, 900)]);
         // The key-only face of the same tree agrees.
-        assert_eq!(map.keys_in_range(3..=7), vec![3, 5, 7]);
-        assert_eq!(map.iter_keys(), vec![1, 3, 5, 7, 9]);
+        assert_eq!(map.range_iter(3..=7).keys().collect::<Vec<_>>(), vec![3, 5, 7]);
+        assert_eq!(map.range_iter(..).keys().collect::<Vec<_>>(), vec![1, 3, 5, 7, 9]);
+        // So do the trait's end and successor queries.
+        assert_eq!(map.first_entry(), Some((1, 100)));
+        assert_eq!(map.last_entry(), Some((9, 900)));
+        assert_eq!(map.next_entry_after(&5), Some((7, 700)));
+        assert_eq!(map.next_entry_after(&9), None);
     }
 
     #[test]
@@ -1261,7 +1125,7 @@ mod tests {
             h.join().unwrap();
         }
         crate::validate::validate(&*map).expect("map tree must validate after churn");
-        for (k, v) in map.iter_entries() {
+        for (k, v) in map.range_iter(..) {
             assert!(k < 512);
             assert!(v % 1_000_000 < 5_000);
         }

@@ -49,7 +49,7 @@ fn concurrent_disjoint_inserts() {
         });
     }
     assert_eq!(tree.len(), threads * per_thread as usize);
-    let keys = tree.iter_keys();
+    let keys: Vec<u64> = tree.range_iter(..).keys().collect();
     assert_eq!(keys.len(), threads * per_thread as usize);
     assert!(keys.windows(2).all(|w| w[0] < w[1]));
     validate(&tree).unwrap();
@@ -100,7 +100,7 @@ fn concurrent_disjoint_removes() {
         });
     }
     assert!(tree.is_empty());
-    assert_eq!(tree.iter_keys(), Vec::<u64>::new());
+    assert_eq!(tree.range_iter(..).next(), None);
     validate(&tree).unwrap();
 }
 
@@ -138,7 +138,7 @@ fn len_matches_model_after_disjoint_insert_remove() {
         .collect();
     let expected: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(tree.len(), expected);
-    assert_eq!(tree.iter_keys().len(), expected);
+    assert_eq!(tree.range_iter(..).count(), expected);
     validate(&tree).unwrap();
 }
 

@@ -91,7 +91,8 @@ fn cursor_matches_oracle_for_all_bound_combinations() {
             );
 
             // The set face of the same tree agrees on keys.
-            assert_eq!(map.keys_in_range((lo, hi)), expected_keys, "keys_in_range {lo:?}..{hi:?}");
+            let keys: Vec<u64> = map.range_iter((lo, hi)).keys().collect();
+            assert_eq!(keys, expected_keys, "range_iter keys {lo:?}..{hi:?}");
         }
     }
 }
@@ -107,7 +108,7 @@ fn cursor_on_empty_tree_is_empty_for_every_bound_shape() {
     }
     assert_eq!(OrderedMap::first_entry(&map), None);
     assert_eq!(OrderedMap::last_entry(&map), None);
-    assert_eq!(map.next_key_after(&0), None);
+    assert_eq!(OrderedMap::next_entry_after(&map, &0), None);
 }
 
 #[test]
@@ -124,7 +125,8 @@ fn successor_queries_match_oracle() {
     assert_eq!(OrderedSet::last(&set), model.iter().next_back().copied());
     for probe in 0..1_000u64 {
         let expected = model.range((Bound::Excluded(probe), Bound::Unbounded)).next().copied();
-        assert_eq!(set.next_key_after(&probe), expected, "successor of {probe}");
+        let streamed = set.range_iter((Bound::Excluded(probe), Bound::Unbounded)).keys().next();
+        assert_eq!(streamed, expected, "successor of {probe}");
         assert_eq!(OrderedSet::next_after(&set, &probe), expected);
     }
 }

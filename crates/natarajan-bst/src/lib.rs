@@ -403,14 +403,6 @@ impl<K: Ord, R: Reclaimer> NatarajanBst<K, R> {
         }
     }
 
-    /// Keys in ascending order (weakly consistent; exact at quiescence).
-    pub fn iter_keys(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
-        self.keys_in_range_limited(Bound::Unbounded, Bound::Unbounded, usize::MAX)
-    }
-
     /// Collects up to `limit` keys in `[lo, hi]`, ascending (weakly
     /// consistent; exact at quiescence, though a key whose removal is still
     /// in its physical-splice window may briefly be reported).
@@ -556,7 +548,7 @@ impl<K: Ord + Clone + Send + Sync, R: Reclaimer> ConcurrentMap<K, ()> for Natara
 }
 
 /// Size in bytes of one (internal or leaf) node for `u64` keys (footprint
-/// reporting, experiment E9).  An external tree needs `2n - 1` such nodes for
+/// reporting, `tests/tests/footprint.rs`).  An external tree needs `2n - 1` such nodes for
 /// `n` keys.
 pub fn node_size_bytes() -> usize {
     std::mem::size_of::<ExtNode<u64>>()
@@ -565,6 +557,7 @@ pub fn node_size_bytes() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cset::OrderedSet;
     use std::sync::atomic::AtomicI64;
     use std::sync::Arc;
 
@@ -579,10 +572,10 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert!(t.contains(&3));
         assert!(!t.contains(&4));
-        assert_eq!(t.iter_keys(), vec![3, 5, 8]);
+        assert_eq!(t.keys_between(Bound::Unbounded, Bound::Unbounded), vec![3, 5, 8]);
         assert!(t.remove(&5));
         assert!(!t.remove(&5));
-        assert_eq!(t.iter_keys(), vec![3, 8]);
+        assert_eq!(t.keys_between(Bound::Unbounded, Bound::Unbounded), vec![3, 8]);
         assert!(t.remove(&3));
         assert!(t.remove(&8));
         assert!(t.is_empty());
@@ -598,7 +591,10 @@ mod tests {
             assert!(t.insert(k));
         }
         assert_eq!(t.len(), 400);
-        assert_eq!(t.iter_keys(), (0..400).collect::<Vec<_>>());
+        assert_eq!(
+            t.keys_between(Bound::Unbounded, Bound::Unbounded),
+            (0..400).collect::<Vec<_>>()
+        );
         for k in 0..400u64 {
             assert!(t.remove(&k), "failed removing {k}");
         }
@@ -668,7 +664,7 @@ mod tests {
         assert!(!t.remove(&"k000".to_string()));
         assert!(t.contains(&"k001".to_string()));
         assert!(!t.contains(&"k002".to_string()));
-        let keys = t.iter_keys();
+        let keys = t.keys_between(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(
             keys,
             (0..200u32).filter(|k| k % 2 == 1).map(|k| format!("k{k:03}")).collect::<Vec<_>>()
@@ -725,6 +721,6 @@ mod tests {
             expected += b as usize;
         }
         assert_eq!(tree.len(), expected);
-        assert_eq!(tree.iter_keys().len(), expected);
+        assert_eq!(tree.keys_between(Bound::Unbounded, Bound::Unbounded).len(), expected);
     }
 }

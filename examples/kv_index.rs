@@ -25,7 +25,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use examples::format_rate;
-use lfbst::LfBst;
+use lfbst::{LfBst, OrderedMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -207,7 +207,7 @@ fn main() {
         println!("  page {page_no}: ids {ids:?} (integrity-checked)");
         after = ids.last().copied();
     }
-    if let Some((max_id, _)) = index.max_entry() {
+    if let Some((max_id, _)) = index.last_entry() {
         println!("largest id currently indexed: {max_id}");
     }
 }

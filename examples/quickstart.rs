@@ -44,8 +44,8 @@ fn main() {
     println!("observed {seen} keys while writers were running");
     assert_eq!(set.len(), 40_000);
 
-    // 4. Ordered snapshot of the contents (quiescent).
-    let keys = set.iter_keys();
+    // 4. Ordered snapshot of the contents (quiescent), streamed and collected.
+    let keys: Vec<u64> = set.range_iter(..).keys().collect();
     assert_eq!(keys.len(), 40_000);
     assert!(keys.windows(2).all(|w| w[0] < w[1]));
     println!("smallest = {}, largest = {}", keys[0], keys[keys.len() - 1]);

@@ -9,7 +9,7 @@
 //! plus a concurrent upsert-vs-remove race battery asserting linearizable
 //! `get` results.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Mutex;
 
@@ -104,9 +104,9 @@ fn snapshots_agree_after_identical_updates() {
         apply(&natarajan, op);
         apply(&sharded_range, op);
     }
-    let reference = lfbst.iter_keys();
-    assert_eq!(reference, ellen.iter_keys());
-    assert_eq!(reference, natarajan.iter_keys());
+    let reference: Vec<u64> = lfbst.range_iter(..).keys().collect();
+    assert_eq!(reference, ellen.keys_between(Bound::Unbounded, Bound::Unbounded));
+    assert_eq!(reference, natarajan.keys_between(Bound::Unbounded, Bound::Unbounded));
     // The order-preserving sharded scan must reproduce the global order.
     assert_eq!(reference, sharded_range.keys_between(Bound::Unbounded, Bound::Unbounded));
     lfbst::validate::validate(&lfbst).expect("lfbst structure must validate");
@@ -360,18 +360,45 @@ fn map_ordered_scans_agree_with_the_oracle() {
     let sharded_range =
         Sharded::new(BoundaryRouter::covering(8, 200), |_| LfBst::<u64, u64>::new());
     let locked: CoarseLockMap<u64, u64> = CoarseLockMap::new();
+    let maps: [&dyn OrderedMap<u64, u64>; 3] = [&lfbst, &sharded_range, &locked];
+    // The end and successor queries: `first_entry` is one cursor step,
+    // `last_entry` a rightmost-path walk and `next_entry_after` a seek plus
+    // one hop on lfbst, each routed per strip on the sharded map.
+    let probes: Vec<u64> = (0..20).map(|i| i * 11).collect();
+    let check_ends = |model: &BTreeMap<u64, u64>, when: &str| {
+        let entry = |(&k, &v): (&u64, &u64)| (k, v);
+        for map in maps {
+            let name = map.name();
+            assert_eq!(map.first_entry(), model.iter().next().map(entry), "{name} first, {when}");
+            assert_eq!(
+                map.last_entry(),
+                model.iter().next_back().map(entry),
+                "{name} last, {when}"
+            );
+            for &p in &probes {
+                let expected = model.range((Bound::Excluded(p), Bound::Unbounded)).next();
+                assert_eq!(
+                    map.next_entry_after(&p),
+                    expected.map(entry),
+                    "{name} after {p}, {when}"
+                );
+            }
+        }
+    };
+    check_ends(&oracle.lock().unwrap(), "empty");
     for &op in &ops {
         if matches!(op, MapOp::Get(_) | MapOp::ContainsKey(_)) {
             continue;
         }
         apply_oracle(&oracle, op);
-        apply_map(&lfbst, op);
-        apply_map(&sharded_range, op);
-        apply_map(&locked, op);
+        for map in maps {
+            apply_map(map, op);
+        }
     }
     let model = oracle.lock().unwrap();
+    check_ends(&model, "filled");
     let reference: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-    assert_eq!(lfbst.iter_entries(), reference);
+    assert_eq!(lfbst.range_iter(..).collect::<Vec<_>>(), reference);
     assert_eq!(lfbst.entries_between(Bound::Unbounded, Bound::Unbounded), reference);
     assert_eq!(sharded_range.entries_between(Bound::Unbounded, Bound::Unbounded), reference);
     assert_eq!(OrderedMap::entries_between(&locked, Bound::Unbounded, Bound::Unbounded), reference);
@@ -460,30 +487,40 @@ fn map_retain_and_remove_range_agree_with_the_oracle() {
 #[test]
 fn map_as_set_bridge_matches_the_set_face_of_the_same_tree() {
     // `LfBst<u64>` is a set only through the blanket impls over its map face:
-    // trait dispatch on one tree must agree step by step with the inherent
-    // set methods on another.
+    // trait dispatch on one tree and the inherent set methods on another must
+    // both agree step by step with a `BTreeSet` model.
     let ops = random_ops(20_000, 250, 777);
     let bridged: LfBst<u64> = LfBst::new();
     let native: LfBst<u64> = LfBst::new();
+    let mut model = BTreeSet::new();
     for (i, &op) in ops.iter().enumerate() {
-        let inherent = match op {
-            Op::Insert(k) => native.insert(k),
-            Op::Remove(k) => native.remove(&k),
-            Op::Contains(k) => native.contains(&k),
+        let (expected, inherent) = match op {
+            Op::Insert(k) => (model.insert(k), native.insert(k)),
+            Op::Remove(k) => (model.remove(&k), native.remove(&k)),
+            Op::Contains(k) => (model.contains(&k), native.contains(&k)),
         };
-        assert_eq!(apply(&bridged, op), inherent, "trait dispatch diverged at step {i} ({op:?})");
+        assert_eq!(inherent, expected, "inherent face diverged at step {i} ({op:?})");
+        assert_eq!(apply(&bridged, op), expected, "trait dispatch diverged at step {i} ({op:?})");
     }
+    let keys = |model: &BTreeSet<u64>| model.iter().copied().collect::<Vec<_>>();
     let set: &dyn OrderedSet<u64> = &bridged;
-    assert_eq!(set.len(), native.len());
-    assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), native.iter_keys());
-    assert_eq!(set.first(), native.min_key());
-    assert_eq!(set.last(), native.max_key());
-    assert_eq!(set.next_after(&100), native.next_key_after(&100));
-    assert_eq!(
-        set.remove_range(Bound::Included(&50), Bound::Excluded(&150)),
-        native.remove_range(50..150)
-    );
-    assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), native.iter_keys());
+    assert_eq!((set.len(), native.len()), (model.len(), model.len()));
+    assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), keys(&model));
+    assert_eq!(native.range_iter(..).keys().collect::<Vec<_>>(), keys(&model));
+    assert_eq!(set.first(), model.first().copied());
+    assert_eq!(native.range_iter(..).keys().next(), model.first().copied());
+    assert_eq!(set.last(), model.last().copied());
+    let after_100 = model.range((Bound::Excluded(100), Bound::Unbounded)).next().copied();
+    assert_eq!(set.next_after(&100), after_100);
+    let native_after_100 =
+        native.range_iter((Bound::Excluded(100), Bound::Unbounded)).keys().next();
+    assert_eq!(native_after_100, after_100);
+    let doomed = model.range(50..150).count();
+    model.retain(|k| !(50..150).contains(k));
+    assert_eq!(set.remove_range(Bound::Included(&50), Bound::Excluded(&150)), doomed);
+    assert_eq!(native.remove_range(50..150), doomed);
+    assert_eq!(set.keys_between(Bound::Unbounded, Bound::Unbounded), keys(&model));
+    assert_eq!(native.range_iter(..).keys().collect::<Vec<_>>(), keys(&model));
 }
 
 /// The upsert-vs-remove race battery the map contract promises

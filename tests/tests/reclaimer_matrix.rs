@@ -83,7 +83,7 @@ fn map_conformance<R: Reclaimer>() {
         }
     }
     assert_eq!(
-        map.entries_in_range(..).into_iter().collect::<Vec<_>>(),
+        map.range_iter(..).collect::<Vec<_>>(),
         oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
         "final ordered snapshot diverged from the oracle"
     );
@@ -140,7 +140,7 @@ fn bulk_sweep_conformance<R: Reclaimer>() {
             assert_eq!(map.remove_range(lo..hi), expected, "remove_range {lo}..{hi} diverged");
         }
         assert_eq!(
-            map.entries_in_range(..).into_iter().collect::<Vec<_>>(),
+            map.range_iter(..).collect::<Vec<_>>(),
             oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
             "contents diverged after round {round}"
         );
