@@ -311,6 +311,20 @@ where
 {
     /// Strips the values, yielding keys only — the natural shape for the set
     /// alias (`V = ()`), where the iterator would otherwise yield `(K, ())`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lfbst::LfBst;
+    ///
+    /// let set = LfBst::new();
+    /// for k in [10u64, 20, 30, 40, 50] {
+    ///     set.insert(k);
+    /// }
+    /// assert_eq!(set.range_iter(15..=40).keys().collect::<Vec<_>>(), vec![20, 30, 40]);
+    /// assert_eq!(set.range_iter(..20).keys().collect::<Vec<_>>(), vec![10]);
+    /// assert_eq!(set.range_iter(41..).keys().collect::<Vec<_>>(), vec![50]);
+    /// ```
     pub fn keys(self) -> impl Iterator<Item = K> + 't
     where
         V: Clone,

@@ -844,6 +844,19 @@ where
     V: MapValue + Clone,
     R: Reclaimer,
 {
+    /// Collects [`range_iter`](LfBst::range_iter): each value is read from
+    /// its node's cell when the scan visits it.
+    ///
+    /// ```
+    /// use lfbst::{LfBst, OrderedMap};
+    /// use std::ops::Bound::Included;
+    ///
+    /// let map: LfBst<u64, u64> = LfBst::new();
+    /// for k in [10u64, 20, 30] {
+    ///     map.insert_entry(k, k * 10);
+    /// }
+    /// assert_eq!(map.entries_between(Included(&15), Included(&30)), vec![(20, 200), (30, 300)]);
+    /// ```
     fn entries_between(&self, lo: std::ops::Bound<&K>, hi: std::ops::Bound<&K>) -> Vec<(K, V)> {
         self.range_iter((lo.cloned(), hi.cloned())).collect()
     }
@@ -878,12 +891,38 @@ where
         Box::new(self.range_iter((lo.cloned(), hi.cloned())))
     }
 
+    /// One cursor step from the `-inf` end.
+    ///
+    /// ```
+    /// use lfbst::{LfBst, OrderedSet};
+    ///
+    /// let set = LfBst::new();
+    /// assert_eq!(set.first(), None);
+    /// set.insert(7u64);
+    /// set.insert(3);
+    /// assert_eq!(set.first(), Some(3));
+    /// ```
     fn first_entry(&self) -> Option<(K, V)> {
         let guard = &R::pin();
         self.range_cursor(.., guard).next().map(|e| (e.key().clone(), e.value()))
     }
 
     /// One walk down the rightmost path.
+    ///
+    /// ```
+    /// use lfbst::{LfBst, OrderedMap, OrderedSet};
+    ///
+    /// let set = LfBst::new();
+    /// set.insert(7u64);
+    /// set.insert(11);
+    /// assert_eq!(set.last(), Some(11));
+    ///
+    /// let map: LfBst<u64, u64> = LfBst::new();
+    /// assert_eq!(map.last_entry(), None);
+    /// map.insert_entry(7, 70);
+    /// map.insert_entry(11, 110);
+    /// assert_eq!(map.last_entry(), Some((11, 110)));
+    /// ```
     fn last_entry(&self) -> Option<(K, V)> {
         let guard = &R::pin();
         self.rightmost(guard).map(|node| {
@@ -894,6 +933,18 @@ where
     }
 
     /// One `Locate` descent plus one successor-thread hop.
+    ///
+    /// ```
+    /// use lfbst::{LfBst, OrderedSet};
+    ///
+    /// let set = LfBst::new();
+    /// for k in [10u64, 20, 30] {
+    ///     set.insert(k);
+    /// }
+    /// assert_eq!(set.next_after(&10), Some(20));
+    /// assert_eq!(set.next_after(&15), Some(20));
+    /// assert_eq!(set.next_after(&30), None);
+    /// ```
     fn next_entry_after(&self, key: &K) -> Option<(K, V)> {
         let guard = &R::pin();
         let mut cursor =
